@@ -17,8 +17,9 @@ from maxent_tomo import (
     TrapConfig,
     build_observation_level,
     default_bin_grid,
+    delta_rho,
+    fidelity,
     fit,
-    metrics,
     simulate_ideal,
     superposition,
 )
@@ -47,13 +48,12 @@ print("bin capture per rotation:", np.round(record.values.sum(axis=1), 6))
 # exact data deserves a tight gradient tolerance; the deviation floor near
 # a pure state is shallow and the default 1e-9 stops a little early
 state, report = fit(obs.with_record(record), grad_tol=1e-13)
-m = metrics(state.rho, psi.density())
 
 print(f"converged = {report.converged} after {report.iterations} iterations")
 print(f"deviation delta_f = {report.delta_f:.3e}")
 print(f"entropy           = {report.entropy:.3e}  (true state is pure: 0)")
-print(f"fidelity          = {m.fidelity:.7f}")
-print(f"delta_rho         = {m.delta_rho:.3e}")
+print(f"fidelity          = {fidelity(state.rho, psi.density()):.7f}")
+print(f"delta_rho         = {delta_rho(state.rho, psi.density()):.3e}")
 print()
 print("populations (true vs reconstructed):")
 true_pops = np.abs(psi.amplitudes) ** 2

@@ -7,7 +7,6 @@ from .hilbert import (
     FockSpace,
     HermitianOperator,
     PureState,
-    StateMetrics,
     TruncationError,
     delta_rho,
     entropy,
@@ -19,12 +18,9 @@ from .hilbert import (
     hermite_functions,
     hermitian_expm,
     ladder_operators,
-    make_state,
-    metrics,
     superposition,
     thermal_state,
     unitary_expm,
-    wavefunction,
 )
 from .io import (
     CutFile,
@@ -69,9 +65,7 @@ from .simulate import (
     DimensionMismatch,
     MeasurementRecord,
     NoiseSpec,
-    PrepSpec,
     add_noise,
-    estimate_nbar_heuristic,
     prepare_free_expansion,
     simulate_ideal,
 )

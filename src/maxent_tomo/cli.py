@@ -14,14 +14,16 @@ import numpy as np
 
 from . import io as tio
 from .hilbert import (
-    DensityOperator,
     FockSpace,
     PureState,
     entropy,
+    even_cat,
     expectation,
     fidelity,
+    fock_state,
     ladder_operators,
-    make_state,
+    superposition,
+    thermal_state,
 )
 from .maxent import fit
 from .measurement import build_observation_level
@@ -37,14 +39,13 @@ def _build_state(config: tio.RunConfig, space: FockSpace):
         t1 = float(arg) * 1e-6
         return prepare_free_expansion(config.trap_config(), t1, space)
     if kind == "fock":
-        return make_state("fock", space, k=int(arg))
+        return fock_state(space, int(arg))
     if kind == "superposition":
-        coeffs = [complex(tok.strip()) for tok in arg.split(",")]
-        return make_state("superposition", space, coeffs=coeffs)
+        return superposition(space, [complex(tok.strip()) for tok in arg.split(",")])
     if kind == "even_cat":
-        return make_state("even_cat", space, alpha=float(arg))
+        return even_cat(space, float(arg))
     if kind == "thermal":
-        return make_state("thermal", space, nbar=float(arg))
+        return thermal_state(space, float(arg))
     raise ValueError(f"unknown state spec {config.state!r}")
 
 

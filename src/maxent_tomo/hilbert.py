@@ -25,7 +25,6 @@ __all__ = [
     "DensityOperator",
     "HermitianOperator",
     "LadderOperators",
-    "StateMetrics",
     "TruncationError",
     "EigError",
     "ladder_operators",
@@ -33,16 +32,13 @@ __all__ = [
     "superposition",
     "even_cat",
     "thermal_state",
-    "make_state",
     "harmonic_evolve",
     "hermitian_expm",
     "unitary_expm",
     "hermite_functions",
-    "wavefunction",
     "entropy",
     "delta_rho",
     "fidelity",
-    "metrics",
     "expectation",
 ]
 
@@ -92,7 +88,7 @@ class PureState:
         if amp.ndim != 1 or amp.size < 2:
             raise ValueError("amplitudes must be a 1-D vector of length >= 2")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > STATE_NORM_TOL:
+        if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _readonly(amp))
 
@@ -115,7 +111,7 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
         dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > HERMITICITY_TOL:
+        if not dev <= HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -135,13 +131,13 @@ class DensityOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > HERMITICITY_TOL:
+        if not dev <= HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian (max deviation {dev:.3e})")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         lowest = float(np.linalg.eigvalsh(m)[0])
-        if lowest < -PSD_TOL:
+        if not lowest >= -PSD_TOL:
             raise ValueError(f"negative eigenvalue {lowest:.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -271,23 +267,6 @@ def thermal_state(space: FockSpace, nbar: float) -> DensityOperator:
     return DensityOperator(np.diag(pops).astype(np.complex128))
 
 
-_STATE_FACTORIES = {
-    "fock": fock_state,
-    "superposition": superposition,
-    "even_cat": even_cat,
-    "thermal": thermal_state,
-}
-
-
-def make_state(kind: str, space: FockSpace, **params):
-    """Dispatch to a state factory: fock, superposition, even_cat, thermal."""
-    try:
-        factory = _STATE_FACTORIES[kind]
-    except KeyError:
-        raise ValueError(f"unknown state kind {kind!r}") from None
-    return factory(space, **params)
-
-
 # ---------------------------------------------------------------------------
 # evolution and matrix functions
 
@@ -349,27 +328,8 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     return out
 
 
-def wavefunction(n: int, x, basis: str = "position"):
-    """Oscillator eigenfunction <x|n> or <p|n> = (-i)^n psi_n(p)."""
-    if n < 0 or int(n) != n:
-        raise ValueError("n must be a non-negative integer")
-    psi = hermite_functions(int(n), x)[int(n)]
-    if basis == "position":
-        return psi
-    if basis == "momentum":
-        return (-1j) ** int(n) * psi.astype(np.complex128)
-    raise ValueError(f"unknown basis {basis!r}")
-
-
 # ---------------------------------------------------------------------------
 # figures of merit
-
-
-@dataclass(frozen=True)
-class StateMetrics:
-    entropy: float
-    delta_rho: float
-    fidelity: float
 
 
 def entropy(state) -> float:
@@ -394,11 +354,6 @@ def fidelity(a, b) -> float:
     sqrt_a = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
     inner = np.linalg.eigvalsh(sqrt_a @ mb @ sqrt_a)
     return float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)
-
-
-def metrics(a, b) -> StateMetrics:
-    """Entropy of a, squared element-wise distance and fidelity between a and b."""
-    return StateMetrics(entropy(a), delta_rho(a, b), fidelity(a, b))
 
 
 def expectation(state, operator) -> float:

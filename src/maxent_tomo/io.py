@@ -278,10 +278,23 @@ def read_record(path) -> MeasurementRecord:
     )
     rotations = tuple(float(t) for t in meta["rotations_rad"].split(","))
     values = np.zeros((len(rotations), grid.n_bins))
+    seen = np.zeros(values.shape, dtype=bool)
     for row in rows:
-        j = int(row[0])
-        k = int(row[2])
+        j, k = int(row[0]), int(row[2])
+        if not (0 <= j < len(rotations) and abs(k) <= grid.half_count):
+            raise ValueError(f"record row (rotation {j}, bin {k}) is outside "
+                             f"{len(rotations)} rotations x bins +-{grid.half_count}")
+        if seen[j, k + grid.half_count]:
+            raise ValueError(f"record repeats the row (rotation {j}, bin {k})")
+        if float(row[1]) != rotations[j]:
+            raise ValueError(f"record row (rotation {j}, bin {k}) has theta_rad "
+                             f"{row[1]}, metadata says {rotations[j]!r}")
+        seen[j, k + grid.half_count] = True
         values[j, k + grid.half_count] = float(row[4])
+    if not seen.all():
+        j, i = np.argwhere(~seen)[0]
+        raise ValueError(f"record misses {int((~seen).sum())} rows, first "
+                         f"(rotation {j}, bin {i - grid.half_count})")
     provenance = {"kind": meta.get("kind", "ideal")}
     if "eta" in meta:
         provenance["eta"] = float(meta["eta"])

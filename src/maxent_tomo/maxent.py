@@ -23,14 +23,13 @@ exponentials are ever formed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from .hilbert import DensityOperator, EigError, _eigh, entropy
+from .hilbert import DensityOperator, _eigh, entropy
 from .measurement import ObservableSet
 
 __all__ = [
@@ -108,6 +107,46 @@ class CanonicalState:
     _eigvecs: np.ndarray = field(repr=False, compare=False, default=None)
 
 
+def _spectrum(vec: np.ndarray, ops: np.ndarray):
+    """Ascending eigenpairs of the exponent A = sum_nu vec_nu G_nu."""
+    a = np.tensordot(vec, ops, axes=1)
+    return _eigh(0.5 * (a + a.conj().T))
+
+
+def _gibbs(d: np.ndarray, v: np.ndarray):
+    """Boltzmann factors q = exp(-e) of the shifted spectrum e = d - min(d),
+    their sum z and rho = V diag(q/z) V+, not re-symmetrized."""
+    e = d - d[0]  # eigh sorts ascending, d[0] is the minimum
+    q = np.exp(-e)
+    z = q.sum()
+    return e, q, z, (v * (q / z)) @ v.conj().T
+
+
+def _model_means(rho: np.ndarray, ops_flat: np.ndarray) -> np.ndarray:
+    return np.real(ops_flat @ rho.T.reshape(-1))
+
+
+def _deviation_terms(d: np.ndarray, v: np.ndarray, observables: ObservableSet):
+    """dF and its gradient at the spectrum (d, v) of A: the one evaluation
+    the fit minimizes and ``deviation``/``deviation_gradient`` report.
+
+    The gradient is assembled from <G_mu> and Tr[G_mu V (phi o (V+ R V)) V+]/Z
+    with R = sum_nu w_nu r_nu G_nu the weighted residual operator, so only
+    two operator-array contractions are needed per call."""
+    ops = observables.operators
+    ops_flat = ops.reshape(len(ops), -1)
+    e, q, z, rho = _gibbs(d, v)
+    model = _model_means(rho, ops_flat)
+    r = model - observables.means
+    wr = observables.weights * r
+    f = float(np.dot(wr, r))
+    rmat = (wr @ ops_flat).reshape(ops.shape[1:])
+    rt = v.conj().T @ rmat @ v
+    shat = v @ (rt * _phi_kernel(e, q)) @ v.conj().T
+    term = np.real(ops_flat @ shat.T.reshape(-1))
+    return f, 2.0 * (np.dot(wr, model) * model - term / z)
+
+
 def canonical_state(lambdas, observables: ObservableSet) -> CanonicalState:
     """Build the canonical state for the given multipliers.
 
@@ -115,28 +154,15 @@ def canonical_state(lambdas, observables: ObservableSet) -> CanonicalState:
     exponentiation, so arbitrarily large multipliers only underflow harmlessly.
     log_partition is ln Tr exp(-A) for the unshifted A.
     """
-    vec = _flat_lambdas(lambdas, observables)
-    stack = observables.matrix_stack
-    a = np.tensordot(vec, stack, axes=1)
-    a = 0.5 * (a + a.conj().T)
-    d, v = _eigh(a)
-    q = np.exp(-(d - d[0]))  # eigh sorts ascending, d[0] is the minimum
-    z_shift = q.sum()
-    probs = q / z_shift
-    rho = (v * probs) @ v.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
+    d, v = _spectrum(_flat_lambdas(lambdas, observables), observables.operators)
+    rho = _gibbs(d, v)[3]
     return CanonicalState(
-        rho=DensityOperator(rho),
+        rho=DensityOperator(0.5 * (rho + rho.conj().T)),
         log_partition=float(logsumexp(-d)),
         lambdas=lambdas,
         _eigvals=d,
         _eigvecs=v,
     )
-
-
-def _model_means(state: CanonicalState, stack_flat: np.ndarray, dim: int) -> np.ndarray:
-    rho_t = state.rho.matrix.T.reshape(-1)
-    return np.real(stack_flat @ rho_t)
 
 
 def _require_means(observables: ObservableSet) -> np.ndarray:
@@ -147,11 +173,8 @@ def _require_means(observables: ObservableSet) -> np.ndarray:
 
 def deviation(state: CanonicalState, observables: ObservableSet) -> float:
     """Weighted squared mismatch between model and target means."""
-    data = _require_means(observables)
-    stack = observables.matrix_stack
-    model = _model_means(state, stack.reshape(stack.shape[0], -1), observables.dim)
-    r = model - data
-    return float(np.dot(observables.weights * r, r))
+    _require_means(observables)
+    return _deviation_terms(state._eigvals, state._eigvecs, observables)[0]
 
 
 def _phi_kernel(e: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -168,32 +191,11 @@ def _phi_kernel(e: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def deviation_gradient(state: CanonicalState, observables: ObservableSet):
-    """Gradient of the deviation functional with respect to the multipliers.
-
-    d<G_nu>/d lambda_mu = <G_nu><G_mu> - Tr[G_mu V (phi o (V+ R V)) V+]/Z terms
-    assembled so only two stack contractions are needed per call.  Returns
-    the same layout as the state's multipliers (LagrangeVector in, LagrangeVector
-    out)."""
-    data = _require_means(observables)
-    w = observables.weights
-    stack = observables.matrix_stack
-    stack_flat = stack.reshape(stack.shape[0], -1)
-    d, v = state._eigvals, state._eigvecs
-    e = d - d[0]
-    q = np.exp(-e)
-    z = q.sum()
-
-    model = _model_means(state, stack_flat, observables.dim)
-    r = model - data
-    wr = w * r
-
-    rmat = (wr @ stack_flat).reshape(observables.dim, observables.dim)
-    rt = v.conj().T @ rmat @ v
-    sprime = rt * _phi_kernel(e, q)
-    shat = v @ sprime @ v.conj().T
-    term = np.real(stack_flat @ shat.T.reshape(-1))
-
-    grad = 2.0 * (np.dot(wr, model) * model - term / z)
+    """Gradient of the deviation functional with respect to the multipliers,
+    in the layout of the state's multipliers (LagrangeVector in,
+    LagrangeVector out)."""
+    _require_means(observables)
+    grad = _deviation_terms(state._eigvals, state._eigvecs, observables)[1]
     if isinstance(state.lambdas, LagrangeVector):
         return LagrangeVector.from_flat(grad, state.lambdas.lambda_bins.shape)
     return grad
@@ -205,15 +207,12 @@ def mean_jacobian(state: CanonicalState, observables: ObservableSet) -> np.ndarr
     For commuting (diagonal) observables this reduces to minus the classical
     covariance matrix of the eigenvalue distributions.  Test and diagnostic
     helper; the fit itself uses the cheaper contracted form above."""
-    stack = observables.matrix_stack
-    d, v = state._eigvals, state._eigvecs
-    e = d - d[0]
-    q = np.exp(-e)
-    z = q.sum()
-    model = _model_means(state, stack.reshape(stack.shape[0], -1), observables.dim)
-    gt = np.matmul(np.matmul(v.conj().T, stack), v)
-    phi = _phi_kernel(e, q)
-    k = np.einsum("vab,ab,wba->vw", gt, phi, gt, optimize=True)
+    ops = observables.operators
+    v = state._eigvecs
+    e, q, z, rho = _gibbs(state._eigvals, v)
+    model = _model_means(rho, ops.reshape(len(ops), -1))
+    gt = np.matmul(np.matmul(v.conj().T, ops), v)
+    k = np.einsum("vab,ab,wba->vw", gt, _phi_kernel(e, q), gt, optimize=True)
     return np.real(np.outer(model, model) - k / z)
 
 
@@ -251,38 +250,6 @@ class FitReport:
         }
 
 
-def _objective_factory(observables: ObservableSet):
-    data = _require_means(observables)
-    w = observables.weights
-    stack = observables.matrix_stack
-    nops, dim = stack.shape[0], stack.shape[1]
-    stack_flat = np.ascontiguousarray(stack.reshape(nops, -1))
-
-    def fg(lam: np.ndarray):
-        a = np.tensordot(lam, stack, axes=1)
-        a = 0.5 * (a + a.conj().T)
-        d, v = _eigh(a)
-        e = d - d[0]
-        q = np.exp(-e)
-        z = q.sum()
-        probs = q / z
-        rho = (v * probs) @ v.conj().T
-        model = np.real(stack_flat @ rho.T.reshape(-1))
-        r = model - data
-        wr = w * r
-        f = float(np.dot(wr, r))
-
-        rmat = (wr @ stack_flat).reshape(dim, dim)
-        rt = v.conj().T @ rmat @ v
-        sprime = rt * _phi_kernel(e, q)
-        shat = v @ sprime @ v.conj().T
-        term = np.real(stack_flat @ shat.T.reshape(-1))
-        grad = 2.0 * (np.dot(wr, model) * model - term / z)
-        return f, grad
-
-    return fg
-
-
 def fit(
     observables: ObservableSet,
     *,
@@ -303,7 +270,10 @@ def fit(
     raised, so callers can inspect the partial result.
     """
     data = _require_means(observables)
-    fg = _objective_factory(observables)
+    ops = observables.operators
+
+    def fg(lam):
+        return _deviation_terms(*_spectrum(lam, ops), observables)
 
     if initial is None:
         x0 = np.zeros(observables.n_ops)
@@ -311,18 +281,9 @@ def fit(
         x0 = _flat_lambdas(initial, observables).copy()
 
     history: list = []
-    last_eval = {"x": None, "f": None}
 
-    def wrapped(lam):
-        f, g = fg(lam)
-        last_eval["x"], last_eval["f"] = lam.copy(), f
-        return f, g
-
-    def callback(xk):
-        if last_eval["x"] is not None and np.array_equal(xk, last_eval["x"]):
-            f = last_eval["f"]
-        else:
-            f = fg(xk)[0]
+    def callback(intermediate_result):
+        f = float(intermediate_result.fun)
         history.append(f)
         if f < CONVERGED_DF:
             # deviation at its floor; the gradient test cannot add anything
@@ -335,36 +296,34 @@ def fit(
     message = ""
     for attempt in range(max_restarts + 1):
         res = minimize(
-            wrapped, x0, jac=True, method="L-BFGS-B", callback=callback,
+            fg, x0, jac=True, method="L-BFGS-B", callback=callback,
             options={
                 "maxiter": max_iter, "maxfun": 3 * max_iter,
                 "ftol": 0.0, "gtol": grad_tol, "maxcor": 30, "maxls": 60,
             },
         )
         total_iter += int(res.nit)
-        f_res, g_res = fg(res.x)
-        ginf = float(np.max(np.abs(g_res)))
-        if best is None or f_res < best[1]:
-            best = (res.x.copy(), f_res, ginf)
+        f_res = float(res.fun)
+        ginf = float(np.max(np.abs(res.jac)))
         message = str(res.message)
-        if ginf < grad_tol or f_res < CONVERGED_DF:
+        converged = ginf < grad_tol or f_res < CONVERGED_DF
+        # a converged attempt is the answer even if an earlier, unconverged
+        # one stalled at a lower deviation
+        if converged or best is None or f_res < best[1]:
+            best = (res.x.copy(), f_res, ginf)
+        if converged:
             break
         restarts_used = attempt + 1
         if attempt < max_restarts:
             x0 = best[0] + 0.05 * rng.standard_normal(best[0].size) * (1.0 + np.abs(best[0]))
-    else:
-        restarts_used = max_restarts
 
     x_best, f_best, ginf_best = best
-    converged = bool(ginf_best < grad_tol or f_best < CONVERGED_DF)
-
     if observables.bin_shape is not None:
         lam_out = LagrangeVector.from_flat(x_best, observables.bin_shape)
     else:
         lam_out = x_best
     state = canonical_state(lam_out, observables)
-    stack = observables.matrix_stack
-    model = _model_means(state, stack.reshape(stack.shape[0], -1), observables.dim)
+    model = _model_means(state.rho.matrix, ops.reshape(len(ops), -1))
     nbar_idx = observables.nbar_index
     nbar_fit = float(model[nbar_idx]) if nbar_idx is not None else float("nan")
     report = FitReport(

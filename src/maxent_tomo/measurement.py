@@ -18,12 +18,12 @@ position (velocity) rms.  After a flight time T one velocity unit maps to
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -34,6 +34,7 @@ from .hilbert import (
     FockSpace,
     HermitianOperator,
     PureState,
+    _readonly,
     harmonic_evolve,
     hermite_functions,
     ladder_operators,
@@ -86,8 +87,9 @@ class TrapConfig:
 
     def __post_init__(self):
         for name in ("omega_z", "dz0", "dv0", "cloud_rms", "be_time"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         mismatch = abs(self.dv0 - self.omega_z * self.dz0) / self.dv0
         if mismatch > 0.05:
             warnings.warn(
@@ -126,8 +128,10 @@ class BinGrid:
     half_count: int
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("bin width must be positive")
+        if not (np.isfinite(self.width) and self.width > 0):
+            raise ValueError("bin width must be positive and finite")
+        if not np.isfinite(self.center):
+            raise ValueError("grid center must be finite")
         if self.half_count < 1 or int(self.half_count) != self.half_count:
             raise ValueError("half_count must be a positive integer")
         object.__setattr__(self, "half_count", int(self.half_count))
@@ -259,13 +263,15 @@ def build_be_observable(
 class ObservableSet:
     """Operators, target means and weights defining one reconstruction.
 
+    ``operators`` is one read-only (n_ops, N, N) complex array; the
+    constructor also accepts a sequence of :class:`HermitianOperator`.
     Layout for sets built by :func:`build_observation_level`: bin operators
     in row-major (rotation, bin) order, the number operator last.  ``means``
     holds NaN for entries not yet measured; attach data with ``with_means``
-    or ``with_record``.
+    or ``with_record``, which share the operator array.
     """
 
-    operators: list
+    operators: np.ndarray
     labels: list
     means: np.ndarray | None = None
     weights: np.ndarray | None = None
@@ -274,31 +280,35 @@ class ObservableSet:
     grid: BinGrid | None = None
 
     def __post_init__(self):
-        if not self.operators:
-            raise ValueError("need at least one observable")
-        if len(self.labels) != len(self.operators):
+        ops = self.operators
+        if not isinstance(ops, np.ndarray):
+            ops = [op.matrix for op in ops]
+        ops = np.asarray(ops, dtype=np.complex128)
+        if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
+            raise ValueError("need at least one square operator, all of one dimension")
+        if ops.flags.writeable:
+            ops = _readonly(ops.copy())
+        self.operators = ops
+        if len(self.labels) != self.n_ops:
             raise ValueError("labels and operators must align")
-        dims = {op.dim for op in self.operators}
-        if len(dims) != 1:
-            raise ValueError("operators live in different spaces")
         if self.means is not None:
-            m = np.asarray(self.means, dtype=np.float64)
-            if m.shape != (self.n_ops,):
-                raise ValueError("means has wrong length")
-            self.means = m
+            self.means = self._per_op("means", self.means)
         if self.variances is not None:
-            var = np.asarray(self.variances, dtype=np.float64)
-            if var.shape != (self.n_ops,) or np.any(var <= 0):
-                raise ValueError("variances must be positive, one per observable")
-            self.variances = var
-            self.weights = var ** -2.0
+            self.variances = self._per_op("variances", self.variances, positive=True)
+            self.weights = self.variances ** -2.0
         if self.weights is None:
             self.weights = np.ones(self.n_ops)
         else:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (self.n_ops,) or np.any(w <= 0):
-                raise ValueError("weights must be positive, one per observable")
-            self.weights = w
+            self.weights = self._per_op("weights", self.weights, positive=True)
+        self.validate()
+
+    def _per_op(self, name: str, values, positive: bool = False) -> np.ndarray:
+        v = np.array(values, dtype=np.float64)
+        if v.shape != (self.n_ops,):
+            raise ValueError(f"{name} needs one value per observable")
+        if positive and not np.all((v > 0) & np.isfinite(v)):
+            raise ValueError(f"{name} must be positive and finite")
+        return v
 
     @property
     def n_ops(self) -> int:
@@ -306,12 +316,7 @@ class ObservableSet:
 
     @property
     def dim(self) -> int:
-        return self.operators[0].dim
-
-    @cached_property
-    def matrix_stack(self) -> np.ndarray:
-        """(n_ops, N, N) stacked operator matrices (read-only view source)."""
-        return np.stack([op.matrix for op in self.operators])
+        return self.operators.shape[1]
 
     @property
     def nbar_index(self) -> int | None:
@@ -327,7 +332,8 @@ class ObservableSet:
         return (len(self.rotations), self.grid.n_bins)
 
     def with_means(self, means: np.ndarray) -> "ObservableSet":
-        out = replace(self, means=np.asarray(means, dtype=np.float64).copy())
+        out = copy.copy(self)
+        out.means = self._per_op("means", means)
         return out
 
     def with_record(self, record) -> "ObservableSet":
@@ -343,19 +349,30 @@ class ObservableSet:
         return self.with_means(flat)
 
     def validate(self) -> None:
-        """Spectral sanity checks: hermiticity and bin spectra within [0, 1]."""
-        for op, lab in zip(self.operators, self.labels):
-            m = op.matrix
-            dev = float(np.max(np.abs(m - m.conj().T)))
-            if dev > SET_HERMITICITY_TOL:
-                raise ValueError(f"operator {lab} hermiticity off by {dev:.3e}")
-            if lab[0] == "bin":
-                ev = np.linalg.eigvalsh(m)
-                if ev[0] < -SPECTRUM_TOL or ev[-1] > 1.0 + SPECTRUM_TOL:
-                    raise ValueError(
-                        f"bin operator {lab} spectrum [{ev[0]:.3e}, {ev[-1]:.3e}] "
-                        "outside [0, 1]"
-                    )
+        """Spectral sanity checks: hermiticity and bin spectra within [0, 1].
+
+        Runs over blocks of operators so the temporaries stay small."""
+        ops = self.operators
+        dev = np.concatenate([
+            np.max(np.abs(blk - blk.conj().transpose(0, 2, 1)), axis=(1, 2))
+            for blk in np.split(ops, range(64, len(ops), 64))
+        ])
+        bad = np.flatnonzero(~(dev <= SET_HERMITICITY_TOL))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"operator {self.labels[i]} hermiticity off by {dev[i]:.3e}")
+        is_bin = np.array([lab[0] == "bin" for lab in self.labels])
+        if not is_bin.any():
+            return
+        ev = np.linalg.eigvalsh(ops)
+        inside = (ev[:, 0] >= -SPECTRUM_TOL) & (ev[:, -1] <= 1.0 + SPECTRUM_TOL)
+        bad = np.flatnonzero(is_bin & ~inside)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"bin operator {self.labels[i]} spectrum [{ev[i, 0]:.3e}, "
+                f"{ev[i, -1]:.3e}] outside [0, 1]"
+            )
 
 
 def build_observation_level(
@@ -392,13 +409,12 @@ def build_observation_level(
         cfg, space, grid.centers().astype(np.float64), grid.width, grid.center,
         gh_nodes, gl_nodes, workers=nworkers,
     )
-    ops, labels = [], []
-    for j, theta in enumerate(rotations):
-        phases = _rotation_phases(space.dim, theta)
-        for idx, k in enumerate(grid.indices()):
-            ops.append(HermitianOperator(phases * base[idx]))
-            labels.append(("bin", j, int(k)))
-    ops.append(HermitianOperator(ladder_operators(space).n))
+    n_rot, n_bins, dim = len(rotations), grid.n_bins, space.dim
+    ops = np.empty((n_rot * n_bins + 1, dim, dim), dtype=np.complex128)
+    phases = np.stack([_rotation_phases(dim, theta) for theta in rotations])
+    np.multiply(phases[:, None], base[None], out=ops[:-1].reshape(n_rot, n_bins, dim, dim))
+    ops[-1] = ladder_operators(space).n
+    labels = [("bin", j, int(k)) for j in range(n_rot) for k in grid.indices()]
     labels.append(("nbar",))
 
     means = np.full(len(ops), np.nan)
@@ -406,12 +422,11 @@ def build_observation_level(
         means[-1] = float(nbar)
     weights = np.ones(len(ops))
     weights[-1] = float(weight_nbar)
-    out = ObservableSet(
-        operators=ops, labels=labels, means=means, weights=weights,
+    # the constructor runs validate() on the array, which it shares read-only
+    return ObservableSet(
+        operators=_readonly(ops), labels=labels, means=means, weights=weights,
         variances=variances, rotations=rotations, grid=grid,
     )
-    out.validate()
-    return out
 
 
 def ideal_quadrature_distribution(state, theta: float, x) -> np.ndarray:

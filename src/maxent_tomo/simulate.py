@@ -20,7 +20,6 @@ from .hilbert import (
     PureState,
     TruncationError,
     fock_state,
-    harmonic_evolve,
     ladder_operators,
     unitary_expm,
 )
@@ -28,13 +27,11 @@ from .measurement import BinGrid, ObservableSet, TrapConfig
 
 __all__ = [
     "NoiseSpec",
-    "PrepSpec",
     "MeasurementRecord",
     "DimensionMismatch",
     "simulate_ideal",
     "add_noise",
     "prepare_free_expansion",
-    "estimate_nbar_heuristic",
 ]
 
 
@@ -50,30 +47,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
-
-
-@dataclass(frozen=True)
-class PrepSpec:
-    """State preparation: an initial state, an optional free flight of
-    duration t1 with the trap off (which squeezes and heats the motional
-    state), and an optional extra in-trap rotation."""
-
-    initial: PureState
-    free_flight_t1: float | None = None
-    rotation_s: float = 0.0
-
-    def prepare(self, cfg: TrapConfig, space: FockSpace) -> PureState:
-        state = self.initial
-        if self.free_flight_t1:
-            if np.allclose(state.amplitudes, fock_state(space, 0).amplitudes):
-                state = prepare_free_expansion(cfg, self.free_flight_t1, space)
-            else:
-                state = _free_flight(cfg, self.free_flight_t1, space, state)
-        if self.rotation_s:
-            state = harmonic_evolve(state, cfg.omega_z * self.rotation_s)
-        return state
+        if not (np.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError("eta must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -116,8 +91,8 @@ def simulate_ideal(state, observables: ObservableSet) -> MeasurementRecord:
             f"state dim {dim} vs observables dim {observables.dim}"
         )
     rho = state.density().matrix if isinstance(state, PureState) else state.matrix
-    stack = observables.matrix_stack
-    vals = np.real(stack.reshape(stack.shape[0], -1) @ rho.T.reshape(-1))
+    ops = observables.operators
+    vals = np.real(ops.reshape(len(ops), -1) @ rho.T.reshape(-1))
     bins = np.clip(vals[:-1].reshape(observables.bin_shape), 0.0, None)
     return MeasurementRecord(
         rotations=observables.rotations,
@@ -206,9 +181,3 @@ def prepare_free_expansion(cfg: TrapConfig, t1: float, space: FockSpace) -> Pure
     if kappa == 0.0:
         return fock_state(space, 0)
     return _free_flight(cfg, t1, space, fock_state(space, 0))
-
-
-def estimate_nbar_heuristic(cfg: TrapConfig, t1: float) -> float:
-    """Back-of-envelope mean occupation after a free flight of t1 seconds,
-    (dv0 t1)^2 / (2 dz0)^2; equals (omega_z t1 / 2)^2 when dv0 = omega_z dz0."""
-    return (cfg.dv0 * t1) ** 2 / (4.0 * cfg.dz0 ** 2)

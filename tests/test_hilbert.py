@@ -22,12 +22,9 @@ from maxent_tomo import (
     hermite_functions,
     hermitian_expm,
     ladder_operators,
-    make_state,
-    metrics,
     superposition,
     thermal_state,
     unitary_expm,
-    wavefunction,
 )
 
 LN3 = 1.0986122886681098
@@ -161,15 +158,6 @@ def test_thermal_state_matches_geometric_law():
     assert entropy(thermal_state(space, 0.0)) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_make_state_dispatch():
-    space = FockSpace(16)
-    assert np.allclose(
-        make_state("fock", space, k=2).amplitudes, fock_state(space, 2).amplitudes
-    )
-    with pytest.raises(ValueError):
-        make_state("squeezed", space)
-
-
 # ---------------------------------------------------------------------------
 # evolution
 
@@ -195,9 +183,8 @@ def test_quarter_period_maps_position_onto_momentum_density():
     x = np.linspace(-5.0, 5.0, 401)
     pos_table = hermite_functions(space.dim - 1, x)
     dens_rotated = np.abs(rotated.amplitudes @ pos_table) ** 2
-    mom_amp = np.array(
-        [wavefunction(n, x, basis="momentum") for n in range(space.dim)]
-    )
+    # <p|n> = (-i)^n psi_n(p)
+    mom_amp = (-1j) ** np.arange(space.dim)[:, None] * pos_table
     dens_momentum = np.abs(psi.amplitudes @ mom_amp) ** 2
     assert np.max(np.abs(dens_rotated - dens_momentum)) < 1e-12
 
@@ -249,7 +236,7 @@ def test_unitary_expm_is_unitary():
 
 
 def test_hermite_functions_ground_state_peak():
-    val = wavefunction(0, np.array([0.0]))
+    val = hermite_functions(0, np.array([0.0]))[0]
     assert val[0] == pytest.approx(PI_QUARTER, abs=1e-15)
 
 
@@ -265,21 +252,10 @@ def test_hermite_functions_orthonormal_under_gauss_hermite():
 @pytest.mark.parametrize("n", [3, 17, 40, 63])
 def test_hermite_functions_match_scipy_recurrence(n):
     x = np.linspace(-10.0, 10.0, 57)
-    ours = wavefunction(n, x)
+    ours = hermite_functions(n, x)[n]
     log_norm = -0.5 * (n * math.log(2.0) + gammaln(n + 1.0) + 0.5 * math.log(math.pi))
     ref = eval_hermite(n, x) * np.exp(log_norm - 0.5 * x**2)
     assert np.max(np.abs(ours - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
-
-
-def test_momentum_wavefunction_phase():
-    # <p|n> picks up (-i)^n relative to the position form
-    x = np.linspace(-3.0, 3.0, 11)
-    for n in range(4):
-        assert np.allclose(
-            wavefunction(n, x, basis="momentum"), (-1j) ** n * wavefunction(n, x)
-        )
-    with pytest.raises(ValueError):
-        wavefunction(0, x, basis="energy")
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +289,6 @@ def test_delta_rho_is_squared_frobenius_distance():
     a = fock_state(space, 0).density()
     b = fock_state(space, 1).density()
     assert delta_rho(a, b) == pytest.approx(2.0, abs=1e-14)
-    m = metrics(a, b)
-    assert m.delta_rho == pytest.approx(2.0, abs=1e-14)
-    assert m.fidelity == pytest.approx(0.0, abs=1e-12)
 
 
 def test_thermal_maximizes_entropy_at_fixed_nbar():

@@ -182,6 +182,41 @@ def test_record_round_trip_is_bit_exact(trap, space16, tmp_path):
     assert path.read_text() == path2.read_text()
 
 
+def _record_lines(trap, space16, tmp_path):
+    grid = default_bin_grid(trap, nbar=0.5, half_count=3)
+    obs = build_observation_level(trap, grid, (0.0, 0.7), 0.5, space16)
+    path = tmp_path / "record.csv"
+    write_record(simulate_ideal(superposition(space16, [1.0, 1.0]), obs), path)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def _edit_row(line, column, value):
+    cells = line.rstrip("\n").split(",")
+    cells[column] = value
+    return ",".join(cells) + "\n"
+
+
+def test_read_record_refuses_malformed_rows(trap, space16, tmp_path):
+    path, lines = _record_lines(trap, space16, tmp_path)
+    i = next(n for n, ln in enumerate(lines) if ln.startswith("rotation_index")) + 1
+
+    def with_first_row(column, value):
+        return lines[:i] + [_edit_row(lines[i], column, value)] + lines[i + 1:]
+
+    cases = [
+        ("misses", lines[:-5]),
+        ("repeats", lines + [lines[i]]),
+        ("outside", with_first_row(0, "2")),
+        # -half_count - 1 would otherwise wrap into bin +half_count
+        ("outside", with_first_row(2, "-4")),
+        ("theta_rad", with_first_row(1, "1e-300")),
+    ]
+    for message, text in cases:
+        path.write_text("".join(text))
+        with pytest.raises(ValueError, match=message):
+            read_record(path)
+
+
 def test_density_matrix_round_trip(tmp_path):
     from maxent_tomo import FockSpace
 

@@ -120,7 +120,7 @@ def test_canonical_state_matches_direct_exponential():
     obs = _random_obs(rng, 6, 3, with_means=False)
     flat = rng.uniform(-2.0, 2.0, 3)
     state = canonical_state(flat, obs)
-    a = np.tensordot(flat, obs.matrix_stack, axes=(0, 0))
+    a = np.tensordot(flat, obs.operators, axes=(0, 0))
     raw = hermitian_expm(a, sign=-1)
     direct = raw / np.trace(raw).real
     assert np.max(np.abs(state.rho.matrix - direct)) < 1e-12
@@ -163,7 +163,7 @@ def test_deviation_vanishes_on_self_consistent_means():
     obs = _random_obs(rng, 5, 3, with_means=False)
     lam = rng.uniform(-1.0, 1.0, 3)
     state = canonical_state(lam, obs)
-    model = np.real([np.trace(state.rho.matrix @ op.matrix) for op in obs.operators])
+    model = np.real([np.trace(state.rho.matrix @ op) for op in obs.operators])
     matched = obs.with_means(model)
     assert deviation(state, matched) < 1e-25
     grad = deviation_gradient(state, matched)
@@ -330,7 +330,7 @@ def test_maxent_state_dominates_feasible_entropies():
     assert report.delta_f < 1e-14
     s_fit = entropy(state.rho)
 
-    mats = obs.matrix_stack
+    mats = obs.operators
     for trial in range(6):
         raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         target = raw @ raw.conj().T
@@ -351,3 +351,58 @@ def test_maxent_state_dominates_feasible_entropies():
         ev = ev / ev.sum()
         s_other = float(-(ev * np.log(ev)).sum())
         assert s_other <= s_fit + 1e-5
+
+
+def _scripted_minimize(monkeypatch, attempts):
+    """Replace the fit's minimizer: each call records the objective it was
+    given and returns the next scripted (x, f, grad) as the attempt's end."""
+    from scipy.optimize import OptimizeResult
+
+    from maxent_tomo import maxent
+
+    seen = []
+
+    def fake(fun, x0, **kwargs):
+        seen.append(fun)
+        x, f, jac = attempts[len(seen) - 1]
+        return OptimizeResult(x=np.array(x), fun=f, jac=np.array(jac), nit=1,
+                              message="scripted")
+
+    monkeypatch.setattr(maxent, "minimize", fake)
+    return seen
+
+
+def test_fit_minimizes_the_deviation_it_reports(monkeypatch):
+    """The objective handed to the minimizer and deviation/deviation_gradient
+    of the canonical state are one evaluation: equal bit for bit."""
+    rng = np.random.default_rng(77)
+    obs = _random_obs(rng, 7, 4)
+    seen = _scripted_minimize(monkeypatch, [(np.zeros(4), 1.0, np.ones(4))])
+    fit(obs, max_restarts=0)
+    for _ in range(5):
+        lam = rng.uniform(-2.0, 2.0, 4)
+        f, grad = seen[0](lam)
+        state = canonical_state(lam, obs)
+        assert deviation(state, obs) == f
+        assert np.array_equal(deviation_gradient(state, obs), grad)
+
+
+def test_converged_restart_wins_over_a_lower_unconverged_attempt(monkeypatch):
+    """A stalled first attempt at the lower deviation must not mask the
+    restart that met the gradient test."""
+    space = FockSpace(8)
+    obs = ObservableSet(
+        operators=[HermitianOperator(ladder_operators(space).n)],
+        labels=[("nbar",)],
+        means=np.array([0.5]),
+    )
+    _scripted_minimize(monkeypatch, [
+        ([1.0], 1e-6, [1e-3]),  # lower deviation, gradient test failed
+        ([1.1], 2e-6, [1e-12]),  # converged
+    ])
+    state, report = fit(obs, grad_tol=1e-9)
+    assert report.converged
+    assert report.delta_f == 2e-6
+    assert report.grad_inf_norm == 1e-12
+    assert report.restarts == 1
+    assert np.array_equal(np.ravel(state.lambdas), [1.1])

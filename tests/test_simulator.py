@@ -10,15 +10,12 @@ from maxent_tomo import (
     FockSpace,
     MeasurementRecord,
     NoiseSpec,
-    PrepSpec,
     TruncationError,
     add_noise,
     build_observation_level,
     default_bin_grid,
-    estimate_nbar_heuristic,
     expectation,
     fock_state,
-    harmonic_evolve,
     ideal_quadrature_distribution,
     ladder_operators,
     prepare_free_expansion,
@@ -199,23 +196,3 @@ def test_free_expansion_truncation_guard(trap):
     # t1 = 0 is the vacuum
     psi = prepare_free_expansion(trap, 0.0, FockSpace(16))
     assert np.allclose(psi.amplitudes, fock_state(FockSpace(16), 0).amplitudes)
-
-
-def test_nbar_heuristic_matches_dimensional_analysis(trap):
-    # (dv0 t1)^2 / (2 dz0)^2 with the standard calibration: exactly 1 at 4 us
-    assert estimate_nbar_heuristic(trap, 4e-6) == pytest.approx(1.0, rel=1e-12)
-    assert estimate_nbar_heuristic(trap, 8e-6) == pytest.approx(4.0, rel=1e-12)
-
-
-def test_prep_spec_composes(trap):
-    space = FockSpace(40)
-    spec = PrepSpec(initial=fock_state(space, 0), free_flight_t1=4e-6)
-    psi = spec.prepare(trap, space)
-    direct = prepare_free_expansion(trap, 4e-6, space)
-    assert np.max(np.abs(psi.amplitudes - direct.amplitudes)) < 1e-12
-
-    spec_rot = PrepSpec(initial=fock_state(space, 0), free_flight_t1=4e-6,
-                        rotation_s=1.6e-6)
-    rotated = spec_rot.prepare(trap, space)
-    expected = harmonic_evolve(direct, trap.omega_z * 1.6e-6)
-    assert np.max(np.abs(rotated.amplitudes - expected.amplitudes)) < 1e-12
