@@ -74,12 +74,18 @@ class CutFile:
         vals = np.asarray(self.values, dtype=np.float64)
         if pos.ndim != 1 or pos.shape != vals.shape:
             raise ValueError("positions and values must be equal-length vectors")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
         if pos.size < 2 or np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        if self.pixel_width <= 0:
-            raise ValueError("pixel_width must be positive")
+        if not math.isfinite(self.tau_s):
+            raise ValueError(f"tau_s must be finite, got {self.tau_s!r}")
+        if not (math.isfinite(self.pixel_width) and self.pixel_width > 0):
+            raise ValueError(f"pixel_width must be finite and positive, got {self.pixel_width!r}")
+        if self.center_m is not None and not math.isfinite(self.center_m):
+            raise ValueError(f"center_m must be finite, got {self.center_m!r}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "values", vals)
 
@@ -381,6 +387,21 @@ class RunConfig:
     gl_nodes: int = 8
     max_iter: int = 20000
     grad_tol: float = 1e-9
+
+    def __post_init__(self):
+        def finite_non_negative(x):
+            return x is None or (math.isfinite(x) and x >= 0)
+
+        for key, ok, rule in (
+            ("dim", self.dim >= 2, "at least 2"),
+            ("nbar", finite_non_negative(self.nbar), "finite and non-negative"),
+            ("noisy_nbar", finite_non_negative(self.noisy_nbar), "finite and non-negative"),
+            ("bin_half_count", self.bin_half_count >= 1, "at least 1"),
+            ("max_iter", self.max_iter >= 1, "at least 1"),
+            ("grad_tol", self.grad_tol > 0, "positive"),
+        ):
+            if not ok:
+                raise ValueError(f"config key {key!r} must be {rule}, got {getattr(self, key)!r}")
 
     _FLOAT_KEYS = {
         "omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s",

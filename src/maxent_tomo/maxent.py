@@ -23,6 +23,8 @@ exponentials are ever formed.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,6 +222,76 @@ def mean_jacobian(state: CanonicalState, observables: ObservableSet) -> np.ndarr
 # fitting
 
 
+def _scipy_openblas():
+    """(get, set) of the thread count of the OpenBLAS that scipy has loaded,
+    or None where scipy links some other BLAS (MKL, Accelerate, a system
+    library) or the library lacks the two symbols."""
+    import ctypes
+
+    import scipy
+
+    # the wheels bundle it in scipy.libs, next to the scipy package
+    folder = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    try:
+        names = sorted(os.listdir(folder))
+    except OSError:
+        return None
+    for name in names:
+        if not name.startswith("libscipy_openblas"):
+            continue
+        try:
+            # RTLD_NOLOAD: only the copy already in the process, never a new one
+            lib = ctypes.CDLL(os.path.join(folder, name), mode=getattr(os, "RTLD_NOLOAD", 0))
+            get = lib.scipy_openblas_get_num_threads
+            put = lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Context manager holding a BLAS at one thread while any fit is inside
+    it, then restoring the count found on entry.
+
+    scipy's L-BFGS-B makes many tiny BLAS calls; with more than one thread
+    the pool's spinning workers starve the main thread and numpy's own BLAS
+    (a separate library, left alone here).  The thread count is global to
+    the process, so nested and concurrent entries share one cap: the first
+    entry saves the count, the last exit restores it.  The library is
+    looked up on the first entry; where ``locate`` finds none, entering
+    does nothing."""
+
+    def __init__(self, locate):
+        self._locate = locate
+        self._lock = threading.Lock()
+        self._lib = None
+        self._looked = False
+        self._users = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            if not self._looked:
+                self._lib, self._looked = self._locate(), True
+            if self._lib is not None and self._users == 0:
+                get, put = self._lib
+                self._saved = get()
+                put(1)
+            self._users += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._users -= 1
+            if self._lib is not None and self._users == 0:
+                self._lib[1](self._saved)
+
+
+_SCIPY_BLAS = _OneBlasThread(_scipy_openblas)
+
+
 @dataclass
 class FitReport:
     """Outcome of one reconstruction: deviation at the optimum, entropy and
@@ -268,6 +340,13 @@ def fit(
     from a seeded jitter of the best point, at most ``max_restarts`` times;
     a fit that still fails is returned with ``converged=False`` rather than
     raised, so callers can inspect the partial result.
+
+    Each L-BFGS run holds the OpenBLAS that scipy bundles at one thread and
+    then restores the count it found (a no-op for other BLAS builds).  That
+    count is global to the process: fits running concurrently in several
+    Python threads share one cap, which lasts until the last of them leaves
+    the optimizer, and other scipy BLAS work in the process meanwhile runs
+    on one thread too.  numpy's BLAS threads are not touched.
     """
     data = _require_means(observables)
     ops = observables.operators
@@ -295,13 +374,14 @@ def fit(
     restarts_used = 0
     message = ""
     for attempt in range(max_restarts + 1):
-        res = minimize(
-            fg, x0, jac=True, method="L-BFGS-B", callback=callback,
-            options={
-                "maxiter": max_iter, "maxfun": 3 * max_iter,
-                "ftol": 0.0, "gtol": grad_tol, "maxcor": 30, "maxls": 60,
-            },
-        )
+        with _SCIPY_BLAS:
+            res = minimize(
+                fg, x0, jac=True, method="L-BFGS-B", callback=callback,
+                options={
+                    "maxiter": max_iter, "maxfun": 3 * max_iter,
+                    "ftol": 0.0, "gtol": grad_tol, "maxcor": 30, "maxls": 60,
+                },
+            )
         total_iter += int(res.nit)
         f_res = float(res.fun)
         ginf = float(np.max(np.abs(res.jac)))

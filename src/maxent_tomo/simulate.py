@@ -69,12 +69,20 @@ class MeasurementRecord:
                 f"values shape {vals.shape} does not match "
                 f"{len(self.rotations)} rotations x {self.grid.n_bins} bins"
             )
-        if np.any(vals < 0):
-            raise ValueError("bin values must be non-negative")
+        bad = ~(np.isfinite(vals) & (vals >= 0))
+        if bad.any():
+            j, i = np.argwhere(bad)[0]
+            raise ValueError(
+                f"bin values must be finite and non-negative, got {float(vals[j, i])!r} "
+                f"at (rotation {j}, bin {i - self.grid.half_count})"
+            )
         if not np.isfinite(self.nbar) or self.nbar < 0:
             raise ValueError("nbar must be finite and non-negative")
+        rotations = tuple(float(t) for t in self.rotations)
+        if not all(math.isfinite(t) for t in rotations):
+            raise ValueError(f"rotations must be finite, got {rotations}")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "rotations", tuple(float(t) for t in self.rotations))
+        object.__setattr__(self, "rotations", rotations)
 
     def flat_means(self) -> np.ndarray:
         """Bin values row-major then nbar, the observable-set ordering."""

@@ -217,6 +217,15 @@ def test_read_record_refuses_malformed_rows(trap, space16, tmp_path):
             read_record(path)
 
 
+def test_read_record_names_a_nan_value(trap, space16, tmp_path):
+    path, lines = _record_lines(trap, space16, tmp_path)
+    i = next(n for n, ln in enumerate(lines) if ln.startswith("rotation_index")) + 5
+    path.write_text("".join(lines[:i] + [_edit_row(lines[i], 4, "nan")] + lines[i + 1:]))
+    row = lines[i].split(",")
+    with pytest.raises(ValueError, match=rf"nan at \(rotation {row[0]}, bin {row[2]}\)"):
+        read_record(path)
+
+
 def test_density_matrix_round_trip(tmp_path):
     from maxent_tomo import FockSpace
 
@@ -260,6 +269,22 @@ def test_parse_config_text_and_defaults():
         parse_config_text("dim 8")
     with pytest.raises(ValueError):
         RunConfig.from_dict({"recenter": "maybe"})
+
+
+@pytest.mark.parametrize("key, text", [
+    ("dim", "1"),
+    ("nbar", "-1"),
+    ("nbar", "nan"),
+    ("noisy_nbar", "-0.5"),
+    ("noisy_nbar", "inf"),
+    ("bin_half_count", "0"),
+    ("max_iter", "0"),
+    ("grad_tol", "0"),
+    ("grad_tol", "nan"),
+])
+def test_config_rejects_out_of_range_values(key, text):
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        RunConfig.from_dict({key: text})
 
 
 def test_config_grid_requires_a_size(tmp_path):

@@ -406,3 +406,136 @@ def test_converged_restart_wins_over_a_lower_unconverged_attempt(monkeypatch):
     assert report.grad_inf_norm == 1e-12
     assert report.restarts == 1
     assert np.array_equal(np.ravel(state.lambdas), [1.1])
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+def _small_fit_problem(trap, space16):
+    grid = default_bin_grid(trap, nbar=0.5, half_count=5)
+    obs = build_observation_level(trap, grid, (0.0, 0.9), 0.5, space16)
+    return obs.with_record(simulate_ideal(superposition(space16, [1.0, 1.0]), obs))
+
+
+def test_fit_holds_scipy_blas_at_one_thread_and_restores_it(monkeypatch, trap, space16):
+    from maxent_tomo import maxent
+
+    lib = maxent._scipy_openblas()
+    if lib is None:
+        pytest.skip("scipy does not use its bundled OpenBLAS here")
+    get, put = lib
+    obs = _small_fit_problem(trap, space16)
+    real_minimize = maxent.minimize
+    inside = []
+
+    def counting(*args, **kwargs):
+        inside.append(get())
+        return real_minimize(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        inside.append(get())
+        raise RuntimeError("optimizer failed")
+
+    before = get()
+    try:
+        put(2)
+        monkeypatch.setattr(maxent, "minimize", counting)
+        fit(obs)
+        assert get() == 2
+        monkeypatch.setattr(maxent, "minimize", failing)
+        with pytest.raises(RuntimeError, match="optimizer failed"):
+            fit(obs)
+        assert get() == 2
+    finally:
+        put(before)
+    assert inside and set(inside) == {1}
+
+
+def test_fit_without_a_bundled_openblas_gives_the_same_result(monkeypatch, trap, space16):
+    from maxent_tomo import maxent
+
+    obs = _small_fit_problem(trap, space16)
+    s1, r1 = fit(obs)
+    monkeypatch.setattr(maxent, "_SCIPY_BLAS", maxent._OneBlasThread(lambda: None))
+    s2, r2 = fit(obs)
+    assert r2.iterations == r1.iterations
+    assert r2.delta_f == r1.delta_f
+    assert np.array_equal(s2.rho.matrix, s1.rho.matrix)
+
+
+def test_concurrent_fits_share_one_cap():
+    """Threads entering and leaving the cap at random: every one sees one
+    thread inside, and the count found first is the count left at the end."""
+    import sys
+    import threading
+    import time
+
+    from maxent_tomo import maxent
+
+    blas = {"threads": 4}
+    cap = maxent._OneBlasThread(
+        lambda: (lambda: blas["threads"], lambda n: blas.update(threads=n)))
+    seen = []
+
+    def worker():
+        for _ in range(200):
+            with cap:
+                time.sleep(0)  # hand the interpreter to another thread inside the cap
+                seen.append(blas["threads"])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8 * 200 and set(seen) == {1}
+    assert blas["threads"] == 4
+
+
+FIT_DIM8 = """
+import sys
+import numpy as np
+from conftest import TAUS, make_trap, rotations
+from maxent_tomo import (FockSpace, NoiseSpec, add_noise, build_observation_level,
+                         default_bin_grid, fit, simulate_ideal, superposition)
+trap, space = make_trap(), FockSpace(8)
+grid = default_bin_grid(trap, nbar=0.5, half_count=10)
+obs = build_observation_level(trap, grid, rotations(trap, TAUS), 0.5, space)
+rec = add_noise(simulate_ideal(superposition(space, [1.0, 1.0]), obs), NoiseSpec(0.05, 3))
+state, report = fit(obs.with_record(rec))
+assert report.converged
+np.save(sys.argv[1], state.rho.matrix)
+"""
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def test_fitted_rho_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """The same noisy dim-8 fit in two processes, one with single-threaded
+    BLAS and one at the library defaults: the fitted states agree to 1e-6
+    (max abs entry), far above rounding and far below any physical scale."""
+    import os
+    import subprocess
+    import sys
+
+    import maxent_tomo
+
+    src = os.path.dirname(os.path.dirname(maxent_tomo.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join([src, tests, base.get("PYTHONPATH", "")])
+    rhos = []
+    for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"rho{len(rhos)}.npy"
+        subprocess.run([sys.executable, "-c", FIT_DIM8, str(out)], env={**base, **extra},
+                       check=True, timeout=300)
+        rhos.append(np.load(out))
+    assert np.max(np.abs(rhos[0] - rhos[1])) < 1e-6

@@ -14,10 +14,12 @@ from scipy.special import erf
 
 from maxent_tomo import (
     BinGrid,
+    CutFile,
     DegenerateRotationError,
     DensityOperator,
     FockSpace,
     HermitianOperator,
+    MeasurementRecord,
     NoiseSpec,
     ObservableSet,
     PureState,
@@ -88,6 +90,20 @@ def _one_op_set(**kw):
     return ObservableSet(operators=[HermitianOperator(np.eye(2))], labels=[("op", 0)], **kw)
 
 
+def _cut(**kw):
+    args = dict(tau_s=0.0, positions=[0.0, 1e-6, 2e-6], values=[1.0, 1.0, 1.0],
+                pixel_width=1e-6)
+    args.update(kw)
+    return CutFile(**args)
+
+
+def _record(rotations=(0.0,), value=0.2):
+    grid = BinGrid(center=0.0, width=1e-5, half_count=1)
+    values = np.full((len(rotations), 3), 0.2)
+    values[0, 1] = value
+    return MeasurementRecord(rotations=rotations, grid=grid, values=values, nbar=0.5)
+
+
 @pytest.mark.parametrize("build", [
     lambda: PureState([np.nan, 1.0]),
     lambda: HermitianOperator(NAN_2X2),
@@ -99,9 +115,21 @@ def _one_op_set(**kw):
     lambda: _one_op_set(weights=[np.nan]),
     lambda: _one_op_set(variances=[np.nan]),
     lambda: ObservableSet(operators=np.full((1, 1, 1), np.nan), labels=[("op", 0)]),
+    lambda: _cut(tau_s=np.nan),
+    lambda: _cut(positions=[0.0, np.nan, 1.0]),
+    lambda: _cut(pixel_width=np.nan),
+    lambda: _cut(pixel_width=np.inf),
+    lambda: _cut(center_m=np.nan),
+    lambda: _record(value=np.nan),
+    lambda: _record(value=np.inf),
+    lambda: _record(rotations=(np.nan,)),
+    lambda: _record(rotations=(0.0, np.inf)),
 ], ids=["pure-state", "hermitian-operator", "density-operator", "trap-omega",
         "grid-width-nan", "grid-width-inf", "noise-eta", "set-weights",
-        "set-variances", "set-operators"])
+        "set-variances", "set-operators", "cut-tau", "cut-positions",
+        "cut-pixel-width-nan", "cut-pixel-width-inf", "cut-center",
+        "record-value-nan", "record-value-inf", "record-rotation-nan",
+        "record-rotation-inf"])
 def test_constructors_reject_non_finite_input(build):
     with pytest.raises(ValueError):
         build()
