@@ -118,14 +118,7 @@ def _cmd_reconstruct(args) -> int:
     if args.record:
         record = tio.read_record(args.record)
         nbar = config.nbar if config.nbar is not None else record.nbar
-        observables = build_observation_level(
-            cfg, record.grid, record.rotations, nbar, space,
-            weight_nbar=config.weight_nbar,
-            gh_nodes=config.gh_nodes, gl_nodes=config.gl_nodes,
-        )
-        means = record.flat_means()
-        means[-1] = nbar
-        observables = observables.with_means(means)
+        grid, rotations, values = record.grid, record.rotations, record.values
     elif args.cut:
         if config.nbar is None:
             raise ValueError(
@@ -137,7 +130,7 @@ def _cmd_reconstruct(args) -> int:
         nbar = config.nbar
         grid = config.grid(nbar_hint=nbar)
         rotations = tuple(config.omega_z * c.tau_s for c in cuts)
-        rows = [
+        values = [
             tio.preprocess(
                 c, grid,
                 subtract_background=config.subtract_background,
@@ -146,16 +139,14 @@ def _cmd_reconstruct(args) -> int:
             )
             for c in cuts
         ]
-        observables = build_observation_level(
-            cfg, grid, rotations, nbar, space,
-            weight_nbar=config.weight_nbar,
-            gh_nodes=config.gh_nodes, gl_nodes=config.gl_nodes,
-        )
-        means = np.concatenate([np.concatenate(rows), [nbar]])
-        observables = observables.with_means(means)
     else:
         raise ValueError("reconstruct needs --record or at least one --cut")
 
+    observables = build_observation_level(
+        cfg, grid, rotations, nbar, space,
+        weight_nbar=config.weight_nbar,
+        gh_nodes=config.gh_nodes, gl_nodes=config.gl_nodes,
+    ).with_means(np.append(np.ravel(values), nbar))
     state, report = fit(
         observables, max_iter=config.max_iter, grad_tol=config.grad_tol,
     )

@@ -91,7 +91,7 @@ class CutFile:
 
 
 def read_cut_file(path) -> CutFile:
-    meta, rows = _read_csv_with_meta(path)
+    meta, rows = _read_csv_with_meta(path, ("tau_us", "pixel_width_m"))
     pos = np.array([float(r[0]) for r in rows])
     vals = np.array([float(r[1]) for r in rows])
     center = meta.get("center_m")
@@ -190,7 +190,6 @@ def preprocess(
     *,
     subtract_background: bool = True,
     recenter: bool = True,
-    normalize: bool = True,
     fixed_center: float | None = None,
 ) -> np.ndarray:
     """Turn a raw cut into one row of bin means on the reconstruction grid.
@@ -221,23 +220,23 @@ def preprocess(
         shifted - 0.5 * cut.pixel_width, [shifted[-1] + 0.5 * cut.pixel_width]
     ])
     row = _overlap_rebin(src_edges, vals, grid.edges())
-    if normalize:
-        total = row.sum()
-        if total <= 0:
-            raise EmptyAfterClamp("signal fell entirely outside the grid")
-        row = row / total
-    return row
+    total = row.sum()
+    if total <= 0:
+        raise EmptyAfterClamp("signal fell entirely outside the grid")
+    return row / total
 
 
 # ---------------------------------------------------------------------------
 # record and matrix serialization
 
 
-def _read_csv_with_meta(path):
-    meta, rows = {}, []
+def _read_csv_with_meta(path, required):
+    """'#' key=value metadata and the rows after the header line; every
+    row must have the header's column count and every ``required`` key
+    must be present."""
+    meta, rows, n_cols = {}, [], None
     with open(path) as fh:
-        header_seen = False
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -245,10 +244,17 @@ def _read_csv_with_meta(path):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value.strip()
                 continue
-            if not header_seen:
-                header_seen = True  # column names, layout is fixed per format
-                continue
-            rows.append([tok.strip() for tok in line.split(",")])
+            tokens = [tok.strip() for tok in line.split(",")]
+            if n_cols is None:
+                n_cols = len(tokens)  # column names, layout is fixed per format
+            elif len(tokens) != n_cols:
+                raise ValueError(f"{path} line {lineno}: {len(tokens)} columns, "
+                                 f"the header has {n_cols}")
+            else:
+                rows.append(tokens)
+    for key in required:
+        if key not in meta:
+            raise ValueError(f"{path}: metadata key {key!r} is missing")
     return meta, rows
 
 
@@ -276,7 +282,8 @@ def write_record(record: MeasurementRecord, path) -> None:
 
 
 def read_record(path) -> MeasurementRecord:
-    meta, rows = _read_csv_with_meta(path)
+    meta, rows = _read_csv_with_meta(
+        path, ("nbar", "grid_center_m", "grid_width_m", "grid_half_count", "rotations_rad"))
     grid = BinGrid(
         center=float(meta["grid_center_m"]),
         width=float(meta["grid_width_m"]),
@@ -352,6 +359,16 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# config value parsers by declared field type; the one tuple is taus_us
+_PARSERS = {
+    "float": float,
+    "int": int,
+    "bool": _parse_bool,
+    "str": str,
+    "tuple": lambda text: tuple(float(t) for t in text.split(",")),
+}
+
+
 @dataclass
 class RunConfig:
     """Everything one run needs, resolvable from a key=value file.
@@ -403,31 +420,16 @@ class RunConfig:
             if not ok:
                 raise ValueError(f"config key {key!r} must be {rule}, got {getattr(self, key)!r}")
 
-    _FLOAT_KEYS = {
-        "omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s",
-        "bin_width_m", "grid_center_m", "grid_margin", "nbar", "weight_nbar",
-        "eta", "noisy_nbar", "fixed_center_m", "grad_tol",
-    }
-    _INT_KEYS = {"dim", "bin_half_count", "seed", "gh_nodes", "gl_nodes", "max_iter"}
-    _BOOL_KEYS = {"subtract_background", "recenter"}
-
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls) if not f.name.startswith("_")}
+        """Parse each value by its field's declared type (the annotation
+        text, "float | None" read as "float")."""
+        parsers = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(cls)}
         kwargs = {}
         for key, text in raw.items():
-            if key not in known:
+            if key not in parsers:
                 raise ValueError(f"unknown config key {key!r}")
-            if key == "taus_us":
-                kwargs[key] = tuple(float(t) for t in str(text).split(","))
-            elif key in cls._INT_KEYS:
-                kwargs[key] = int(str(text))
-            elif key in cls._FLOAT_KEYS:
-                kwargs[key] = float(str(text))
-            elif key in cls._BOOL_KEYS:
-                kwargs[key] = _parse_bool(str(text))
-            else:
-                kwargs[key] = str(text)
+            kwargs[key] = parsers[key](str(text))
         return cls(**kwargs)
 
     # derived objects ------------------------------------------------------

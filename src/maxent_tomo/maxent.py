@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 CONVERGED_DF = 1e-14
+# restarts from a jitter of the best point after a stalled L-BFGS run
+MAX_RESTARTS = 3
 
 
 class MissingMeans(ValueError):
@@ -328,8 +330,6 @@ def fit(
     initial=None,
     max_iter: int = 20000,
     grad_tol: float = 1e-9,
-    max_restarts: int = 3,
-    restart_seed: int = 0,
 ) -> tuple[CanonicalState, FitReport]:
     """Minimize the deviation functional over the multipliers.
 
@@ -337,7 +337,7 @@ def fit(
     maximally mixed state) unless ``initial`` is given.  Convergence means
     either the sup-norm of the gradient fell below ``grad_tol`` or the
     deviation itself is below 1e-14.  On stagnation the search restarts
-    from a seeded jitter of the best point, at most ``max_restarts`` times;
+    from a jitter of the best point (seed 0), at most ``MAX_RESTARTS`` times;
     a fit that still fails is returned with ``converged=False`` rather than
     raised, so callers can inspect the partial result.
 
@@ -368,12 +368,10 @@ def fit(
             # deviation at its floor; the gradient test cannot add anything
             raise StopIteration
 
-    rng = np.random.default_rng(restart_seed)
+    rng = np.random.default_rng(0)
     best = None
     total_iter = 0
-    restarts_used = 0
-    message = ""
-    for attempt in range(max_restarts + 1):
+    for attempt in range(MAX_RESTARTS + 1):
         with _SCIPY_BLAS:
             res = minimize(
                 fg, x0, jac=True, method="L-BFGS-B", callback=callback,
@@ -393,8 +391,7 @@ def fit(
             best = (res.x.copy(), f_res, ginf)
         if converged:
             break
-        restarts_used = attempt + 1
-        if attempt < max_restarts:
+        if attempt < MAX_RESTARTS:
             x0 = best[0] + 0.05 * rng.standard_normal(best[0].size) * (1.0 + np.abs(best[0]))
 
     x_best, f_best, ginf_best = best
@@ -414,7 +411,7 @@ def fit(
         converged=converged,
         residuals=model - data,
         grad_inf_norm=ginf_best,
-        restarts=min(restarts_used, max_restarts),
+        restarts=attempt,
         message=message,
         history=history,
     )

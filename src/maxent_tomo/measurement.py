@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,16 +169,6 @@ def default_bin_grid(
 # observable construction
 
 
-def _resolve_workers(workers) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("MAXENT_TOMO_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _gauss_hermite(n: int):
     if n < 2:
         raise QuadratureError("need at least 2 Gauss-Hermite nodes")
@@ -201,7 +189,6 @@ def _bin_base_matrices(
     grid_center: float,
     gh_nodes: int,
     gl_nodes: int,
-    workers: int = 1,
 ) -> np.ndarray:
     """Real symmetric matrices R_k with [R_k]_mn = int G(xi0) dxi0
     int_bin dz psi_m(u) psi_n(u) / drop_scale, u = (z - center - xi0)/drop_scale.
@@ -216,21 +203,13 @@ def _bin_base_matrices(
     scale = cfg.drop_scale
     nmax = space.dim - 1
 
-    def _build(centers: np.ndarray) -> np.ndarray:
-        # z samples inside each bin, then the dimensionless velocity u
-        z = centers[:, None] + 0.5 * bin_width * tl[None, :]
-        u = (z[:, None, :] - grid_center - xi0[None, :, None]) / scale
-        psi = hermite_functions(nmax, u.reshape(-1))
-        psi = psi.reshape(space.dim, centers.size, -1)
-        wq = (w_cloud[:, None] * (0.5 * bin_width * wl)[None, :] / scale).reshape(-1)
-        return np.einsum("q,mkq,nkq->kmn", wq, psi, psi, optimize=True)
-
-    if workers <= 1 or bin_centers.size < 2 * workers:
-        return _build(bin_centers)
-    chunks = np.array_split(bin_centers, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_build, chunks))
-    return np.concatenate(parts, axis=0)
+    # z samples inside each bin, then the dimensionless velocity u
+    z = bin_centers[:, None] + 0.5 * bin_width * tl[None, :]
+    u = (z[:, None, :] - grid_center - xi0[None, :, None]) / scale
+    psi = hermite_functions(nmax, u.reshape(-1))
+    psi = psi.reshape(space.dim, bin_centers.size, -1)
+    wq = (w_cloud[:, None] * (0.5 * bin_width * wl)[None, :] / scale).reshape(-1)
+    return np.einsum("q,mkq,nkq->kmn", wq, psi, psi, optimize=True)
 
 
 def _rotation_phases(dim: int, theta: float) -> np.ndarray:
@@ -275,7 +254,6 @@ class ObservableSet:
     labels: list
     means: np.ndarray | None = None
     weights: np.ndarray | None = None
-    variances: np.ndarray | None = None
     rotations: tuple | None = None
     grid: BinGrid | None = None
 
@@ -293,9 +271,6 @@ class ObservableSet:
             raise ValueError("labels and operators must align")
         if self.means is not None:
             self.means = self._per_op("means", self.means)
-        if self.variances is not None:
-            self.variances = self._per_op("variances", self.variances, positive=True)
-            self.weights = self.variances ** -2.0
         if self.weights is None:
             self.weights = np.ones(self.n_ops)
         else:
@@ -345,8 +320,7 @@ class ObservableSet:
             raise ValueError(
                 f"record shape {record.values.shape} does not match observables {shape}"
             )
-        flat = np.concatenate([record.values.ravel(), [record.nbar]])
-        return self.with_means(flat)
+        return self.with_means(record.flat_means())
 
     def validate(self) -> None:
         """Spectral sanity checks: hermiticity and bin spectra within [0, 1].
@@ -383,10 +357,8 @@ def build_observation_level(
     space: FockSpace,
     *,
     weight_nbar: float = 1.0,
-    variances: np.ndarray | None = None,
     gh_nodes: int = 32,
     gl_nodes: int = 8,
-    workers: int | None = None,
 ) -> ObservableSet:
     """All bin operators for every rotation plus the number operator.
 
@@ -404,10 +376,9 @@ def build_observation_level(
     if nbar is not None and nbar < 0:
         raise ValueError("nbar must be non-negative")
 
-    nworkers = _resolve_workers(workers)
     base = _bin_base_matrices(
         cfg, space, grid.centers().astype(np.float64), grid.width, grid.center,
-        gh_nodes, gl_nodes, workers=nworkers,
+        gh_nodes, gl_nodes,
     )
     n_rot, n_bins, dim = len(rotations), grid.n_bins, space.dim
     ops = np.empty((n_rot * n_bins + 1, dim, dim), dtype=np.complex128)
@@ -425,7 +396,7 @@ def build_observation_level(
     # the constructor runs validate() on the array, which it shares read-only
     return ObservableSet(
         operators=_readonly(ops), labels=labels, means=means, weights=weights,
-        variances=variances, rotations=rotations, grid=grid,
+        rotations=rotations, grid=grid,
     )
 
 

@@ -226,6 +226,50 @@ def test_read_record_names_a_nan_value(trap, space16, tmp_path):
         read_record(path)
 
 
+def _broken_files(trap, space16, tmp_path):
+    """(option, path, message) for record and cut files cut short or stripped
+    of a metadata line, and the message their readers must raise."""
+    path, lines = _record_lines(trap, space16, tmp_path)
+    cut_path = tmp_path / "cut.csv"
+    write_cut_file(_gaussian_cut(), cut_path)
+    cut_lines = cut_path.read_text().splitlines(keepends=True)
+    files = {
+        "truncated-record": ("--record", lines[:-1] + [lines[-1].rsplit(",", 2)[0]],
+                             rf"line {len(lines)}: 3 columns, the header has 5"),
+        "record-without-nbar": ("--record", [ln for ln in lines if not ln.startswith("# nbar=")],
+                                "'nbar' is missing"),
+        "one-column-cut-row": ("--cut", cut_lines[:5] + ["0.001\n"] + cut_lines[5:],
+                               "line 6: 1 columns, the header has 2"),
+        "cut-without-tau": ("--cut", [ln for ln in cut_lines if not ln.startswith("# tau_us=")],
+                            "'tau_us' is missing"),
+    }
+    out = []
+    for name, (option, text, message) in files.items():
+        broken = tmp_path / f"{name}.csv"
+        broken.write_text("".join(text))
+        out.append((option, broken, message))
+    return out
+
+
+def test_readers_reject_truncated_rows_and_missing_metadata(trap, space16, tmp_path):
+    for option, path, message in _broken_files(trap, space16, tmp_path):
+        reader = read_record if option == "--record" else read_cut_file
+        with pytest.raises(ValueError, match=message):
+            reader(path)
+
+
+def test_cli_rejects_truncated_files_with_an_error_line(trap, space16, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("nbar = 0.5\n")
+    for option, path, message in _broken_files(trap, space16, tmp_path):
+        code = main(["reconstruct", "--config", str(cfg), option, str(path),
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message.split(": ")[-1] in err
+        assert "Traceback" not in err
+
+
 def test_density_matrix_round_trip(tmp_path):
     from maxent_tomo import FockSpace
 
@@ -269,6 +313,56 @@ def test_parse_config_text_and_defaults():
         parse_config_text("dim 8")
     with pytest.raises(ValueError):
         RunConfig.from_dict({"recenter": "maybe"})
+
+
+# one config line per RunConfig field: its text and the value it parses to
+CONFIG_SAMPLES = {
+    "omega_z_hz": ("81e3", 81e3),
+    "dz0_m": ("2.5e-8", 2.5e-8),
+    "dv0_mps": ("0.012", 0.012),
+    "cloud_rms_m": ("5e-5", 5e-5),
+    "be_time_s": ("0.009", 0.009),
+    "dim": ("12", 12),
+    "taus_us": ("0, 1.5, 3", (0.0, 1.5, 3.0)),
+    "bin_half_count": ("9", 9),
+    "bin_width_m": ("1e-5", 1e-5),
+    "grid_center_m": ("-2e-6", -2e-6),
+    "grid_margin": ("4", 4.0),
+    "nbar": ("0.25", 0.25),
+    "weight_nbar": ("3", 3.0),
+    "eta": ("0.1", 0.1),
+    "seed": ("42", 42),
+    "noisy_nbar": ("0.3", 0.3),
+    "state": ("fock:2", "fock:2"),
+    "subtract_background": ("off", False),
+    "recenter": ("YES", True),
+    "fixed_center_m": ("0", 0.0),
+    "gh_nodes": ("40", 40),
+    "gl_nodes": ("6", 6),
+    "max_iter": ("500", 500),
+    "grad_tol": ("1e-10", 1e-10),
+}
+
+
+def test_every_config_field_parses_to_its_declared_type():
+    """A field added without a sample here, or of a type the parser does
+    not know, fails this test."""
+    import dataclasses
+
+    declared = {f.name: f.type.removesuffix(" | None") for f in dataclasses.fields(RunConfig)}
+    assert sorted(CONFIG_SAMPLES) == sorted(declared)
+    text = "\n".join(f"{key} = {line}" for key, (line, _) in CONFIG_SAMPLES.items())
+    cfg = RunConfig.from_dict(parse_config_text(text))
+    for key, (_, value) in CONFIG_SAMPLES.items():
+        assert getattr(cfg, key) == value
+        assert type(getattr(cfg, key)).__name__ == declared[key]
+    # the None-able floats stay None when absent
+    assert RunConfig.from_dict({}).nbar is None
+    assert RunConfig.from_dict({"subtract_background": "1"}).subtract_background is True
+    for bad in ({"grid_margin_m": "1"}, {"recenter": "maybe"}, {"dim": "2.5"},
+                {"nbar": "half"}):
+        with pytest.raises(ValueError):
+            RunConfig.from_dict(bad)
 
 
 @pytest.mark.parametrize("key, text", [

@@ -313,7 +313,7 @@ def test_fit_flags_non_convergence(trap, space16):
     obs = build_observation_level(trap, grid, (0.0, 0.9), 0.5, space16)
     rec = simulate_ideal(superposition(space16, [1.0, 1.0]), obs)
     obs = obs.with_record(rec)
-    state, report = fit(obs, max_iter=2, grad_tol=1e-30, max_restarts=0)
+    state, report = fit(obs, max_iter=2, grad_tol=1e-30)
     assert not report.converged
     assert report.message
 
@@ -353,6 +353,66 @@ def test_maxent_state_dominates_feasible_entropies():
         assert s_other <= s_fit + 1e-5
 
 
+def _feasible_directions(obs):
+    """Frobenius-orthonormal Hermitian X with Tr X = 0 and Tr X G_nu = 0 for
+    every nu: the SVD null space of those constraints, written in an
+    orthonormal basis of Hermitian matrices."""
+    dim = obs.dim
+    basis = []
+    for j in range(dim):
+        for k in range(j, dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[j, k] = 1.0
+            if j == k:
+                basis.append(e)
+            else:
+                basis += [(e + e.T) / math.sqrt(2.0), 1j * (e - e.T) / math.sqrt(2.0)]
+    basis = np.array(basis)
+    constraints = np.concatenate([np.eye(dim)[None], obs.operators])
+    c = np.real(np.einsum("iab,kba->ik", constraints, basis))
+    _, sv, vt = np.linalg.svd(c)
+    null = vt[np.count_nonzero(sv > 1e-12 * sv[0]):]
+    return np.einsum("nk,kab->nab", null, basis)
+
+
+def _largest_entropy_gain(rho, directions):
+    """max S(rho + t X) - S(rho) over the directions and the steps
+    t = s lambda_min(rho) / ||X||_2, |s| < 1, which keep rho + t X positive."""
+    s0 = entropy(DensityOperator(rho))
+    lowest = np.linalg.eigvalsh(rho)[0]
+    gains = [
+        entropy(DensityOperator(rho + s * lowest / np.linalg.norm(x, 2) * x)) - s0
+        for x in directions
+        for s in (-0.99, -0.1, -1e-2, -1e-4, 1e-4, 1e-2, 0.1, 0.99)
+    ]
+    return max(gains)
+
+
+def test_maxent_state_has_no_feasible_entropy_ascent():
+    """Numpy-only maximum-entropy oracle.  For a canonical rho* and any rho'
+    with the same means, S(rho') = S(rho*) - D(rho' || rho*) (Gibbs), so no
+    step rho* + t X along a constraint-preserving direction raises the
+    entropy beyond rounding (1e-12).  The same probe started from a feasible
+    state off the maximizer finds an ascent."""
+    rng = np.random.default_rng(57)
+    dim, n_ops = 5, 3
+    obs = _random_obs(rng, dim, n_ops)
+    state, report = fit(obs, grad_tol=1e-12)
+    assert report.delta_f < 1e-14
+    directions = _feasible_directions(obs)
+    assert len(directions) == dim * dim - n_ops - 1
+    for x in directions:
+        assert np.allclose(x, x.conj().T, atol=1e-15)
+        assert abs(np.trace(x)) < 1e-12
+        assert np.max(np.abs(np.einsum("vab,ba->v", obs.operators, x))) < 1e-12
+
+    rho = state.rho.matrix
+    assert _largest_entropy_gain(rho, directions) < 1e-12
+    x = directions[0]
+    off = rho + 0.5 * np.linalg.eigvalsh(rho)[0] / np.linalg.norm(x, 2) * x
+    assert _largest_entropy_gain(off, directions) > 1e-6
+
+
 def _scripted_minimize(monkeypatch, attempts):
     """Replace the fit's minimizer: each call records the objective it was
     given and returns the next scripted (x, f, grad) as the attempt's end."""
@@ -377,8 +437,8 @@ def test_fit_minimizes_the_deviation_it_reports(monkeypatch):
     of the canonical state are one evaluation: equal bit for bit."""
     rng = np.random.default_rng(77)
     obs = _random_obs(rng, 7, 4)
-    seen = _scripted_minimize(monkeypatch, [(np.zeros(4), 1.0, np.ones(4))])
-    fit(obs, max_restarts=0)
+    seen = _scripted_minimize(monkeypatch, [(np.zeros(4), 1.0, np.zeros(4))])
+    fit(obs)
     for _ in range(5):
         lam = rng.uniform(-2.0, 2.0, 4)
         f, grad = seen[0](lam)

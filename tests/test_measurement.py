@@ -6,7 +6,6 @@ probability has an erf closed form that the quadrature build must hit.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ from maxent_tomo import (
     superposition,
     thermal_state,
 )
-from maxent_tomo.measurement import _bin_base_matrices
 
 from conftest import TAUS, make_trap, rotations
 
@@ -113,7 +111,6 @@ def _record(rotations=(0.0,), value=0.2):
     lambda: BinGrid(center=0.0, width=np.inf, half_count=3),
     lambda: NoiseSpec(eta=np.nan),
     lambda: _one_op_set(weights=[np.nan]),
-    lambda: _one_op_set(variances=[np.nan]),
     lambda: ObservableSet(operators=np.full((1, 1, 1), np.nan), labels=[("op", 0)]),
     lambda: _cut(tau_s=np.nan),
     lambda: _cut(positions=[0.0, np.nan, 1.0]),
@@ -126,10 +123,9 @@ def _record(rotations=(0.0,), value=0.2):
     lambda: _record(rotations=(0.0, np.inf)),
 ], ids=["pure-state", "hermitian-operator", "density-operator", "trap-omega",
         "grid-width-nan", "grid-width-inf", "noise-eta", "set-weights",
-        "set-variances", "set-operators", "cut-tau", "cut-positions",
-        "cut-pixel-width-nan", "cut-pixel-width-inf", "cut-center",
-        "record-value-nan", "record-value-inf", "record-rotation-nan",
-        "record-rotation-inf"])
+        "set-operators", "cut-tau", "cut-positions", "cut-pixel-width-nan",
+        "cut-pixel-width-inf", "cut-center", "record-value-nan", "record-value-inf",
+        "record-rotation-nan", "record-rotation-inf"])
 def test_constructors_reject_non_finite_input(build):
     with pytest.raises(ValueError):
         build()
@@ -269,11 +265,6 @@ def test_observation_level_weights_and_errors(trap, space16):
         trap, grid, (0.0, 1.0), 0.5, space16, weight_nbar=7.0
     )
     assert obs.weights[-1] == 7.0
-    var = np.full(obs.n_ops, 0.1)
-    obs_v = build_observation_level(
-        trap, grid, (0.0, 1.0), 0.5, space16, variances=var
-    )
-    assert np.allclose(obs_v.weights, 100.0)
     with pytest.raises(DegenerateRotationError):
         build_observation_level(trap, grid, (0.0, 1.0, 0.0), 0.5, space16)
     with pytest.raises(ValueError):
@@ -290,23 +281,6 @@ def test_observation_level_matches_single_bin_builds(trap, space16):
         _, j, k = lab
         single = build_be_observable(trap, grid, thetas[j], k, space16)
         assert np.max(np.abs(obs.operators[i] - single.matrix)) < 1e-15
-
-
-def test_threaded_build_matches_serial(trap, space16, monkeypatch):
-    grid = default_bin_grid(trap, nbar=0.5, half_count=10)
-    serial = _bin_base_matrices(
-        trap, space16, grid.centers(), grid.width, grid.center, 32, 8, workers=1
-    )
-    threaded = _bin_base_matrices(
-        trap, space16, grid.centers(), grid.width, grid.center, 32, 8, workers=4
-    )
-    assert np.array_equal(serial, threaded)
-    monkeypatch.setenv("MAXENT_TOMO_THREADS", "3")
-    obs = build_observation_level(trap, grid, (0.0,), 0.5, space16)
-    obs_serial = build_observation_level(
-        trap, grid, (0.0,), 0.5, space16, workers=1
-    )
-    assert np.array_equal(obs.operators, obs_serial.operators)
 
 
 # ---------------------------------------------------------------------------
