@@ -39,8 +39,8 @@ trap = TrapConfig(omega_z=2 * math.pi * 80e3, dz0=22e-9, dv0=11e-3,
                   cloud_rms=60e-6, be_time=8.7e-3)
 space = FockSpace(16)
 psi = superposition(space, [1.0, 1.0])
-taus = (0.0, 1.6e-6, 3.2e-6, 4.8e-6)
-thetas = tuple(trap.omega_z * t for t in taus)
+taus_us = (0.0, 1.6, 3.2, 4.8)                 # hold times, microseconds
+thetas = tuple(trap.omega_z * (t * 1e-6) for t in taus_us)
 
 # camera: a much finer grid than the reconstruction wants, wide margins
 pixels = default_bin_grid(trap, nbar=0.5, half_count=120, margin=8.0)
@@ -51,9 +51,9 @@ here = os.path.dirname(os.path.abspath(__file__))
 outdir = os.path.join(here, "cuts_demo")
 os.makedirs(outdir, exist_ok=True)
 paths = []
-for i, tau in enumerate(taus):
+for i, tau in enumerate(taus_us):
     od = 37.0 * record.values[i] + 0.002   # arbitrary scale plus dc offset
-    cut = CutFile(tau_s=tau, positions=pixels.centers(), values=od,
+    cut = CutFile(tau_us=tau, positions=pixels.centers(), values=od,
                   pixel_width=pixels.width)
     path = os.path.join(outdir, f"cut_{i}.csv")
     write_cut_file(cut, path)
@@ -61,9 +61,9 @@ for i, tau in enumerate(taus):
 print(f"wrote {len(paths)} cut files to {outdir}")
 
 cuts = [read_cut_file(p) for p in paths]
-for tau, cut in zip(taus, cuts):
+for cut in cuts:
     od = cut.values
-    print(f"  tau = {tau * 1e6:3.1f} us: {od.size} pixels, "
+    print(f"  tau = {cut.tau_us:3.1f} us: {od.size} pixels, "
           f"od range [{od.min():.4f}, {od.max():.4f}]")
 
 grid = default_bin_grid(trap, nbar=0.5, half_count=25)

@@ -48,7 +48,6 @@ from .maxent import (
     deviation,
     deviation_gradient,
     fit,
-    mean_jacobian,
 )
 from .measurement import (
     BinGrid,
@@ -56,7 +55,6 @@ from .measurement import (
     ObservableSet,
     QuadratureError,
     TrapConfig,
-    build_be_observable,
     build_observation_level,
     default_bin_grid,
     ideal_quadrature_distribution,

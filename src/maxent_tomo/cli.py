@@ -7,6 +7,7 @@ converge (a result is still written so the partial fit can be inspected).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -54,21 +55,15 @@ def _state_nbar(state, space: FockSpace) -> float:
 
 
 def _apply_overrides(config: tio.RunConfig, args) -> tio.RunConfig:
-    if getattr(args, "nbar", None) is not None:
-        config.nbar = args.nbar
-    if getattr(args, "wnbar", None) is not None:
-        config.weight_nbar = args.wnbar
-    if getattr(args, "eta", None) is not None:
-        config.eta = args.eta
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "dim", None) is not None:
-        config.dim = args.dim
+    """The config with command-line values in place, checked like one read
+    from a file."""
+    flags = {"nbar": "nbar", "weight_nbar": "wnbar", "eta": "eta", "seed": "seed",
+             "dim": "dim", "fixed_center_m": "fixed_center"}
+    changes = {key: getattr(args, flag, None) for key, flag in flags.items()}
+    changes = {key: value for key, value in changes.items() if value is not None}
     if getattr(args, "no_background_subtraction", False):
-        config.subtract_background = False
-    if getattr(args, "fixed_center", None) is not None:
-        config.fixed_center_m = args.fixed_center
-    return config
+        changes["subtract_background"] = False
+    return dataclasses.replace(config, **changes)
 
 
 def _outdir(args) -> str:
@@ -193,7 +188,10 @@ def _cmd_report(args) -> int:
         import json
         with open(args.fit) as fh:
             rep = json.load(fh)
-        print(f"delta_f = {rep.get('delta_f'):.6g}")
+        delta_f = rep.get("delta_f") if isinstance(rep, dict) else None
+        if not isinstance(delta_f, (int, float)):
+            raise ValueError(f"{args.fit}: fit report has no numeric 'delta_f', got {delta_f!r}")
+        print(f"delta_f = {delta_f:.6g}")
         print(f"converged = {rep.get('converged')}")
     if args.reference:
         ref = tio.read_density_matrix(args.reference)

@@ -60,10 +60,12 @@ class CutFile:
 
     positions are bin centers in meters (strictly increasing, typically one
     per camera pixel), values are optical densities in arbitrary units.
-    center_m, when present, is an externally known cloud center.
+    center_m, when present, is an externally known cloud center.  The hold
+    time is kept in microseconds, the unit of the file, so a read-write
+    cycle is bit-exact.
     """
 
-    tau_s: float
+    tau_us: float
     positions: np.ndarray
     values: np.ndarray
     pixel_width: float
@@ -80,14 +82,18 @@ class CutFile:
             raise ValueError("positions must be strictly increasing")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
-        if not math.isfinite(self.tau_s):
-            raise ValueError(f"tau_s must be finite, got {self.tau_s!r}")
+        if not math.isfinite(self.tau_us):
+            raise ValueError(f"tau_us must be finite, got {self.tau_us!r}")
         if not (math.isfinite(self.pixel_width) and self.pixel_width > 0):
             raise ValueError(f"pixel_width must be finite and positive, got {self.pixel_width!r}")
         if self.center_m is not None and not math.isfinite(self.center_m):
             raise ValueError(f"center_m must be finite, got {self.center_m!r}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "values", vals)
+
+    @property
+    def tau_s(self) -> float:
+        return self.tau_us * 1e-6
 
 
 def read_cut_file(path) -> CutFile:
@@ -96,7 +102,7 @@ def read_cut_file(path) -> CutFile:
     vals = np.array([float(r[1]) for r in rows])
     center = meta.get("center_m")
     return CutFile(
-        tau_s=float(meta["tau_us"]) * 1e-6,
+        tau_us=float(meta["tau_us"]),
         positions=pos,
         values=vals,
         pixel_width=float(meta["pixel_width_m"]),
@@ -106,7 +112,7 @@ def read_cut_file(path) -> CutFile:
 
 def write_cut_file(cut: CutFile, path) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# tau_us={float(cut.tau_s * 1e6)!r}\n")
+        fh.write(f"# tau_us={float(cut.tau_us)!r}\n")
         fh.write(f"# pixel_width_m={float(cut.pixel_width)!r}\n")
         if cut.center_m is not None:
             fh.write(f"# center_m={float(cut.center_m)!r}\n")
@@ -406,13 +412,17 @@ class RunConfig:
     grad_tol: float = 1e-9
 
     def __post_init__(self):
-        def finite_non_negative(x):
-            return x is None or (math.isfinite(x) and x >= 0)
-
+        # by declared type: every float, and each entry of the tuple taus_us
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = f.type.removesuffix(" | None")
+            numbers = value if kind == "tuple" else (value,) if kind == "float" else ()
+            if not all(x is None or math.isfinite(x) for x in numbers):
+                raise ValueError(f"config key {f.name!r} must be finite, got {value!r}")
         for key, ok, rule in (
             ("dim", self.dim >= 2, "at least 2"),
-            ("nbar", finite_non_negative(self.nbar), "finite and non-negative"),
-            ("noisy_nbar", finite_non_negative(self.noisy_nbar), "finite and non-negative"),
+            ("nbar", self.nbar is None or self.nbar >= 0, "non-negative"),
+            ("noisy_nbar", self.noisy_nbar is None or self.noisy_nbar >= 0, "non-negative"),
             ("bin_half_count", self.bin_half_count >= 1, "at least 1"),
             ("max_iter", self.max_iter >= 1, "at least 1"),
             ("grad_tol", self.grad_tol > 0, "positive"),

@@ -42,7 +42,6 @@ __all__ = [
     "canonical_state",
     "deviation",
     "deviation_gradient",
-    "mean_jacobian",
     "fit",
 ]
 
@@ -72,10 +71,6 @@ class LagrangeVector:
             raise ValueError("multipliers must be finite")
         object.__setattr__(self, "lambda_bins", bins)
         object.__setattr__(self, "lambda_n", float(self.lambda_n))
-
-    @classmethod
-    def zeros(cls, n_rotations: int, n_bins: int) -> "LagrangeVector":
-        return cls(0.0, np.zeros((n_rotations, n_bins)))
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, bin_shape: tuple) -> "LagrangeVector":
@@ -126,10 +121,6 @@ def _gibbs(d: np.ndarray, v: np.ndarray):
     return e, q, z, (v * (q / z)) @ v.conj().T
 
 
-def _model_means(rho: np.ndarray, ops_flat: np.ndarray) -> np.ndarray:
-    return np.real(ops_flat @ rho.T.reshape(-1))
-
-
 def _deviation_terms(d: np.ndarray, v: np.ndarray, observables: ObservableSet):
     """dF and its gradient at the spectrum (d, v) of A: the one evaluation
     the fit minimizes and ``deviation``/``deviation_gradient`` report.
@@ -140,7 +131,7 @@ def _deviation_terms(d: np.ndarray, v: np.ndarray, observables: ObservableSet):
     ops = observables.operators
     ops_flat = ops.reshape(len(ops), -1)
     e, q, z, rho = _gibbs(d, v)
-    model = _model_means(rho, ops_flat)
+    model = observables.expectations(rho)
     r = model - observables.means
     wr = observables.weights * r
     f = float(np.dot(wr, r))
@@ -194,30 +185,11 @@ def _phi_kernel(e: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(small, narrow, wide)
 
 
-def deviation_gradient(state: CanonicalState, observables: ObservableSet):
+def deviation_gradient(state: CanonicalState, observables: ObservableSet) -> np.ndarray:
     """Gradient of the deviation functional with respect to the multipliers,
-    in the layout of the state's multipliers (LagrangeVector in,
-    LagrangeVector out)."""
+    flat in the operator order of the set."""
     _require_means(observables)
-    grad = _deviation_terms(state._eigvals, state._eigvecs, observables)[1]
-    if isinstance(state.lambdas, LagrangeVector):
-        return LagrangeVector.from_flat(grad, state.lambdas.lambda_bins.shape)
-    return grad
-
-
-def mean_jacobian(state: CanonicalState, observables: ObservableSet) -> np.ndarray:
-    """Full matrix J_{nu mu} = d<G_nu>/d lambda_mu at the state's multipliers.
-
-    For commuting (diagonal) observables this reduces to minus the classical
-    covariance matrix of the eigenvalue distributions.  Test and diagnostic
-    helper; the fit itself uses the cheaper contracted form above."""
-    ops = observables.operators
-    v = state._eigvecs
-    e, q, z, rho = _gibbs(state._eigvals, v)
-    model = _model_means(rho, ops.reshape(len(ops), -1))
-    gt = np.matmul(np.matmul(v.conj().T, ops), v)
-    k = np.einsum("vab,ab,wba->vw", gt, _phi_kernel(e, q), gt, optimize=True)
-    return np.real(np.outer(model, model) - k / z)
+    return _deviation_terms(state._eigvals, state._eigvecs, observables)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +299,18 @@ class FitReport:
 def fit(
     observables: ObservableSet,
     *,
-    initial=None,
     max_iter: int = 20000,
     grad_tol: float = 1e-9,
 ) -> tuple[CanonicalState, FitReport]:
     """Minimize the deviation functional over the multipliers.
 
     L-BFGS with the analytic gradient, starting from lambda = 0 (the
-    maximally mixed state) unless ``initial`` is given.  Convergence means
-    either the sup-norm of the gradient fell below ``grad_tol`` or the
-    deviation itself is below 1e-14.  On stagnation the search restarts
-    from a jitter of the best point (seed 0), at most ``MAX_RESTARTS`` times;
-    a fit that still fails is returned with ``converged=False`` rather than
-    raised, so callers can inspect the partial result.
+    maximally mixed state).  Convergence means either the sup-norm of the
+    gradient fell below ``grad_tol`` or the deviation itself is below 1e-14.
+    On stagnation the search restarts from a jitter of the best point
+    (seed 0), at most ``MAX_RESTARTS`` times; a fit that still fails is
+    returned with ``converged=False`` rather than raised, so callers can
+    inspect the partial result.
 
     Each L-BFGS run holds the OpenBLAS that scipy bundles at one thread and
     then restores the count it found (a no-op for other BLAS builds).  That
@@ -354,11 +325,7 @@ def fit(
     def fg(lam):
         return _deviation_terms(*_spectrum(lam, ops), observables)
 
-    if initial is None:
-        x0 = np.zeros(observables.n_ops)
-    else:
-        x0 = _flat_lambdas(initial, observables).copy()
-
+    x0 = np.zeros(observables.n_ops)
     history: list = []
 
     def callback(intermediate_result):
@@ -400,7 +367,7 @@ def fit(
     else:
         lam_out = x_best
     state = canonical_state(lam_out, observables)
-    model = _model_means(state.rho.matrix, ops.reshape(len(ops), -1))
+    model = observables.expectations(state.rho.matrix)
     nbar_idx = observables.nbar_index
     nbar_fit = float(model[nbar_idx]) if nbar_idx is not None else float("nan")
     report = FitReport(

@@ -30,7 +30,6 @@ from numpy.polynomial.legendre import leggauss
 from .hilbert import (
     DensityOperator,
     FockSpace,
-    HermitianOperator,
     PureState,
     _readonly,
     harmonic_evolve,
@@ -45,7 +44,6 @@ __all__ = [
     "QuadratureError",
     "DegenerateRotationError",
     "default_bin_grid",
-    "build_be_observable",
     "build_observation_level",
     "ideal_quadrature_distribution",
 ]
@@ -218,26 +216,6 @@ def _rotation_phases(dim: int, theta: float) -> np.ndarray:
     return np.conj(ph)[:, None] * ph[None, :]
 
 
-def build_be_observable(
-    cfg: TrapConfig,
-    grid: BinGrid,
-    theta: float,
-    k: int,
-    space: FockSpace,
-    gh_nodes: int = 32,
-    gl_nodes: int = 8,
-) -> HermitianOperator:
-    """Operator whose mean is the probability of landing in detector bin k
-    after rotation theta, smeared over the initial cloud profile."""
-    if abs(k) > grid.half_count:
-        raise ValueError(f"bin index {k} outside grid (half_count {grid.half_count})")
-    center_k = np.array([grid.center + grid.width * k])
-    base = _bin_base_matrices(
-        cfg, space, center_k, grid.width, grid.center, gh_nodes, gl_nodes
-    )[0]
-    return HermitianOperator(_rotation_phases(space.dim, theta) * base)
-
-
 @dataclass
 class ObservableSet:
     """Operators, target means and weights defining one reconstruction.
@@ -305,6 +283,11 @@ class ObservableSet:
         if self.rotations is None or self.grid is None:
             return None
         return (len(self.rotations), self.grid.n_bins)
+
+    def expectations(self, rho: np.ndarray) -> np.ndarray:
+        """Tr[rho G_nu] for every operator, given rho as an (N, N) array."""
+        ops = self.operators
+        return np.real(ops.reshape(len(ops), -1) @ rho.T.reshape(-1))
 
     def with_means(self, means: np.ndarray) -> "ObservableSet":
         out = copy.copy(self)

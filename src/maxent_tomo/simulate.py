@@ -99,8 +99,7 @@ def simulate_ideal(state, observables: ObservableSet) -> MeasurementRecord:
             f"state dim {dim} vs observables dim {observables.dim}"
         )
     rho = state.density().matrix if isinstance(state, PureState) else state.matrix
-    ops = observables.operators
-    vals = np.real(ops.reshape(len(ops), -1) @ rho.T.reshape(-1))
+    vals = observables.expectations(rho)
     bins = np.clip(vals[:-1].reshape(observables.bin_shape), 0.0, None)
     return MeasurementRecord(
         rotations=observables.rotations,
@@ -162,14 +161,6 @@ def _squeezed_leakage(kappa: float, dim: int) -> float:
     return max(1.0 - head, 0.0)
 
 
-def _free_flight(cfg: TrapConfig, t1: float, space: FockSpace, state: PureState) -> PureState:
-    kappa = 0.5 * cfg.omega_z * t1
-    p = ladder_operators(space).p
-    amps = unitary_expm(p @ p, kappa) @ state.amplitudes
-    # unitary on the truncated space: norm preserved up to roundoff
-    return PureState(amps / np.linalg.norm(amps))
-
-
 def prepare_free_expansion(cfg: TrapConfig, t1: float, space: FockSpace) -> PureState:
     """Ground state after the trap is off for t1 seconds: exp(-i kappa p^2)|0>
     with kappa = omega_z t1 / 2.  Mean occupation grows as kappa^2.
@@ -186,6 +177,10 @@ def prepare_free_expansion(cfg: TrapConfig, t1: float, space: FockSpace) -> Pure
             f"free flight t1={t1:.3e} s (kappa={kappa:.3f}) leaks {leak:.3e} "
             f"above level {space.dim - 1}; raise the Fock dimension"
         )
+    vacuum = fock_state(space, 0)
     if kappa == 0.0:
-        return fock_state(space, 0)
-    return _free_flight(cfg, t1, space, fock_state(space, 0))
+        return vacuum
+    p = ladder_operators(space).p
+    amps = unitary_expm(p @ p, kappa) @ vacuum.amplitudes
+    # unitary on the truncated space: norm preserved up to roundoff
+    return PureState(amps / np.linalg.norm(amps))

@@ -98,43 +98,26 @@ def _fock_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return acc
 
 
-def wigner_eval(
-    state,
-    q_axis=None,
-    p_axis=None,
-    *,
-    span: float = 6.0,
-    points: int = 257,
-) -> WignerGrid:
-    """Evaluate W on a grid (default symmetric span +-6 with 257 points).
+def wigner_eval(state, *, span: float = 6.0, points: int = 257) -> WignerGrid:
+    """Evaluate W on the square grid of ``points`` per axis over [-span, span].
 
     Warns when the grid looks too small for the state's energy: the bulk of
     a state with mean occupation nbar lives within radius sqrt(2 nbar) + 3.
     """
     rho = _density_matrix(state)
-    if q_axis is None:
-        q_axis = np.linspace(-span, span, points)
-    if p_axis is None:
-        p_axis = np.linspace(-span, span, points)
-    q_axis = np.asarray(q_axis, dtype=np.float64)
-    p_axis = np.asarray(p_axis, dtype=np.float64)
+    axis = np.linspace(-span, span, points)
 
     nbar = float(np.real(np.diag(rho) @ np.arange(rho.shape[0])))
     needed = math.sqrt(2.0 * max(nbar, 0.0)) + 3.0
-    reach = min(
-        -q_axis[0], q_axis[-1], -p_axis[0], p_axis[-1]
-    )
-    if reach < needed:
+    if span < needed:
         warnings.warn(
-            f"grid reaches {reach:.2f} but the state extends to ~{needed:.2f}; "
+            f"grid reaches {span:.2f} but the state extends to ~{needed:.2f}; "
             "the plane integral will be visibly short",
             stacklevel=2,
         )
-    acc = _fock_kernel(rho, q_axis, p_axis)
+    acc = _fock_kernel(rho, axis, axis)
     imag_res = float(np.max(np.abs(acc.imag))) if acc.size else 0.0
-    return WignerGrid(
-        q_axis=q_axis, p_axis=p_axis, values=acc.real, imag_residual=imag_res
-    )
+    return WignerGrid(q_axis=axis, p_axis=axis.copy(), values=acc.real, imag_residual=imag_res)
 
 
 def wigner_marginal(grid: WignerGrid, theta: float):

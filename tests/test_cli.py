@@ -68,3 +68,32 @@ def test_iteration_cap_exits_two_and_keeps_the_partial_fit(simulated, tmp_path):
     assert code == 2
     assert (tmp_path / "rho.json").exists()
     assert json.loads((tmp_path / "report.json").read_text())["converged"] is False
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("taus_us = 0, nan, 3.2, 4.8\n", "taus_us"),
+    ("fixed_center_m = nan\n", "fixed_center_m"),
+])
+def test_non_finite_config_values_exit_one_naming_the_key(tmp_path, capsys, extra, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG + extra)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert f"config key '{key}' must be finite" in capsys.readouterr().err
+
+
+def test_command_line_values_are_checked_like_config_values(simulated, tmp_path, capsys):
+    cfg, record = simulated
+    code = main(["reconstruct", "--config", str(cfg), "--record", str(record),
+                 "--fixed-center", "nan", "--out", str(tmp_path)])
+    assert code == 1
+    assert "config key 'fixed_center_m' must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", ['{"converged": true}', '{"delta_f": null}', '[]'])
+def test_report_without_delta_f_exits_one(simulated, tmp_path, capsys, payload):
+    cfg, record = simulated
+    fit_json = tmp_path / "report.json"
+    fit_json.write_text(payload)
+    rho = str(record.parent / "state_true.json")
+    assert main(["report", "--rho", rho, "--fit", str(fit_json)]) == 1
+    assert "'delta_f'" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """File formats, cut preprocessing, run configuration, and the CLI."""
 
+import dataclasses
 import json
 import math
 
@@ -42,43 +43,57 @@ from conftest import TAUS, make_trap, rotations
 # cut files
 
 
-def _gaussian_cut(tau_s=0.0, center=2e-5, sigma=1.2e-4, amp=0.8, background=0.0,
+def _gaussian_cut(tau_us=0.0, center=2e-5, sigma=1.2e-4, amp=0.8, background=0.0,
                   n_pix=201, span=8e-4):
     positions = np.linspace(-span / 2, span / 2, n_pix) + 1e-7
     pixel = positions[1] - positions[0]
     values = amp * np.exp(-0.5 * ((positions - center) / sigma) ** 2) + background
-    return CutFile(tau_s=tau_s, positions=positions, values=values,
+    return CutFile(tau_us=tau_us, positions=positions, values=values,
                    pixel_width=pixel)
 
 
 def test_cut_file_validation():
     with pytest.raises(ValueError):
-        CutFile(tau_s=0.0, positions=np.array([0.0, 0.0, 1.0]),
+        CutFile(tau_us=0.0, positions=np.array([0.0, 0.0, 1.0]),
                 values=np.zeros(3), pixel_width=1e-6)
     with pytest.raises(ValueError):
-        CutFile(tau_s=0.0, positions=np.array([0.0, 1.0]),
+        CutFile(tau_us=0.0, positions=np.array([0.0, 1.0]),
                 values=np.array([1.0, np.inf]), pixel_width=1e-6)
     with pytest.raises(ValueError):
-        CutFile(tau_s=0.0, positions=np.array([0.0, 1.0]),
+        CutFile(tau_us=0.0, positions=np.array([0.0, 1.0]),
                 values=np.zeros(2), pixel_width=0.0)
 
 
 def test_cut_file_round_trip(tmp_path):
-    cut = _gaussian_cut(tau_s=1.6e-6, background=0.07)
+    cut = _gaussian_cut(tau_us=1.6, background=0.07)
     path = tmp_path / "cut.csv"
-    write_cut_file(cut, path)
-    back = read_cut_file(path)
-    # tau is stored in microseconds, so the round trip costs one ulp
-    assert back.tau_s == pytest.approx(cut.tau_s, rel=1e-12)
+    back = cut
+    # tau is held in the file's unit, microseconds: no cycle changes a bit
+    for _ in range(5):
+        write_cut_file(back, path)
+        back = read_cut_file(path)
+        assert back.tau_us == 1.6
+        assert back.tau_s == cut.tau_s == 1.6 * 1e-6
     assert back.pixel_width == cut.pixel_width
     assert np.array_equal(back.positions, cut.positions)
     assert np.array_equal(back.values, cut.values)
     assert back.center_m is None
 
-    cut2 = CutFile(tau_s=0.0, positions=cut.positions, values=cut.values,
+    cut2 = CutFile(tau_us=0.0, positions=cut.positions, values=cut.values,
                    pixel_width=cut.pixel_width, center_m=3.3e-6)
     write_cut_file(cut2, path)
     assert read_cut_file(path).center_m == 3.3e-6
+
+
+def test_cut_file_hold_times_survive_a_cycle_bit_for_bit(tmp_path):
+    path = tmp_path / "cut.csv"
+    for tau in np.linspace(0.0, 10.0, 1001):
+        cut = CutFile(tau_us=tau, positions=np.array([0.0, 1e-6]),
+                      values=np.ones(2), pixel_width=1e-6)
+        write_cut_file(cut, path)
+        back = read_cut_file(path)
+        assert back.tau_us == cut.tau_us
+        assert back.tau_s == cut.tau_s
 
 
 def test_gaussian_fit_recovers_parameters():
@@ -91,12 +106,12 @@ def test_gaussian_fit_recovers_parameters():
 
 
 def test_gaussian_fit_rejects_flat_and_short_cuts():
-    flat = CutFile(tau_s=0.0, positions=np.linspace(-1e-4, 1e-4, 50),
+    flat = CutFile(tau_us=0.0, positions=np.linspace(-1e-4, 1e-4, 50),
                    values=np.full(50, 0.3), pixel_width=4e-6)
     with pytest.raises(FitDivergence):
         gaussian_fit_center(flat)
     with pytest.raises(ValueError):
-        gaussian_fit_center(CutFile(tau_s=0.0, positions=np.linspace(0, 1, 4),
+        gaussian_fit_center(CutFile(tau_us=0.0, positions=np.linspace(0, 1, 4),
                                     values=np.ones(4), pixel_width=0.25))
 
 
@@ -130,7 +145,7 @@ def test_preprocess_is_idempotent_without_background(trap):
     grid = default_bin_grid(trap, nbar=0.5, half_count=25)
     cut = _gaussian_cut(center=2.5e-5, sigma=1.1e-4, amp=0.7)
     first = preprocess(cut, grid, subtract_background=False)
-    again = CutFile(tau_s=cut.tau_s, positions=grid.centers(), values=first,
+    again = CutFile(tau_us=cut.tau_us, positions=grid.centers(), values=first,
                     pixel_width=grid.width)
     # with a pinned center the second pass is the identity rebin, exactly
     exact = preprocess(again, grid, subtract_background=False,
@@ -153,7 +168,7 @@ def test_preprocess_subtracts_constant_background(trap):
 def test_preprocess_raises_when_signal_misses_the_grid(trap):
     grid = default_bin_grid(trap, nbar=0.5, half_count=10)
     far = _gaussian_cut(center=0.0)
-    shifted = CutFile(tau_s=0.0, positions=far.positions + 1.0,
+    shifted = CutFile(tau_us=0.0, positions=far.positions + 1.0,
                       values=far.values, pixel_width=far.pixel_width)
     with pytest.raises(EmptyAfterClamp):
         preprocess(shifted, grid, recenter=False)
@@ -347,8 +362,6 @@ CONFIG_SAMPLES = {
 def test_every_config_field_parses_to_its_declared_type():
     """A field added without a sample here, or of a type the parser does
     not know, fails this test."""
-    import dataclasses
-
     declared = {f.name: f.type.removesuffix(" | None") for f in dataclasses.fields(RunConfig)}
     assert sorted(CONFIG_SAMPLES) == sorted(declared)
     text = "\n".join(f"{key} = {line}" for key, (line, _) in CONFIG_SAMPLES.items())
@@ -378,6 +391,16 @@ def test_every_config_field_parses_to_its_declared_type():
 ])
 def test_config_rejects_out_of_range_values(key, text):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
+        RunConfig.from_dict({key: text})
+
+
+@pytest.mark.parametrize("key", [
+    f.name for f in dataclasses.fields(RunConfig)
+    if f.type.removesuffix(" | None") in ("float", "tuple")
+])
+def test_config_rejects_non_finite_values(key):
+    text = "0, inf, 3.2" if key == "taus_us" else "nan"
+    with pytest.raises(ValueError, match=f"config key '{key}' must be finite"):
         RunConfig.from_dict({key: text})
 
 
@@ -418,7 +441,7 @@ def synthetic_cuts(trap, space16):
     pix_obs = build_observation_level(trap, pix_grid, thetas, 0.5, space16)
     pix_rec = simulate_ideal(psi, pix_obs)
     cuts = [
-        CutFile(tau_s=tau, positions=pix_grid.centers(),
+        CutFile(tau_us=tau * 1e6, positions=pix_grid.centers(),
                 values=pix_rec.values[j], pixel_width=pix_grid.width)
         for j, tau in enumerate(TAUS)
     ]
@@ -437,7 +460,7 @@ def test_background_subtraction_improves_the_fit(trap, space16, synthetic_cuts):
     subtraction must recover most of the lost accuracy."""
     psi, grid, obs, cuts = synthetic_cuts
     dirty = [
-        CutFile(tau_s=c.tau_s, positions=c.positions,
+        CutFile(tau_us=c.tau_us, positions=c.positions,
                 values=1.1 * c.values + 0.02 * c.values.max(),
                 pixel_width=c.pixel_width)
         for c in cuts
@@ -529,7 +552,7 @@ def test_cli_reconstruct_from_cuts_needs_nbar(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dim = 8\nbin_width_m = 2e-5\nbin_half_count = 10\n"
                    "taus_us = 0\n")
-    cut = _gaussian_cut(tau_s=0.0, center=0.0, sigma=1.1e-4)
+    cut = _gaussian_cut(tau_us=0.0, center=0.0, sigma=1.1e-4)
     cut_path = tmp_path / "cut0.csv"
     write_cut_file(cut, cut_path)
     code = main(["reconstruct", "--config", str(cfg), "--cut", str(cut_path),

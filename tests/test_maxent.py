@@ -23,7 +23,6 @@ from maxent_tomo import (
     fit,
     hermitian_expm,
     ladder_operators,
-    mean_jacobian,
     simulate_ideal,
     superposition,
     thermal_state,
@@ -59,8 +58,6 @@ def _random_obs(rng, dim, n_ops, with_means=True):
 def test_lagrange_vector_round_trip(trap, space16):
     grid = default_bin_grid(trap, nbar=0.5, half_count=3)
     obs = build_observation_level(trap, grid, (0.0, 1.0), 0.5, space16)
-    lam = LagrangeVector.zeros(2, 7)
-    assert lam.lambda_bins.shape == (2, 7)
     flat = np.arange(15.0)
     lam2 = LagrangeVector.from_flat(flat, (2, 7))
     assert lam2.lambda_n == 14.0
@@ -91,7 +88,7 @@ def test_multiplier_flattening_round_trips(n_rot, n_bin, seed):
 def test_zero_multipliers_give_maximally_mixed(trap, space16):
     grid = default_bin_grid(trap, nbar=0.5, half_count=3)
     obs = build_observation_level(trap, grid, (0.0,), 0.5, space16)
-    state = canonical_state(LagrangeVector.zeros(1, 7), obs)
+    state = canonical_state(np.zeros(obs.n_ops), obs)
     assert np.max(np.abs(state.rho.matrix - np.eye(16) / 16.0)) < 1e-14
     assert state.log_partition == pytest.approx(math.log(16.0), abs=1e-12)
 
@@ -151,7 +148,7 @@ def test_canonical_states_are_always_physical():
 def test_deviation_requires_means(trap, space16):
     grid = default_bin_grid(trap, nbar=0.5, half_count=3)
     obs = build_observation_level(trap, grid, (0.0,), None, space16)
-    state = canonical_state(LagrangeVector.zeros(1, 7), obs)
+    state = canonical_state(np.zeros(obs.n_ops), obs)
     with pytest.raises(MissingMeans):
         deviation(state, obs)
     with pytest.raises(MissingMeans):
@@ -203,37 +200,6 @@ def test_gradient_matches_finite_differences():
             assert abs(grad[i] - fd) / scale < 1e-5
 
 
-def test_gradient_returns_lagrange_vector_for_structured_input(trap, space16):
-    grid = default_bin_grid(trap, nbar=0.5, half_count=3)
-    obs = build_observation_level(trap, grid, (0.0,), 0.4, space16)
-    obs = obs.with_means(np.full(obs.n_ops, 0.1))
-    lam = LagrangeVector.zeros(1, 7)
-    state = canonical_state(lam, obs)
-    grad = deviation_gradient(state, obs)
-    assert isinstance(grad, LagrangeVector)
-    assert grad.lambda_bins.shape == (1, 7)
-
-
-def test_mean_jacobian_is_minus_covariance_for_commuting_ops():
-    """When all observables are diagonal the susceptibility reduces to the
-    classical result d<G_v>/d lambda_w = -Cov(G_v, G_w)."""
-    rng = np.random.default_rng(17)
-    dim = 6
-    diags = [np.diag(rng.uniform(-1.0, 1.0, dim)) for _ in range(3)]
-    obs = ObservableSet(
-        operators=[HermitianOperator(d.astype(complex)) for d in diags],
-        labels=[("op", i) for i in range(3)],
-    )
-    lam = rng.uniform(-1.0, 1.0, 3)
-    state = canonical_state(lam, obs)
-    jac = mean_jacobian(state, obs)
-    p = state.rho.populations()
-    g = np.array([np.real(np.diag(d)) for d in diags])
-    mean = g @ p
-    cov = (g * p) @ g.T - np.outer(mean, mean)
-    assert np.max(np.abs(jac + cov)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # fitting
 
@@ -255,13 +221,13 @@ def test_fit_thermal_from_number_operator_alone():
     assert report.nbar_fit == pytest.approx(0.5, abs=1e-7)
 
 
-def test_fit_handles_structured_initial_guess(trap, space16):
+def test_fit_reaches_ideal_data_from_zero_multipliers(trap, space16):
     grid = default_bin_grid(trap, nbar=0.5, half_count=6)
     obs = build_observation_level(trap, grid, (0.0, 1.3), 0.5, space16)
     rec = simulate_ideal(superposition(space16, [1.0, 1.0]), obs)
     obs = obs.with_record(rec)
-    warm = LagrangeVector.zeros(2, 13)
-    state, report = fit(obs, initial=warm, grad_tol=1e-10)
+    state, report = fit(obs, grad_tol=1e-10)
+    assert state.lambdas.lambda_bins.shape == (2, 13)
     assert report.delta_f < 1e-8
     assert report.iterations > 0
     assert len(report.history) >= report.iterations

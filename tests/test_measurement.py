@@ -24,7 +24,6 @@ from maxent_tomo import (
     PureState,
     QuadratureError,
     TrapConfig,
-    build_be_observable,
     build_observation_level,
     default_bin_grid,
     expectation,
@@ -34,6 +33,8 @@ from maxent_tomo import (
     superposition,
     thermal_state,
 )
+
+from maxent_tomo.measurement import _bin_base_matrices, _rotation_phases
 
 from conftest import TAUS, make_trap, rotations
 
@@ -89,7 +90,7 @@ def _one_op_set(**kw):
 
 
 def _cut(**kw):
-    args = dict(tau_s=0.0, positions=[0.0, 1e-6, 2e-6], values=[1.0, 1.0, 1.0],
+    args = dict(tau_us=0.0, positions=[0.0, 1e-6, 2e-6], values=[1.0, 1.0, 1.0],
                 pixel_width=1e-6)
     args.update(kw)
     return CutFile(**args)
@@ -112,7 +113,7 @@ def _record(rotations=(0.0,), value=0.2):
     lambda: NoiseSpec(eta=np.nan),
     lambda: _one_op_set(weights=[np.nan]),
     lambda: ObservableSet(operators=np.full((1, 1, 1), np.nan), labels=[("op", 0)]),
-    lambda: _cut(tau_s=np.nan),
+    lambda: _cut(tau_us=np.nan),
     lambda: _cut(positions=[0.0, np.nan, 1.0]),
     lambda: _cut(pixel_width=np.nan),
     lambda: _cut(pixel_width=np.inf),
@@ -143,6 +144,12 @@ def test_default_bin_grid_span():
 # single-bin operators
 
 
+def _bin_operator(cfg, grid, theta, k, space, **nodes) -> np.ndarray:
+    """Operator of bin k after rotation theta, from a one-rotation level."""
+    level = build_observation_level(cfg, grid, (theta,), None, space, **nodes)
+    return level.operators[k + grid.half_count]
+
+
 def _vacuum_bin_probability(cfg: TrapConfig, grid: BinGrid, k: int) -> float:
     """Closed form for the vacuum: Gaussian position at the detector with
     variance drop^2/2 + cloud^2."""
@@ -162,7 +169,7 @@ def test_vacuum_bin_probabilities_hit_erf_closed_form(cloud):
     grid = default_bin_grid(cfg, nbar=0.5, half_count=10)
     vac = fock_state(space, 0)
     for k in (-10, -3, 0, 2, 7):
-        op = build_be_observable(cfg, grid, theta=0.9, k=k, space=space)
+        op = _bin_operator(cfg, grid, 0.9, k, space)
         got = expectation(vac, op)
         assert got == pytest.approx(_vacuum_bin_probability(cfg, grid, k), abs=1e-12)
 
@@ -171,16 +178,14 @@ def test_bin_operator_spectrum_and_bounds():
     cfg = make_trap()
     space = FockSpace(16)
     grid = default_bin_grid(cfg, nbar=0.5, half_count=5)
-    op = build_be_observable(cfg, grid, theta=0.3, k=1, space=space)
-    ev = np.linalg.eigvalsh(op.matrix)
+    op = _bin_operator(cfg, grid, 0.3, 1, space)
+    ev = np.linalg.eigvalsh(op)
     assert ev[0] > -1e-10
     assert ev[-1] < 1.0 + 1e-10
-    with pytest.raises(ValueError):
-        build_be_observable(cfg, grid, theta=0.3, k=6, space=space)
     with pytest.raises(QuadratureError):
-        build_be_observable(cfg, grid, theta=0.3, k=0, space=space, gh_nodes=1)
+        build_observation_level(cfg, grid, (0.3,), None, space, gh_nodes=1)
     with pytest.raises(QuadratureError):
-        build_be_observable(cfg, grid, theta=0.3, k=0, space=space, gl_nodes=1)
+        build_observation_level(cfg, grid, (0.3,), None, space, gl_nodes=1)
 
 
 def test_rotation_enters_as_heisenberg_evolution():
@@ -193,8 +198,8 @@ def test_rotation_enters_as_heisenberg_evolution():
     for theta in (0.0, 0.5, 2.2, -1.1):
         evolved = harmonic_evolve(psi, theta)
         for k in (-2, 0, 3):
-            op_theta = build_be_observable(cfg, grid, theta, k, space)
-            op_zero = build_be_observable(cfg, grid, 0.0, k, space)
+            op_theta = _bin_operator(cfg, grid, theta, k, space)
+            op_zero = _bin_operator(cfg, grid, 0.0, k, space)
             assert expectation(psi, op_theta) == pytest.approx(
                 expectation(evolved, op_zero), abs=1e-13
             )
@@ -206,11 +211,9 @@ def test_quadrature_node_doubling_is_converged():
     grid = default_bin_grid(cfg, nbar=2.0, half_count=8)
     psi = superposition(space, [1.0, 0.0, 1.0, 0.5])
     for k in (-8, -1, 4):
-        coarse = build_be_observable(cfg, grid, 0.7, k, space)
-        fine = build_be_observable(
-            cfg, grid, 0.7, k, space, gh_nodes=64, gl_nodes=16
-        )
-        assert np.max(np.abs(coarse.matrix - fine.matrix)) < 1e-8
+        coarse = _bin_operator(cfg, grid, 0.7, k, space)
+        fine = _bin_operator(cfg, grid, 0.7, k, space, gh_nodes=64, gl_nodes=16)
+        assert np.max(np.abs(coarse - fine)) < 1e-8
         assert expectation(psi, coarse) == pytest.approx(
             expectation(psi, fine), abs=1e-8
         )
@@ -228,7 +231,7 @@ def test_cloud_smearing_converges_quadratically():
         cfg = make_trap(cloud_rms=cloud)
         grid = default_bin_grid(cfg, nbar=0.5, half_count=8)
         return np.array([
-            expectation(psi, build_be_observable(cfg, grid, 0.8, k, space))
+            expectation(psi, _bin_operator(cfg, grid, 0.8, k, space))
             for k in grid.indices()
         ])
 
@@ -279,8 +282,24 @@ def test_observation_level_matches_single_bin_builds(trap, space16):
     obs = build_observation_level(trap, grid, thetas, 0.5, space16)
     for i, lab in enumerate(obs.labels[:-1]):
         _, j, k = lab
-        single = build_be_observable(trap, grid, thetas[j], k, space16)
-        assert np.max(np.abs(obs.operators[i] - single.matrix)) < 1e-15
+        base = _bin_base_matrices(trap, space16, np.array([grid.center + grid.width * k]),
+                                  grid.width, grid.center, 32, 8)[0]
+        single = _rotation_phases(space16.dim, thetas[j]) * base
+        assert np.max(np.abs(obs.operators[i] - single)) < 1e-15
+
+
+def test_validate_names_the_operator_it_rejects():
+    half = np.diag([0.5, 0.0]).astype(complex)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # finite, not Hermitian
+    with pytest.raises(ValueError, match=r"operator \('bin', 0, 1\) hermiticity off"):
+        ObservableSet(operators=np.stack([half, skew]), labels=[("bin", 0, 0), ("bin", 0, 1)])
+    for bad in (np.diag([1.5, 0.0]), np.diag([-0.25, 0.5])):
+        ops = np.stack([half, bad.astype(complex)])
+        with pytest.raises(ValueError, match=r"bin operator \('bin', 2, -3\) spectrum .* "
+                                              r"outside \[0, 1\]"):
+            ObservableSet(operators=ops, labels=[("bin", 2, -4), ("bin", 2, -3)])
+        # the [0, 1] bound holds for bin operators only
+        ObservableSet(operators=ops, labels=[("bin", 2, -4), ("nbar",)])
 
 
 # ---------------------------------------------------------------------------

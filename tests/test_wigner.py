@@ -81,11 +81,9 @@ def test_wigner_against_direct_transform():
     from maxent_tomo import DensityOperator
 
     state = DensityOperator(rho)
-    qs = np.array([-2.1, 0.0, 0.5, 1.3])
-    ps = np.array([-0.4, 0.0, 0.9, 2.2])
-    grid = wigner_eval(state, q_axis=qs, p_axis=ps)
-    for i, q in enumerate(qs):
-        for j, p in enumerate(ps):
+    grid = wigner_eval(state, span=2.2, points=5)
+    for i, q in enumerate(grid.q_axis):
+        for j, p in enumerate(grid.p_axis):
             assert grid.values[i, j] == pytest.approx(
                 _wigner_direct(rho, q, p), abs=1e-8
             )
@@ -99,10 +97,9 @@ def test_wigner_is_linear_in_the_state():
     from maxent_tomo import DensityOperator
 
     mix = DensityOperator(0.3 * a.matrix + 0.7 * b.matrix)
-    ax = np.linspace(-3.0, 3.0, 41)
-    wa = wigner_eval(a, q_axis=ax, p_axis=ax).values
-    wb = wigner_eval(b, q_axis=ax, p_axis=ax).values
-    wmix = wigner_eval(mix, q_axis=ax, p_axis=ax).values
+    wa = wigner_eval(a, span=3.0, points=41).values
+    wb = wigner_eval(b, span=3.0, points=41).values
+    wmix = wigner_eval(mix, span=3.0, points=41).values
     assert np.max(np.abs(wmix - 0.3 * wa - 0.7 * wb)) < 1e-12
 
 
