@@ -5,7 +5,6 @@ from .hilbert import (
     DensityOperator,
     EigError,
     FockSpace,
-    HermitianOperator,
     PureState,
     TruncationError,
     delta_rho,
@@ -46,7 +45,6 @@ from .maxent import (
     MissingMeans,
     canonical_state,
     deviation,
-    deviation_gradient,
     fit,
 )
 from .measurement import (

@@ -23,7 +23,6 @@ __all__ = [
     "FockSpace",
     "PureState",
     "DensityOperator",
-    "HermitianOperator",
     "LadderOperators",
     "TruncationError",
     "EigError",
@@ -73,9 +72,6 @@ class FockSpace:
             raise ValueError(f"Fock dimension must be an integer >= 2, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
 
-    def levels(self) -> np.ndarray:
-        return np.arange(self.dim)
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -98,26 +94,6 @@ class PureState:
 
     def density(self) -> "DensityOperator":
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Matrix wrapper that enforces hermiticity at construction."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if not dev <= HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-        object.__setattr__(self, "matrix", _readonly(m))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -150,7 +126,7 @@ class DensityOperator:
 
 
 def _matrix_of(operator) -> np.ndarray:
-    if isinstance(operator, (HermitianOperator, DensityOperator)):
+    if isinstance(operator, DensityOperator):
         return operator.matrix
     return np.asarray(operator, dtype=np.complex128)
 

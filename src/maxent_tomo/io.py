@@ -340,12 +340,28 @@ def write_density_matrix(rho: DensityOperator, path) -> None:
         fh.write("\n")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_density_matrix(path) -> DensityOperator:
+    """Read the JSON object ``write_density_matrix`` writes: a positive
+    integer ``dim`` and ``real``/``imag`` lists of dim**2 numbers."""
     with open(path) as fh:
         payload = json.load(fh)
-    dim = int(payload["dim"])
-    m = (np.asarray(payload["real"]) + 1j * np.asarray(payload["imag"])).reshape(dim, dim)
-    return DensityOperator(m)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: density matrix file must hold a JSON object")
+    dim = payload.get("dim")
+    if not (isinstance(dim, int) and not isinstance(dim, bool) and dim > 0):
+        raise ValueError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
+    parts = []
+    for key in ("real", "imag"):
+        values = payload.get(key)
+        if not (isinstance(values, list) and len(values) == dim * dim
+                and all(map(_is_number, values))):
+            raise ValueError(f"{path}: '{key}' must be a list of dim**2 = {dim * dim} numbers")
+        parts.append(np.asarray(values))
+    return DensityOperator((parts[0] + 1j * parts[1]).reshape(dim, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +428,28 @@ class RunConfig:
     grad_tol: float = 1e-9
 
     def __post_init__(self):
-        # by declared type: every float, and each entry of the tuple taus_us
+        # by declared type: every float and int, and each entry of the tuple taus_us
         for f in fields(self):
             value = getattr(self, f.name)
             kind = f.type.removesuffix(" | None")
-            numbers = value if kind == "tuple" else (value,) if kind == "float" else ()
+            numbers = value if kind == "tuple" else (value,) if kind in ("float", "int") else ()
             if not all(x is None or math.isfinite(x) for x in numbers):
                 raise ValueError(f"config key {f.name!r} must be finite, got {value!r}")
-        for key, ok, rule in (
+        rules = [
+            (key, getattr(self, key) is None or getattr(self, key) > 0, "positive")
+            for key in ("omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s",
+                        "bin_width_m", "weight_nbar", "grad_tol")
+        ]
+        rules += [
             ("dim", self.dim >= 2, "at least 2"),
             ("nbar", self.nbar is None or self.nbar >= 0, "non-negative"),
             ("noisy_nbar", self.noisy_nbar is None or self.noisy_nbar >= 0, "non-negative"),
             ("bin_half_count", self.bin_half_count >= 1, "at least 1"),
             ("max_iter", self.max_iter >= 1, "at least 1"),
-            ("grad_tol", self.grad_tol > 0, "positive"),
-        ):
+            ("gh_nodes", self.gh_nodes >= 2, "at least 2"),
+            ("gl_nodes", self.gl_nodes >= 2, "at least 2"),
+        ]
+        for key, ok, rule in rules:
             if not ok:
                 raise ValueError(f"config key {key!r} must be {rule}, got {getattr(self, key)!r}")
 

@@ -41,7 +41,6 @@ __all__ = [
     "MissingMeans",
     "canonical_state",
     "deviation",
-    "deviation_gradient",
     "fit",
 ]
 
@@ -106,9 +105,9 @@ class CanonicalState:
     _eigvecs: np.ndarray = field(repr=False, compare=False, default=None)
 
 
-def _spectrum(vec: np.ndarray, ops: np.ndarray):
+def _spectrum(vec: np.ndarray, observables: ObservableSet):
     """Ascending eigenpairs of the exponent A = sum_nu vec_nu G_nu."""
-    a = np.tensordot(vec, ops, axes=1)
+    a = observables.combine(vec)
     return _eigh(0.5 * (a + a.conj().T))
 
 
@@ -123,22 +122,20 @@ def _gibbs(d: np.ndarray, v: np.ndarray):
 
 def _deviation_terms(d: np.ndarray, v: np.ndarray, observables: ObservableSet):
     """dF and its gradient at the spectrum (d, v) of A: the one evaluation
-    the fit minimizes and ``deviation``/``deviation_gradient`` report.
+    the fit minimizes and ``deviation`` reports.
 
     The gradient is assembled from <G_mu> and Tr[G_mu V (phi o (V+ R V)) V+]/Z
-    with R = sum_nu w_nu r_nu G_nu the weighted residual operator, so only
-    two operator-array contractions are needed per call."""
-    ops = observables.operators
-    ops_flat = ops.reshape(len(ops), -1)
+    with R = sum_nu w_nu r_nu G_nu the weighted residual operator; the
+    observable set makes all three contractions (model means, R and the
+    gradient term)."""
     e, q, z, rho = _gibbs(d, v)
     model = observables.expectations(rho)
     r = model - observables.means
     wr = observables.weights * r
     f = float(np.dot(wr, r))
-    rmat = (wr @ ops_flat).reshape(ops.shape[1:])
-    rt = v.conj().T @ rmat @ v
+    rt = v.conj().T @ observables.combine(wr) @ v
     shat = v @ (rt * _phi_kernel(e, q)) @ v.conj().T
-    term = np.real(ops_flat @ shat.T.reshape(-1))
+    term = observables.expectations(shat)
     return f, 2.0 * (np.dot(wr, model) * model - term / z)
 
 
@@ -149,7 +146,7 @@ def canonical_state(lambdas, observables: ObservableSet) -> CanonicalState:
     exponentiation, so arbitrarily large multipliers only underflow harmlessly.
     log_partition is ln Tr exp(-A) for the unshifted A.
     """
-    d, v = _spectrum(_flat_lambdas(lambdas, observables), observables.operators)
+    d, v = _spectrum(_flat_lambdas(lambdas, observables), observables)
     rho = _gibbs(d, v)[3]
     return CanonicalState(
         rho=DensityOperator(0.5 * (rho + rho.conj().T)),
@@ -166,10 +163,12 @@ def _require_means(observables: ObservableSet) -> np.ndarray:
     return observables.means
 
 
-def deviation(state: CanonicalState, observables: ObservableSet) -> float:
-    """Weighted squared mismatch between model and target means."""
+def deviation(state: CanonicalState, observables: ObservableSet) -> tuple[float, np.ndarray]:
+    """Weighted squared mismatch between model and target means, and its
+    gradient with respect to the multipliers, flat in the operator order of
+    the set."""
     _require_means(observables)
-    return _deviation_terms(state._eigvals, state._eigvecs, observables)[0]
+    return _deviation_terms(state._eigvals, state._eigvecs, observables)
 
 
 def _phi_kernel(e: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -183,13 +182,6 @@ def _phi_kernel(e: np.ndarray, q: np.ndarray) -> np.ndarray:
         np.divide(ratio, de, out=ratio, where=~np.eye(len(e), dtype=bool))
         narrow = q[:, None] * np.where(de == 0.0, 1.0, ratio)
     return np.where(small, narrow, wide)
-
-
-def deviation_gradient(state: CanonicalState, observables: ObservableSet) -> np.ndarray:
-    """Gradient of the deviation functional with respect to the multipliers,
-    flat in the operator order of the set."""
-    _require_means(observables)
-    return _deviation_terms(state._eigvals, state._eigvecs, observables)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +312,9 @@ def fit(
     on one thread too.  numpy's BLAS threads are not touched.
     """
     data = _require_means(observables)
-    ops = observables.operators
 
     def fg(lam):
-        return _deviation_terms(*_spectrum(lam, ops), observables)
+        return _deviation_terms(*_spectrum(lam, observables), observables)
 
     x0 = np.zeros(observables.n_ops)
     history: list = []

@@ -100,11 +100,6 @@ class TrapConfig:
         return math.sqrt(2.0) * self.dv0
 
     @property
-    def position_scale(self) -> float:
-        """Meters per unit of dimensionless position (in the trap)."""
-        return math.sqrt(2.0) * self.dz0
-
-    @property
     def drop_scale(self) -> float:
         """Meters on the detector per unit of dimensionless velocity."""
         return self.velocity_scale * self.be_time
@@ -128,7 +123,8 @@ class BinGrid:
             raise ValueError("bin width must be positive and finite")
         if not np.isfinite(self.center):
             raise ValueError("grid center must be finite")
-        if self.half_count < 1 or int(self.half_count) != self.half_count:
+        hc = self.half_count
+        if not (np.isfinite(hc) and hc >= 1 and int(hc) == hc):
             raise ValueError("half_count must be a positive integer")
         object.__setattr__(self, "half_count", int(self.half_count))
 
@@ -220,12 +216,13 @@ def _rotation_phases(dim: int, theta: float) -> np.ndarray:
 class ObservableSet:
     """Operators, target means and weights defining one reconstruction.
 
-    ``operators`` is one read-only (n_ops, N, N) complex array; the
-    constructor also accepts a sequence of :class:`HermitianOperator`.
-    Layout for sets built by :func:`build_observation_level`: bin operators
-    in row-major (rotation, bin) order, the number operator last.  ``means``
-    holds NaN for entries not yet measured; attach data with ``with_means``
-    or ``with_record``, which share the operator array.
+    ``operators`` is one read-only (n_ops, N, N) complex array, built from
+    any array-like of that shape (a list of matrices works too); only
+    ``expectations`` and ``combine`` contract it.  Layout for sets built by
+    :func:`build_observation_level`: bin operators in row-major (rotation,
+    bin) order, the number operator last.  ``means`` holds NaN for entries
+    not yet measured; attach data with ``with_means`` or ``with_record``,
+    which share the operator array.
     """
 
     operators: np.ndarray
@@ -236,10 +233,7 @@ class ObservableSet:
     grid: BinGrid | None = None
 
     def __post_init__(self):
-        ops = self.operators
-        if not isinstance(ops, np.ndarray):
-            ops = [op.matrix for op in ops]
-        ops = np.asarray(ops, dtype=np.complex128)
+        ops = np.asarray(self.operators, dtype=np.complex128)
         if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
             raise ValueError("need at least one square operator, all of one dimension")
         if ops.flags.writeable:
@@ -288,6 +282,11 @@ class ObservableSet:
         """Tr[rho G_nu] for every operator, given rho as an (N, N) array."""
         ops = self.operators
         return np.real(ops.reshape(len(ops), -1) @ rho.T.reshape(-1))
+
+    def combine(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_nu c_nu G_nu as an (N, N) array, for real coefficients."""
+        ops = self.operators
+        return (coeffs @ ops.reshape(len(ops), -1)).reshape(ops.shape[1:])
 
     def with_means(self, means: np.ndarray) -> "ObservableSet":
         out = copy.copy(self)

@@ -49,6 +49,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta >= 0):
             raise ValueError("eta must be finite and non-negative")
+        if not (np.isfinite(self.seed) and self.seed >= 0 and int(self.seed) == self.seed):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -97,3 +97,17 @@ def test_report_without_delta_f_exits_one(simulated, tmp_path, capsys, payload):
     rho = str(record.parent / "state_true.json")
     assert main(["report", "--rho", rho, "--fit", str(fit_json)]) == 1
     assert "'delta_f'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, key", [
+    ("[]", "JSON object"),
+    ('{"dim": 2, "real": [1, 0, 0, 0]}', "'imag'"),
+    ('{"dim": 2, "real": [1, 0, 0, 0], "imag": [0, 0, 0]}', "'imag'"),
+], ids=["list", "no-imag", "short-imag"])
+def test_malformed_density_matrix_exits_one_naming_the_key(tmp_path, capsys, payload, key):
+    rho = tmp_path / "rho.json"
+    rho.write_text(payload)
+    assert main(["report", "--rho", str(rho)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(rho) in err and key in err

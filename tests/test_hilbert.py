@@ -40,7 +40,6 @@ def test_fock_space_rejects_degenerate_dims():
         with pytest.raises(ValueError):
             FockSpace(bad)
     assert FockSpace(2).dim == 2
-    assert np.array_equal(FockSpace(5).levels(), np.arange(5))
 
 
 def test_pure_state_requires_unit_norm():

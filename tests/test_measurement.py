@@ -5,10 +5,12 @@ Gaussian with variance (drop_scale^2)/2 + cloud_rms^2, so every vacuum bin
 probability has an erf closed form that the quadrature build must hit.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 from maxent_tomo import (
@@ -17,12 +19,12 @@ from maxent_tomo import (
     DegenerateRotationError,
     DensityOperator,
     FockSpace,
-    HermitianOperator,
     MeasurementRecord,
     NoiseSpec,
     ObservableSet,
     PureState,
     QuadratureError,
+    RunConfig,
     TrapConfig,
     build_observation_level,
     default_bin_grid,
@@ -36,7 +38,7 @@ from maxent_tomo import (
 
 from maxent_tomo.measurement import _bin_base_matrices, _rotation_phases
 
-from conftest import TAUS, make_trap, rotations
+from conftest import TAUS, TRAP_KW, make_trap, rotations
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +88,7 @@ NAN_2X2 = np.full((2, 2), np.nan)
 
 
 def _one_op_set(**kw):
-    return ObservableSet(operators=[HermitianOperator(np.eye(2))], labels=[("op", 0)], **kw)
+    return ObservableSet(operators=[np.eye(2)], labels=[("op", 0)], **kw)
 
 
 def _cut(**kw):
@@ -105,7 +107,6 @@ def _record(rotations=(0.0,), value=0.2):
 
 @pytest.mark.parametrize("build", [
     lambda: PureState([np.nan, 1.0]),
-    lambda: HermitianOperator(NAN_2X2),
     lambda: DensityOperator(NAN_2X2),
     lambda: make_trap(omega_z=np.nan),
     lambda: BinGrid(center=0.0, width=np.nan, half_count=3),
@@ -122,7 +123,7 @@ def _record(rotations=(0.0,), value=0.2):
     lambda: _record(value=np.inf),
     lambda: _record(rotations=(np.nan,)),
     lambda: _record(rotations=(0.0, np.inf)),
-], ids=["pure-state", "hermitian-operator", "density-operator", "trap-omega",
+], ids=["pure-state", "density-operator", "trap-omega",
         "grid-width-nan", "grid-width-inf", "noise-eta", "set-weights",
         "set-operators", "cut-tau", "cut-positions", "cut-pixel-width-nan",
         "cut-pixel-width-inf", "cut-center", "record-value-nan", "record-value-inf",
@@ -130,6 +131,56 @@ def _record(rotations=(0.0,), value=0.2):
 def test_constructors_reject_non_finite_input(build):
     with pytest.raises(ValueError):
         build()
+
+
+# constructor -> (valid keyword arguments, numeric fields that must be positive)
+VALID_ARGUMENTS = {
+    PureState: (dict(amplitudes=[1.0, 0.0]), set()),
+    DensityOperator: (dict(matrix=np.eye(2) / 2.0), set()),
+    TrapConfig: (dict(TRAP_KW), set(TRAP_KW)),
+    BinGrid: (dict(center=0.0, width=1e-5, half_count=3), {"width", "half_count"}),
+    NoiseSpec: (dict(eta=0.1, seed=0), set()),
+    CutFile: (dict(tau_us=0.0, positions=[0.0, 1e-6, 2e-6], values=[1.0, 1.0, 1.0],
+                   pixel_width=1e-6, center_m=0.0), {"pixel_width"}),
+    MeasurementRecord: (dict(rotations=(0.0,), grid=BinGrid(center=0.0, width=1e-5, half_count=1),
+                             values=np.full((1, 3), 0.2), nbar=0.5), set()),
+    RunConfig: (
+        dataclasses.asdict(RunConfig(bin_width_m=1e-5, nbar=0.5, noisy_nbar=0.5,
+                                     fixed_center_m=0.0)),
+        {"omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s", "bin_width_m",
+         "weight_nbar", "grad_tol", "dim", "bin_half_count", "max_iter", "gh_nodes",
+         "gl_nodes"},
+    ),
+}
+
+
+def _numeric_fields(kwargs) -> list:
+    return [k for k, v in kwargs.items() if np.issubdtype(np.asarray(v).dtype, np.number)]
+
+
+def _with_value(kwargs, name, value) -> dict:
+    """kwargs with ``name`` set to ``value``; for a vector, its first entry."""
+    old = kwargs[name]
+    if np.ndim(old):
+        new = np.array(old, dtype=np.float64)
+        new.flat[0] = value
+        value = tuple(new) if isinstance(old, tuple) else new
+    return {**kwargs, name: value}
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_constructors_reject_non_finite_and_non_positive_fields(data):
+    cls = data.draw(st.sampled_from(list(VALID_ARGUMENTS)), label="constructor")
+    kwargs, positive = VALID_ARGUMENTS[cls]
+    name = data.draw(st.sampled_from(_numeric_fields(kwargs)), label="field")
+    bad = st.sampled_from([math.nan, math.inf, -math.inf])
+    if name in positive:
+        bad |= st.floats(max_value=0.0)
+    value = data.draw(bad, label="value")
+    cls(**kwargs)
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        cls(**_with_value(kwargs, name, value))
 
 
 def test_default_bin_grid_span():
