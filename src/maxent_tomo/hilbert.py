@@ -83,6 +83,8 @@ class PureState:
         amp = np.array(self.amplitudes, dtype=np.complex128)
         if amp.ndim != 1 or amp.size < 2:
             raise ValueError("amplitudes must be a 1-D vector of length >= 2")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amp)
         if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
@@ -106,6 +108,8 @@ class DensityOperator:
         m = np.array(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix entries must be finite")
         dev = float(np.max(np.abs(m - m.conj().T)))
         if not dev <= HERMITICITY_TOL:
             raise ValueError(f"density matrix not Hermitian (max deviation {dev:.3e})")

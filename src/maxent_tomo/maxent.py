@@ -341,18 +341,17 @@ def fit(
         total_iter += int(res.nit)
         f_res = float(res.fun)
         ginf = float(np.max(np.abs(res.jac)))
-        message = str(res.message)
         converged = ginf < grad_tol or f_res < CONVERGED_DF
         # a converged attempt is the answer even if an earlier, unconverged
         # one stalled at a lower deviation
         if converged or best is None or f_res < best[1]:
-            best = (res.x.copy(), f_res, ginf)
+            best = (res.x.copy(), f_res, ginf, str(res.message))
         if converged:
             break
         if attempt < MAX_RESTARTS:
             x0 = best[0] + 0.05 * rng.standard_normal(best[0].size) * (1.0 + np.abs(best[0]))
 
-    x_best, f_best, ginf_best = best
+    x_best, f_best, ginf_best, message = best
     if observables.bin_shape is not None:
         lam_out = LagrangeVector.from_flat(x_best, observables.bin_shape)
     else:

@@ -4,18 +4,23 @@ Convention: W(q, p) = integral dz <q - z/2| rho |q + z/2> e^{i p z}, which
 integrates to 2 pi over the plane (vacuum peak W(0,0) = 2).  Marginals
 along any direction are quadrature distributions after dividing by 2 pi.
 
-The Fock-basis kernel uses the closed Laguerre form; for m >= n
+The Fock-basis kernel sums one diagonal d = m - n at a time.  For m >= n
 
-    K_mn = 2 (-1)^n sqrt(2^{m-n} n!/m!) (q - i p)^{m-n}
-           L_n^{m-n}(2 (q^2+p^2)) e^{-(q^2+p^2)},
+    K_mn = 2 e^{-r^2} (sqrt(2) (q - i p))^d / sqrt(d!) * l_n^d(2 r^2),
+    l_n^d(x) = (-1)^n sqrt(d! n!/(n+d)!) L_n^d(x),   r^2 = q^2 + p^2,
 
-and K_nm is its complex conjugate.  Factorial ratios are formed in the log
-domain so the kernel stays finite for any truncation that fits in floats.
+and K_nm is its complex conjugate.  The rescaled Laguerre polynomials obey
+
+    sqrt((n+1)(n+d+1)) l_{n+1} = (x - 2n - 1 - d) l_n - sqrt(n(n+d)) l_{n-1},
+
+run upward from l_0 = 1, so no factorial is ever formed; the prefactor
+passes from one diagonal to the next by one multiplication.  Summing by
+diagonals follows QuTiP's Clenshaw method (Johansson, Nation and Nori,
+Comput. Phys. Commun. 184, 1234 (2013)).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-from scipy.special import eval_genlaguerre, gammaln
 
 from .hilbert import _density_matrix
 
@@ -56,6 +60,8 @@ class WignerGrid:
             raise ValueError("values shape must be (len(q_axis), len(p_axis))")
         if q.size < 2 or p.size < 2:
             raise ValueError("axes need at least two points")
+        if not all(np.all(np.isfinite(a)) for a in (q, p, vals, self.imag_residual)):
+            raise ValueError("axes, values and imag_residual must be finite")
         if np.any(np.diff(q) <= 0) or np.any(np.diff(p) <= 0):
             raise ValueError("axes must be strictly increasing")
         object.__setattr__(self, "q_axis", q)
@@ -76,25 +82,23 @@ class WignerGrid:
 def _fock_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Sum_{mn} rho_mn K_mn on the meshgrid of q (rows) and p (columns)."""
     qq, pp = np.meshgrid(q, p, indexing="ij")
-    r2 = qq * qq + pp * pp
-    envelope = np.exp(-r2)
-    lower = qq - 1j * pp
+    x = 2.0 * (qq * qq + pp * pp)
+    step = math.sqrt(2.0) * (qq - 1j * pp)
+    prefactor = 2.0 * np.exp(-0.5 * x) + 0j
     dim = rho.shape[0]
-    acc = np.zeros_like(qq, dtype=np.complex128)
-    for m in range(dim):
-        for n in range(m + 1):
-            d = m - n
-            if abs(rho[m, n]) == 0.0 and (d == 0 or abs(rho[n, m]) == 0.0):
-                continue
-            coeff = 2.0 * (-1.0) ** n * math.exp(
-                0.5 * (d * math.log(2.0) + gammaln(n + 1) - gammaln(m + 1))
-            )
-            lag = eval_genlaguerre(n, d, 2.0 * r2)
-            if d == 0:
-                acc += (rho[m, n].real * coeff) * (envelope * lag)
-            else:
-                base = (coeff * envelope * lag) * lower ** d
-                acc += rho[m, n] * base + rho[n, m] * np.conj(base)
+    acc = np.zeros_like(prefactor)
+    for d in range(dim):
+        # low = sum_n rho[n+d, n] l_n and up = sum_n rho[n, n+d] l_n
+        prev, cur = 0.0, np.ones_like(x)
+        low, up = rho[d, 0] * cur, rho[0, d] * cur
+        for n in range(dim - d - 1):
+            nxt = (x - (2 * n + 1 + d)) * cur - math.sqrt(n * (n + d)) * prev
+            prev, cur = cur, nxt / math.sqrt((n + 1) * (n + d + 1))
+            low += rho[n + 1 + d, n + 1] * cur
+            up += rho[n + 1, n + 1 + d] * cur
+        term = prefactor * low
+        acc += term.real if d == 0 else term + np.conj(prefactor) * up
+        prefactor *= step / math.sqrt(d + 1)
     return acc
 
 
@@ -104,6 +108,10 @@ def wigner_eval(state, *, span: float = 6.0, points: int = 257) -> WignerGrid:
     Warns when the grid looks too small for the state's energy: the bulk of
     a state with mean occupation nbar lives within radius sqrt(2 nbar) + 3.
     """
+    if not (math.isfinite(span) and span > 0):
+        raise ValueError(f"span must be finite and positive, got {span}")
+    if points < 2:
+        raise ValueError(f"points must be at least 2, got {points}")
     rho = _density_matrix(state)
     axis = np.linspace(-span, span, points)
 
@@ -148,15 +156,13 @@ def wigner_marginal(grid: WignerGrid, theta: float):
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:
     """Rows (q, p, w) in row-major grid order, '#' metadata up front."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w") as fh:
         fh.write(f"# convention={grid.convention}\n")
         fh.write(f"# imag_residual={grid.imag_residual!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["q", "p", "w"])
-        for i, qv in enumerate(grid.q_axis):
-            for j, pv in enumerate(grid.p_axis):
-                writer.writerow([repr(float(qv)), repr(float(pv)),
-                                 repr(float(grid.values[i, j]))])
+        fh.write("q,p,w\n")
+        p_axis = grid.p_axis.tolist()
+        for q, row in zip(grid.q_axis.tolist(), grid.values.tolist()):
+            fh.writelines(f"{q!r},{p!r},{w!r}\n" for p, w in zip(p_axis, row))
 
 
 def write_wigner_json(grid: WignerGrid, path) -> None:

@@ -111,3 +111,13 @@ def test_malformed_density_matrix_exits_one_naming_the_key(tmp_path, capsys, pay
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert str(rho) in err and key in err
+
+
+@pytest.mark.parametrize("span", ["nan", "inf"])
+def test_non_finite_wigner_span_exits_one_naming_it(simulated, tmp_path, capsys, span):
+    _, record = simulated
+    rho = str(record.parent / "state_true.json")
+    assert main(["wigner", "--rho", rho, "--span", span, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "span" in err
+    assert not (tmp_path / "wigner.json").exists()

@@ -390,7 +390,7 @@ def _scripted_minimize(monkeypatch, attempts):
         seen.append(fun)
         x, f, jac = attempts[len(seen) - 1]
         return OptimizeResult(x=np.array(x), fun=f, jac=np.array(jac), nit=1,
-                              message="scripted")
+                              message=f"scripted attempt {len(seen) - 1}")
 
     monkeypatch.setattr(maxent, "minimize", fake)
     return seen
@@ -431,6 +431,29 @@ def test_converged_restart_wins_over_a_lower_unconverged_attempt(monkeypatch):
     assert report.grad_inf_norm == 1e-12
     assert report.restarts == 1
     assert np.array_equal(np.ravel(state.lambdas), [1.1])
+
+
+def test_unconverged_report_describes_the_best_attempt_only(monkeypatch):
+    """When every attempt fails, the message and the numbers come from the
+    attempt with the lowest deviation, not from the last one."""
+    space = FockSpace(8)
+    obs = ObservableSet(
+        operators=[ladder_operators(space).n],
+        labels=[("nbar",)],
+        means=np.array([0.5]),
+    )
+    _scripted_minimize(monkeypatch, [
+        ([1.0], 1e-6, [1e-3]),  # lowest deviation
+        ([1.1], 2e-6, [2e-3]),
+        ([1.2], 3e-6, [3e-3]),
+        ([1.3], 4e-6, [4e-3]),
+    ])
+    _, report = fit(obs, grad_tol=1e-9)
+    assert not report.converged
+    assert report.restarts == 3
+    assert report.delta_f == 1e-6
+    assert report.grad_inf_norm == 1e-3
+    assert report.message == "scripted attempt 0"
 
 
 # ---------------------------------------------------------------------------

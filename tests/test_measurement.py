@@ -26,6 +26,7 @@ from maxent_tomo import (
     QuadratureError,
     RunConfig,
     TrapConfig,
+    WignerGrid,
     build_observation_level,
     default_bin_grid,
     expectation,
@@ -144,6 +145,8 @@ VALID_ARGUMENTS = {
                    pixel_width=1e-6, center_m=0.0), {"pixel_width"}),
     MeasurementRecord: (dict(rotations=(0.0,), grid=BinGrid(center=0.0, width=1e-5, half_count=1),
                              values=np.full((1, 3), 0.2), nbar=0.5), set()),
+    WignerGrid: (dict(q_axis=[-1.0, 0.0, 1.0], p_axis=[-1.0, 1.0], values=np.zeros((3, 2)),
+                      imag_residual=0.0), set()),
     RunConfig: (
         dataclasses.asdict(RunConfig(bin_width_m=1e-5, nbar=0.5, noisy_nbar=0.5,
                                      fixed_center_m=0.0)),
@@ -179,8 +182,17 @@ def test_constructors_reject_non_finite_and_non_positive_fields(data):
         bad |= st.floats(max_value=0.0)
     value = data.draw(bad, label="value")
     cls(**kwargs)
-    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+    with pytest.raises(ValueError):
         cls(**_with_value(kwargs, name, value))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PureState([np.nan, 1.0]),
+    lambda: DensityOperator([[np.inf, 0.0], [0.0, 0.5]]),
+], ids=["pure-state", "density-operator"])
+def test_states_name_non_finite_entries_before_other_faults(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 def test_default_bin_grid_span():

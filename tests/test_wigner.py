@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from maxent_tomo import (
     FockSpace,
@@ -27,7 +28,7 @@ from maxent_tomo import (
     write_wigner_csv,
     write_wigner_json,
 )
-from maxent_tomo.wigner import WignerGrid
+from maxent_tomo.wigner import WignerGrid, _fock_kernel
 
 
 def _wigner_direct(rho: np.ndarray, q: float, p: float) -> float:
@@ -41,6 +42,41 @@ def _wigner_direct(rho: np.ndarray, q: float, p: float) -> float:
     val = 2.0 * np.trapezoid(integrand, zeta)
     assert abs(val.imag) < 1e-10
     return float(val.real)
+
+
+def _pairwise_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The package's former kernel: the closed Laguerre form one (m, n) pair
+    at a time, skipping zero entries.  For m >= n,
+    K_mn = 2 (-1)^n sqrt(2^d n!/m!) (q - i p)^d L_n^d(2 r^2) e^{-r^2}, d = m - n,
+    and K_nm is its conjugate; the diagonal contributes Re(rho_mm) only."""
+    qq, pp = np.meshgrid(q, p, indexing="ij")
+    r2 = qq * qq + pp * pp
+    envelope = np.exp(-r2)
+    lower = qq - 1j * pp
+    dim = rho.shape[0]
+    acc = np.zeros_like(qq, dtype=np.complex128)
+    for m in range(dim):
+        for n in range(m + 1):
+            d = m - n
+            if abs(rho[m, n]) == 0.0 and (d == 0 or abs(rho[n, m]) == 0.0):
+                continue
+            coeff = 2.0 * (-1.0) ** n * math.exp(
+                0.5 * (d * math.log(2.0) + gammaln(n + 1) - gammaln(m + 1))
+            )
+            lag = eval_genlaguerre(n, d, 2.0 * r2)
+            if d == 0:
+                acc += (rho[m, n].real * coeff) * (envelope * lag)
+            else:
+                base = (coeff * envelope * lag) * lower ** d
+                acc += rho[m, n] * base + rho[n, m] * np.conj(base)
+    return acc
+
+
+def _random_density(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = raw @ raw.conj().T
+    return rho / np.trace(rho).real
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +187,46 @@ def test_grid_warning_when_state_outgrows_span():
         wigner_eval(hot, span=3.0, points=31)
 
 
+def _top_fock(dim: int) -> np.ndarray:
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    rho[-1, -1] = 1.0
+    return rho
+
+
+def _off_hermitian(dim: int, seed: int) -> np.ndarray:
+    """A dense state plus a small complex perturbation, diagonal included,
+    so the imaginary residual has something to measure."""
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return _random_density(dim, seed) + 1e-6 * noise
+
+
+@pytest.mark.parametrize("rho, span, points", [
+    (_random_density(16, 16), 6.0, 41),
+    (_random_density(48, 48), 9.0, 25),
+    (_top_fock(48), 9.0, 25),
+    (_off_hermitian(16, 5), 6.0, 41),
+], ids=["dense-dim16", "dense-dim48", "top-fock-dim48", "off-hermitian-dim16"])
+def test_diagonal_recurrence_matches_the_pairwise_closed_form(rho, span, points):
+    axis = np.linspace(-span, span, points)
+    got = _fock_kernel(rho, axis, axis)
+    ref = _pairwise_kernel(rho, axis, axis)
+    assert np.max(np.abs(got - ref)) < 1e-13
+    # the imaginary residual wigner_eval reports
+    assert np.max(np.abs(got.imag)) == pytest.approx(np.max(np.abs(ref.imag)), abs=1e-13)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(span=math.nan), "span"),
+    (dict(span=math.inf), "span"),
+    (dict(span=0.0), "span"),
+    (dict(points=1), "points"),
+], ids=["span-nan", "span-inf", "span-zero", "points-one"])
+def test_wigner_eval_rejects_bad_grids_naming_the_argument(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        wigner_eval(fock_state(FockSpace(4), 0), **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # marginals
 
@@ -195,6 +271,7 @@ def test_wigner_csv_round_trip(tmp_path):
     grid = wigner_eval(superposition(space, [1.0, 1.0]), span=3.0, points=21)
     path = tmp_path / "w.csv"
     write_wigner_csv(grid, path)
+    assert b"\r" not in path.read_bytes()
     with open(path) as fh:
         meta = {}
         rows = []
