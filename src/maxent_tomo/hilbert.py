@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "FockSpace",
@@ -216,6 +215,10 @@ def even_cat(space: FockSpace, alpha: float) -> PureState:
     even = np.arange(0, space.dim, 2)
     # untruncated even-level weights alpha^(2n)/n! sum to cosh(alpha^2)
     if a2 > 0.0:
+        # not math.lgamma: it differs in the last bits, and fits to
+        # simulated cats follow those bits
+        from scipy.special import gammaln
+
         log_w = even * math.log(a2) - gammaln(even + 1.0)
     else:
         log_w = np.where(even == 0, 0.0, -np.inf)

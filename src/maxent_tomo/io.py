@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .hilbert import DensityOperator, FockSpace
 from .measurement import BinGrid, TrapConfig, default_bin_grid
@@ -155,6 +154,8 @@ def gaussian_fit_center(cut: CutFile) -> GaussianFit:
              cut.pixel_width)
     if a0 <= 0:
         raise FitDivergence("flat profile: no peak to fit")
+    from scipy.optimize import OptimizeWarning, curve_fit
+
     try:
         with warnings.catch_warnings():
             # the covariance is discarded, so its degeneracy on noise-free

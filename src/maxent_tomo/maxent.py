@@ -28,8 +28,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .hilbert import DensityOperator, _eigh, entropy
 from .measurement import ObservableSet
@@ -147,10 +145,10 @@ def canonical_state(lambdas, observables: ObservableSet) -> CanonicalState:
     log_partition is ln Tr exp(-A) for the unshifted A.
     """
     d, v = _spectrum(_flat_lambdas(lambdas, observables), observables)
-    rho = _gibbs(d, v)[3]
+    _, _, z, rho = _gibbs(d, v)
     return CanonicalState(
         rho=DensityOperator(0.5 * (rho + rho.conj().T)),
-        log_partition=float(logsumexp(-d)),
+        log_partition=float(-d[0] + np.log(z)),
         lambdas=lambdas,
         _eigvals=d,
         _eigvecs=v,
@@ -188,13 +186,24 @@ def _phi_kernel(e: np.ndarray, q: np.ndarray) -> np.ndarray:
 # fitting
 
 
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on the first call so that commands
+    which never fit do not load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
+
+
 def _scipy_openblas():
-    """(get, set) of the thread count of the OpenBLAS that scipy has loaded,
-    or None where scipy links some other BLAS (MKL, Accelerate, a system
-    library) or the library lacks the two symbols."""
+    """(get, set) of the thread count of the OpenBLAS that scipy's optimizer
+    uses, or None where scipy links some other BLAS (MKL, Accelerate, a
+    system library) or the library lacks the two symbols.
+
+    Imports scipy.optimize first, which loads that OpenBLAS: the lookup
+    below only finds a copy already in the process."""
     import ctypes
 
-    import scipy
+    import scipy.optimize
 
     # the wheels bundle it in scipy.libs, next to the scipy package
     folder = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
@@ -227,8 +236,10 @@ class _OneBlasThread:
     (a separate library, left alone here).  The thread count is global to
     the process, so nested and concurrent entries share one cap: the first
     entry saves the count, the last exit restores it.  The library is
-    looked up on the first entry; where ``locate`` finds none, entering
-    does nothing."""
+    looked up once, on the first entry, and ``locate`` must load it before
+    looking: a lookup that runs before scipy's optimizer is imported finds
+    nothing, and the cap would then stay off for the life of the process.
+    Where ``locate`` finds none, entering does nothing."""
 
     def __init__(self, locate):
         self._locate = locate
@@ -304,8 +315,10 @@ def fit(
     returned with ``converged=False`` rather than raised, so callers can
     inspect the partial result.
 
-    Each L-BFGS run holds the OpenBLAS that scipy bundles at one thread and
-    then restores the count it found (a no-op for other BLAS builds).  That
+    scipy's optimizer and the OpenBLAS it bundles are loaded on the first
+    fit in the process, and the thread cap looks the library up right after
+    that.  Each L-BFGS run holds that OpenBLAS at one thread and then
+    restores the count it found (a no-op for other BLAS builds).  That
     count is global to the process: fits running concurrently in several
     Python threads share one cap, which lasts until the last of them leaves
     the optimizer, and other scipy BLAS work in the process meanwhile runs

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .hilbert import _density_matrix
 
@@ -138,6 +137,8 @@ def wigner_marginal(grid: WignerGrid, theta: float):
     """
     if not 0.0 <= theta < math.pi:
         raise ValueError("theta must lie in [0, pi)")
+    from scipy.interpolate import RegularGridInterpolator
+
     interp = RegularGridInterpolator(
         (grid.q_axis, grid.p_axis), grid.values,
         method="linear", bounds_error=False, fill_value=0.0,
@@ -166,13 +167,18 @@ def write_wigner_csv(grid: WignerGrid, path) -> None:
 
 
 def write_wigner_json(grid: WignerGrid, path) -> None:
-    payload = {
-        "convention": grid.convention,
-        "imag_residual": grid.imag_residual,
-        "q_axis": [float(v) for v in grid.q_axis],
-        "p_axis": [float(v) for v in grid.p_axis],
-        "values": [float(v) for v in grid.values.ravel()],
-    }
+    """The bytes ``json.dump`` writes with ``indent=1`` (plus a final
+    newline), with each float array joined from its reprs in one pass
+    instead of through json's pure-Python indenting encoder."""
+
+    def array(values: np.ndarray) -> str:
+        return "[\n  " + ",\n  ".join(map(repr, values.ravel().tolist())) + "\n ]"
+
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(
+            f'{{\n "convention": {json.dumps(grid.convention)},\n'
+            f' "imag_residual": {json.dumps(grid.imag_residual)},\n'
+            f' "q_axis": {array(grid.q_axis)},\n'
+            f' "p_axis": {array(grid.p_axis)},\n'
+            f' "values": {array(grid.values)}\n}}\n'
+        )

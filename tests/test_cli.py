@@ -121,3 +121,48 @@ def test_non_finite_wigner_span_exits_one_naming_it(simulated, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "span" in err
     assert not (tmp_path / "wigner.json").exists()
+
+
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import maxent_tomo.cli
+from maxent_tomo.cli import main
+cfg, out = sys.argv[1], sys.argv[2]
+rho = out + "/state_true.json"
+steps = {"import": None, "--help": ["--help"],
+         "simulate": ["simulate", "--config", cfg, "--out", out],
+         "wigner": ["wigner", "--rho", rho, "--points", "33", "--out", out],
+         "report": ["report", "--rho", rho, "--reference", rho],
+         "reconstruct": ["reconstruct", "--config", cfg, "--record", out + "/record.csv",
+                         "--out", out]}
+seen = {}
+for name, argv in steps.items():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+        code = main(argv) if argv else 0
+        assert code == 0, (name, code)
+    seen[name] = "scipy" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_only_reconstruct_loads_scipy(tmp_path):
+    """In a fresh interpreter, importing the CLI and running --help,
+    simulate (a superposition), wigner and report leave scipy unloaded; the
+    fit in reconstruct loads it."""
+    import os
+    import subprocess
+    import sys
+
+    import maxent_tomo
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maxent_tomo.__file__))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(cfg), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": False, "--help": False, "simulate": False, "wigner": False,
+        "report": False, "reconstruct": True,
+    }

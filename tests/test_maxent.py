@@ -512,6 +512,54 @@ def test_fit_without_a_bundled_openblas_gives_the_same_result(monkeypatch, trap,
     assert np.array_equal(s2.rho.matrix, s1.rho.matrix)
 
 
+FIRST_SCIPY_FIT = """
+import sys
+import numpy as np
+from maxent_tomo import (FockSpace, TrapConfig, build_observation_level, default_bin_grid,
+                         fit, maxent, simulate_ideal, superposition)
+assert "scipy" not in sys.modules
+trap = TrapConfig(omega_z=2 * np.pi * 80e3, dz0=22e-9, dv0=11e-3, cloud_rms=60e-6,
+                  be_time=8.7e-3)
+space = FockSpace(8)
+obs = build_observation_level(trap, default_bin_grid(trap, nbar=0.5, half_count=5),
+                              (0.0, 0.9), 0.5, space)
+obs = obs.with_record(simulate_ideal(superposition(space, [1.0, 1.0]), obs))
+real_minimize, inside = maxent.minimize, []
+
+def counting(*args, **kwargs):
+    lib = maxent._SCIPY_BLAS._lib
+    inside.append(lib[0]() if lib else None)
+    return real_minimize(*args, **kwargs)
+
+maxent.minimize = counting
+fit(obs)
+assert maxent._SCIPY_BLAS._lib is not None, "the cap found no OpenBLAS"
+assert inside and set(inside) == {1}, inside
+"""
+
+
+def test_first_fit_in_a_scipy_free_process_caps_blas():
+    """A fit that makes the process's first scipy import still finds and
+    caps scipy's OpenBLAS.  In the test process scipy is loaded already,
+    so only a fresh interpreter shows this."""
+    import os
+    import subprocess
+    import sys
+
+    import scipy.optimize  # noqa: F401  (the lookup finds only a loaded library)
+
+    import maxent_tomo
+    from maxent_tomo import maxent
+
+    if maxent._scipy_openblas() is None:
+        pytest.skip("scipy does not use its bundled OpenBLAS here")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maxent_tomo.__file__))
+    proc = subprocess.run([sys.executable, "-c", FIRST_SCIPY_FIT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_concurrent_fits_share_one_cap():
     """Threads entering and leaving the cap at random: every one sees one
     thread inside, and the count found first is the count left at the end."""

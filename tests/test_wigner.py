@@ -15,12 +15,18 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from maxent_tomo import (
     FockSpace,
+    NoiseSpec,
+    add_noise,
+    build_observation_level,
+    default_bin_grid,
     even_cat,
     expectation,
+    fit,
     fock_state,
     hermite_functions,
     ideal_quadrature_distribution,
     ladder_operators,
+    simulate_ideal,
     superposition,
     thermal_state,
     wigner_eval,
@@ -305,3 +311,24 @@ def test_wigner_json_round_trip(tmp_path):
     vals = np.asarray(payload["values"]).reshape(11, 11)
     assert np.array_equal(vals, grid.values)
     assert np.array_equal(np.asarray(payload["q_axis"]), grid.q_axis)
+
+
+def test_wigner_json_is_what_json_dump_writes(tmp_path, trap):
+    """Byte for byte the file ``json.dump(payload, fh, indent=1)`` writes,
+    on the grid of a fitted noisy state (full-precision values)."""
+    space = FockSpace(8)
+    grid = default_bin_grid(trap, nbar=0.5, half_count=8)
+    obs = build_observation_level(trap, grid, (0.0, 0.7, 1.4), 0.5, space)
+    record = add_noise(simulate_ideal(superposition(space, [1.0, 1.0]), obs), NoiseSpec(0.05, 3))
+    state, _ = fit(obs.with_record(record))
+    wig = wigner_eval(state.rho, span=5.0, points=41)
+    path = tmp_path / "w.json"
+    write_wigner_json(wig, path)
+    payload = {
+        "convention": wig.convention,
+        "imag_residual": wig.imag_residual,
+        "q_axis": [float(v) for v in wig.q_axis],
+        "p_axis": [float(v) for v in wig.p_axis],
+        "values": [float(v) for v in wig.values.ravel()],
+    }
+    assert path.read_bytes() == (json.dumps(payload, indent=1) + "\n").encode()
