@@ -16,7 +16,8 @@ and K_nm is its complex conjugate.  The rescaled Laguerre polynomials obey
 run upward from l_0 = 1, so no factorial is ever formed; the prefactor
 passes from one diagonal to the next by one multiplication.  Summing by
 diagonals follows QuTiP's Clenshaw method (Johansson, Nation and Nori,
-Comput. Phys. Commun. 184, 1234 (2013)).
+Comput. Phys. Commun. 184, 1234 (2013)).  The l_n depend on the grid only
+through x = 2 r^2, so they are computed once per distinct x.
 """
 
 from __future__ import annotations
@@ -79,24 +80,31 @@ class WignerGrid:
 
 
 def _fock_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Sum_{mn} rho_mn K_mn on the meshgrid of q (rows) and p (columns)."""
+    """Sum_{mn} rho_mn K_mn on the meshgrid of q (rows) and p (columns).
+
+    The recurrence and the sums low, up of each diagonal run on the distinct
+    values of x = 2 r^2 (q <-> p and sign flips repeat them); the grid reads
+    them through the inverse index of ``np.unique``, once per diagonal."""
     qq, pp = np.meshgrid(q, p, indexing="ij")
     x = 2.0 * (qq * qq + pp * pp)
+    xu, inv = np.unique(x, return_inverse=True)
     step = math.sqrt(2.0) * (qq - 1j * pp)
     prefactor = 2.0 * np.exp(-0.5 * x) + 0j
     dim = rho.shape[0]
     acc = np.zeros_like(prefactor)
     for d in range(dim):
-        # low = sum_n rho[n+d, n] l_n and up = sum_n rho[n, n+d] l_n
-        prev, cur = 0.0, np.ones_like(x)
+        # low = sum_n rho[n+d, n] l_n and up = sum_n rho[n, n+d] l_n, per distinct x
+        prev, cur = 0.0, np.ones_like(xu)
         low, up = rho[d, 0] * cur, rho[0, d] * cur
         for n in range(dim - d - 1):
-            nxt = (x - (2 * n + 1 + d)) * cur - math.sqrt(n * (n + d)) * prev
+            nxt = (xu - (2 * n + 1 + d)) * cur - math.sqrt(n * (n + d)) * prev
             prev, cur = cur, nxt / math.sqrt((n + 1) * (n + d + 1))
             low += rho[n + 1 + d, n + 1] * cur
             up += rho[n + 1, n + 1 + d] * cur
-        term = prefactor * low
-        acc += term.real if d == 0 else term + np.conj(prefactor) * up
+        if d == 0:  # the diagonal contributes Re(prefactor low) only
+            acc += prefactor.real * low.real[inv]
+        else:  # prefactor low + conj(prefactor) up, real when up = conj(low)
+            acc += prefactor.real * (low + up)[inv] + prefactor.imag * (1j * (low - up))[inv]
         prefactor *= step / math.sqrt(d + 1)
     return acc
 
@@ -161,9 +169,10 @@ def write_wigner_csv(grid: WignerGrid, path) -> None:
         fh.write(f"# convention={grid.convention}\n")
         fh.write(f"# imag_residual={grid.imag_residual!r}\n")
         fh.write("q,p,w\n")
-        p_axis = grid.p_axis.tolist()
+        cells = [f",{p!r}," for p in grid.p_axis.tolist()]
         for q, row in zip(grid.q_axis.tolist(), grid.values.tolist()):
-            fh.writelines(f"{q!r},{p!r},{w!r}\n" for p, w in zip(p_axis, row))
+            q = repr(q)
+            fh.write("".join([f"{q}{cell}{w!r}\n" for cell, w in zip(cells, row)]))
 
 
 def write_wigner_json(grid: WignerGrid, path) -> None:

@@ -207,19 +207,41 @@ def _off_hermitian(dim: int, seed: int) -> np.ndarray:
     return _random_density(dim, seed) + 1e-6 * noise
 
 
-@pytest.mark.parametrize("rho, span, points", [
-    (_random_density(16, 16), 6.0, 41),
-    (_random_density(48, 48), 9.0, 25),
-    (_top_fock(48), 9.0, 25),
-    (_off_hermitian(16, 5), 6.0, 41),
-], ids=["dense-dim16", "dense-dim48", "top-fock-dim48", "off-hermitian-dim16"])
-def test_diagonal_recurrence_matches_the_pairwise_closed_form(rho, span, points):
+def _square(span: float, points: int) -> tuple:
     axis = np.linspace(-span, span, points)
-    got = _fock_kernel(rho, axis, axis)
-    ref = _pairwise_kernel(rho, axis, axis)
+    return axis, axis
+
+
+@pytest.mark.parametrize("rho, axes", [
+    (_random_density(16, 16), _square(6.0, 41)),
+    (_random_density(48, 48), _square(9.0, 25)),
+    (_top_fock(48), _square(9.0, 25)),
+    (_off_hermitian(16, 5), _square(6.0, 41)),
+    # q != p: different lengths and spans; 402 distinct radii on 713 points
+    (_off_hermitian(16, 6), (np.linspace(-5.0, 6.0, 23), np.linspace(-7.0, 4.5, 31))),
+    # offset axes on which no radius repeats
+    (_off_hermitian(16, 7), (np.linspace(-4.0, 5.3, 19) + 0.1, np.linspace(-3.7, 6.1, 27))),
+    # half-integer axes: every radius repeats, at least under a sign flip
+    (_off_hermitian(16, 8), (np.arange(-5.5, 6.0), np.arange(-3.5, 4.0))),
+], ids=["dense-dim16", "dense-dim48", "top-fock-dim48", "off-hermitian-dim16",
+        "uneven-spans", "no-repeated-radius", "every-radius-repeated"])
+def test_diagonal_recurrence_matches_the_pairwise_closed_form(rho, axes):
+    q, p = axes
+    got = _fock_kernel(rho, q, p)
+    ref = _pairwise_kernel(rho, q, p)
     assert np.max(np.abs(got - ref)) < 1e-13
     # the imaginary residual wigner_eval reports
     assert np.max(np.abs(got.imag)) == pytest.approx(np.max(np.abs(ref.imag)), abs=1e-13)
+
+
+def test_exactly_hermitian_state_has_no_imaginary_part():
+    """Each off-diagonal pair is combined so that its imaginary parts cancel
+    exactly, not to rounding, when rho_nm = conj(rho_mn) bit for bit."""
+    raw = _random_density(16, 9)
+    rho = 0.5 * (raw + raw.conj().T)
+    assert np.array_equal(rho, rho.conj().T)
+    axis = np.linspace(-6.0, 6.0, 257)
+    assert not np.any(_fock_kernel(rho, axis, axis).imag)
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -313,15 +335,33 @@ def test_wigner_json_round_trip(tmp_path):
     assert np.array_equal(np.asarray(payload["q_axis"]), grid.q_axis)
 
 
-def test_wigner_json_is_what_json_dump_writes(tmp_path, trap):
-    """Byte for byte the file ``json.dump(payload, fh, indent=1)`` writes,
-    on the grid of a fitted noisy state (full-precision values)."""
+@pytest.fixture(scope="module")
+def fitted_wigner(trap) -> WignerGrid:
+    """The grid of a fitted noisy state: full-precision values."""
     space = FockSpace(8)
     grid = default_bin_grid(trap, nbar=0.5, half_count=8)
     obs = build_observation_level(trap, grid, (0.0, 0.7, 1.4), 0.5, space)
     record = add_noise(simulate_ideal(superposition(space, [1.0, 1.0]), obs), NoiseSpec(0.05, 3))
     state, _ = fit(obs.with_record(record))
-    wig = wigner_eval(state.rho, span=5.0, points=41)
+    return wigner_eval(state.rho, span=5.0, points=41)
+
+
+def test_wigner_csv_is_one_repr_line_per_point(tmp_path, fitted_wigner):
+    """Byte for byte the per-point form ``f"{q!r},{p!r},{w!r}\\n"``."""
+    wig = fitted_wigner
+    path = tmp_path / "w.csv"
+    write_wigner_csv(wig, path)
+    lines = [f"# convention={wig.convention}\n",
+             f"# imag_residual={wig.imag_residual!r}\n", "q,p,w\n"]
+    for i, q in enumerate(wig.q_axis.tolist()):
+        for j, p in enumerate(wig.p_axis.tolist()):
+            lines.append(f"{q!r},{p!r},{float(wig.values[i, j])!r}\n")
+    assert path.read_bytes() == "".join(lines).encode()
+
+
+def test_wigner_json_is_what_json_dump_writes(tmp_path, fitted_wigner):
+    """Byte for byte the file ``json.dump(payload, fh, indent=1)`` writes."""
+    wig = fitted_wigner
     path = tmp_path / "w.json"
     write_wigner_json(wig, path)
     payload = {
