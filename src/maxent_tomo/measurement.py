@@ -21,7 +21,7 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -163,18 +163,6 @@ def default_bin_grid(
 # observable construction
 
 
-def _gauss_hermite(n: int):
-    if n < 2:
-        raise QuadratureError("need at least 2 Gauss-Hermite nodes")
-    return hermgauss(n)
-
-
-def _gauss_legendre(n: int):
-    if n < 2:
-        raise QuadratureError("need at least 2 Gauss-Legendre nodes")
-    return leggauss(n)
-
-
 def _bin_base_matrices(
     cfg: TrapConfig,
     space: FockSpace,
@@ -190,10 +178,13 @@ def _bin_base_matrices(
     Gauss-Hermite over the cloud coordinate, Gauss-Legendre inside each bin.
     The full measurement operator is R_k dressed with rotation phases.
     """
-    t, v = _gauss_hermite(gh_nodes)
+    for n, rule in ((gh_nodes, "Gauss-Hermite"), (gl_nodes, "Gauss-Legendre")):
+        if n < 2:
+            raise QuadratureError(f"need at least 2 {rule} nodes")
+    t, v = hermgauss(gh_nodes)
     xi0 = math.sqrt(2.0) * cfg.cloud_rms * t  # cloud positions
     w_cloud = v / math.sqrt(math.pi)
-    tl, wl = _gauss_legendre(gl_nodes)
+    tl, wl = leggauss(gl_nodes)
     scale = cfg.drop_scale
     nmax = space.dim - 1
 
@@ -207,37 +198,50 @@ def _bin_base_matrices(
 
 
 def _rotation_phases(dim: int, theta: float) -> np.ndarray:
-    """C_mn = exp(i (m-n) (theta + pi/2)); velocity is the shifted quadrature."""
-    ph = np.exp(-1j * (theta + 0.5 * math.pi) * np.arange(dim))
-    return np.conj(ph)[:, None] * ph[None, :]
+    """v with conj(v_m) v_n = exp(i (m-n) (theta + pi/2)), the shifted quadrature."""
+    return np.exp(-1j * (theta + 0.5 * math.pi) * np.arange(dim))
 
 
 @dataclass
 class ObservableSet:
     """Operators, target means and weights defining one reconstruction.
 
-    ``operators`` is one read-only (n_ops, N, N) complex array, built from
-    any array-like of that shape (a list of matrices works too); only
-    ``expectations`` and ``combine`` contract it.  Layout for sets built by
-    :func:`build_observation_level`: bin operators in row-major (rotation,
-    bin) order, the number operator last.  ``means`` holds NaN for entries
-    not yet measured; attach data with ``with_means`` or ``with_record``,
-    which share the operator array.
+    ``groups`` holds the level: per group, J unit phase vectors v_j and K
+    Hermitian bases B_k stand for the operators conj(v_j) v_j^T * B_k, i.e.
+    D B_k D^dagger with D = diag(conj(v_j)), in row-major (j, k) order.
+    :func:`build_observation_level` makes a bin group (phases per rotation,
+    a real symmetric basis per bin), then a diagonal group for the number
+    operator; an array-like ``operators`` is one group with unit phases.
+    ``operators`` is the read-only dense (n_ops, N, N) complex array; only
+    ``expectations`` and ``combine`` contract it.  ``means`` holds NaN for
+    entries not yet measured; attach data with ``with_means`` or
+    ``with_record``, which share the operators.
     """
 
-    operators: np.ndarray
+    operators: np.ndarray | None
     labels: list
     means: np.ndarray | None = None
     weights: np.ndarray | None = None
     rotations: tuple | None = None
     grid: BinGrid | None = None
+    groups: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        ops = np.asarray(self.operators, dtype=np.complex128)
-        if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
-            raise ValueError("need at least one square operator, all of one dimension")
-        if ops.flags.writeable:
-            ops = _readonly(ops.copy())
+        if self.groups is None:
+            ops = np.asarray(self.operators, dtype=np.complex128)
+            if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
+                raise ValueError("need at least one square operator, all of one dimension")
+            if ops.flags.writeable:
+                ops = _readonly(ops.copy())
+            self.groups = ((np.ones((1, ops.shape[1])), ops),)
+        else:  # conj(v) v^T * B for every (phase, basis) of every group
+            sizes = [len(v) * len(b) for v, b in self.groups]
+            dim = self.groups[0][1].shape[-1]
+            ops = np.empty((sum(sizes), dim, dim), dtype=np.complex128)
+            for (v, b), out in zip(self.groups, np.split(ops, np.cumsum(sizes)[:-1])):
+                np.multiply((np.conj(v)[:, :, None] * v[:, None, :])[:, None], b[None],
+                            out=out.reshape(len(v), len(b), dim, dim))
+            ops = _readonly(ops)
         self.operators = ops
         if len(self.labels) != self.n_ops:
             raise ValueError("labels and operators must align")
@@ -267,10 +271,7 @@ class ObservableSet:
 
     @property
     def nbar_index(self) -> int | None:
-        for i, lab in enumerate(self.labels):
-            if lab[0] == "nbar":
-                return i
-        return None
+        return next((i for i, lab in enumerate(self.labels) if lab[0] == "nbar"), None)
 
     @property
     def bin_shape(self) -> tuple | None:
@@ -305,29 +306,37 @@ class ObservableSet:
         return self.with_means(record.flat_means())
 
     def validate(self) -> None:
-        """Spectral sanity checks: hermiticity and bin spectra within [0, 1].
+        """Unit phases, Hermitian bases and bin spectra within [0, 1], checked
+        on each group's J phases and K bases, not on its J*K operators: D B
+        D^dagger with D unitary has the hermiticity and the spectrum of B.
+        Errors name the first bad operator."""
 
-        Runs over blocks of operators so the temporaries stay small."""
-        ops = self.operators
-        dev = np.concatenate([
+        def per_op(values):  # per group: (J, 1) per-phase or (K,) per-basis values
+            return np.concatenate([np.broadcast_to(x, (len(v), len(b))).ravel()
+                                   for x, (v, b) in zip(values, self.groups)])
+
+        modulus = [np.max(np.abs(np.abs(v) - 1.0), axis=1)[:, None] for v, _ in self.groups]
+        hermiticity = [np.concatenate([  # blocks of bases keep the temporaries small
             np.max(np.abs(blk - blk.conj().transpose(0, 2, 1)), axis=(1, 2))
-            for blk in np.split(ops, range(64, len(ops), 64))
-        ])
-        bad = np.flatnonzero(~(dev <= SET_HERMITICITY_TOL))
-        if bad.size:
-            i = bad[0]
-            raise ValueError(f"operator {self.labels[i]} hermiticity off by {dev[i]:.3e}")
+            for blk in np.split(b, range(64, len(b), 64))
+        ]) for _, b in self.groups]
+        for what, values in (("phase modulus", modulus), ("hermiticity", hermiticity)):
+            dev = per_op(values)
+            bad = np.flatnonzero(~(dev <= SET_HERMITICITY_TOL))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"operator {self.labels[i]} {what} off by {dev[i]:.3e}")
         is_bin = np.array([lab[0] == "bin" for lab in self.labels])
         if not is_bin.any():
             return
-        ev = np.linalg.eigvalsh(ops)
-        inside = (ev[:, 0] >= -SPECTRUM_TOL) & (ev[:, -1] <= 1.0 + SPECTRUM_TOL)
-        bad = np.flatnonzero(is_bin & ~inside)
+        ev = [np.linalg.eigvalsh(b) for _, b in self.groups]
+        lo, hi = per_op([e[:, 0] for e in ev]), per_op([e[:, -1] for e in ev])
+        bad = np.flatnonzero(is_bin & ~((lo >= -SPECTRUM_TOL) & (hi <= 1.0 + SPECTRUM_TOL)))
         if bad.size:
             i = bad[0]
             raise ValueError(
-                f"bin operator {self.labels[i]} spectrum [{ev[i, 0]:.3e}, "
-                f"{ev[i, -1]:.3e}] outside [0, 1]"
+                f"bin operator {self.labels[i]} spectrum [{lo[i]:.3e}, "
+                f"{hi[i]:.3e}] outside [0, 1]"
             )
 
 
@@ -351,34 +360,33 @@ def build_observation_level(
     rotations = tuple(float(t) for t in rotations)
     if not rotations:
         raise ValueError("need at least one rotation")
+    if not all(map(math.isfinite, rotations)):
+        raise ValueError(f"rotations must be finite, got {rotations}")
     for i, ti in enumerate(rotations):
         for tj in rotations[i + 1:]:
             if ti == tj:
                 raise DegenerateRotationError(f"rotation {ti} appears twice")
-    if nbar is not None and nbar < 0:
-        raise ValueError("nbar must be non-negative")
+    if nbar is not None and not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be finite and non-negative, got {nbar}")
 
     base = _bin_base_matrices(
         cfg, space, grid.centers().astype(np.float64), grid.width, grid.center,
         gh_nodes, gl_nodes,
     )
-    n_rot, n_bins, dim = len(rotations), grid.n_bins, space.dim
-    ops = np.empty((n_rot * n_bins + 1, dim, dim), dtype=np.complex128)
-    phases = np.stack([_rotation_phases(dim, theta) for theta in rotations])
-    np.multiply(phases[:, None], base[None], out=ops[:-1].reshape(n_rot, n_bins, dim, dim))
-    ops[-1] = ladder_operators(space).n
-    labels = [("bin", j, int(k)) for j in range(n_rot) for k in grid.indices()]
+    phases = _readonly(np.stack([_rotation_phases(space.dim, t) for t in rotations]))
+    labels = [("bin", j, int(k)) for j in range(len(rotations)) for k in grid.indices()]
     labels.append(("nbar",))
 
-    means = np.full(len(ops), np.nan)
+    means = np.full(len(labels), np.nan)
     if nbar is not None:
         means[-1] = float(nbar)
-    weights = np.ones(len(ops))
+    weights = np.ones(len(labels))
     weights[-1] = float(weight_nbar)
-    # the constructor runs validate() on the array, which it shares read-only
     return ObservableSet(
-        operators=_readonly(ops), labels=labels, means=means, weights=weights,
+        operators=None, labels=labels, means=means, weights=weights,
         rotations=rotations, grid=grid,
+        groups=((phases, _readonly(base)),
+                (np.ones((1, space.dim)), ladder_operators(space).n.real[None])),
     )
 
 

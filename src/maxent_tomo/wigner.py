@@ -26,6 +26,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,11 @@ class WignerGrid:
     def integral(self) -> float:
         dq, dp = self.spacing()
         return float(self.values.sum() * dq * dp)
+
+    @cached_property
+    def _value_reprs(self) -> list:
+        """repr of every value, one list per q row, made once for both writers."""
+        return [list(map(repr, row)) for row in self.values.tolist()]
 
 
 def _fock_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -170,9 +176,8 @@ def write_wigner_csv(grid: WignerGrid, path) -> None:
         fh.write(f"# imag_residual={grid.imag_residual!r}\n")
         fh.write("q,p,w\n")
         cells = [f",{p!r}," for p in grid.p_axis.tolist()]
-        for q, row in zip(grid.q_axis.tolist(), grid.values.tolist()):
-            q = repr(q)
-            fh.write("".join([f"{q}{cell}{w!r}\n" for cell, w in zip(cells, row)]))
+        for q, row in zip(map(repr, grid.q_axis.tolist()), grid._value_reprs):
+            fh.write("".join([f"{q}{cell}{w}\n" for cell, w in zip(cells, row)]))
 
 
 def write_wigner_json(grid: WignerGrid, path) -> None:
@@ -180,14 +185,14 @@ def write_wigner_json(grid: WignerGrid, path) -> None:
     newline), with each float array joined from its reprs in one pass
     instead of through json's pure-Python indenting encoder."""
 
-    def array(values: np.ndarray) -> str:
-        return "[\n  " + ",\n  ".join(map(repr, values.ravel().tolist())) + "\n ]"
+    def array(reprs) -> str:
+        return "[\n  " + ",\n  ".join(reprs) + "\n ]"
 
     with open(path, "w") as fh:
         fh.write(
             f'{{\n "convention": {json.dumps(grid.convention)},\n'
             f' "imag_residual": {json.dumps(grid.imag_residual)},\n'
-            f' "q_axis": {array(grid.q_axis)},\n'
-            f' "p_axis": {array(grid.p_axis)},\n'
-            f' "values": {array(grid.values)}\n}}\n'
+            f' "q_axis": {array(map(repr, grid.q_axis.tolist()))},\n'
+            f' "p_axis": {array(map(repr, grid.p_axis.tolist()))},\n'
+            f' "values": {array(w for row in grid._value_reprs for w in row)}\n}}\n'
         )

@@ -7,6 +7,7 @@ probability has an erf closed form that the quadrature build must hit.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -339,6 +340,22 @@ def test_observation_level_weights_and_errors(trap, space16):
         build_observation_level(trap, grid, (0.0,), -0.5, space16)
 
 
+@pytest.mark.parametrize("rotations, nbar, name", [
+    ((math.nan,), 0.5, "rotations"),
+    ((0.0, math.inf), 0.5, "rotations"),
+    ((0.0, -math.inf), 0.5, "rotations"),
+    ((0.0, 1.0), math.nan, "nbar"),
+    ((0.0, 1.0), math.inf, "nbar"),
+])
+def test_observation_level_rejects_non_finite_input_naming_the_argument(
+        trap, space16, rotations, nbar, name):
+    """The group checks never see a rotation angle, and None is the only
+    unset nbar, so both are checked where they enter."""
+    grid = default_bin_grid(trap, nbar=0.5, half_count=3)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build_observation_level(trap, grid, rotations, nbar, space16)
+
+
 def test_observation_level_matches_single_bin_builds(trap, space16):
     grid = default_bin_grid(trap, nbar=0.5, half_count=4)
     thetas = (0.0, 0.7)
@@ -347,7 +364,8 @@ def test_observation_level_matches_single_bin_builds(trap, space16):
         _, j, k = lab
         base = _bin_base_matrices(trap, space16, np.array([grid.center + grid.width * k]),
                                   grid.width, grid.center, 32, 8)[0]
-        single = _rotation_phases(space16.dim, thetas[j]) * base
+        v = _rotation_phases(space16.dim, thetas[j])
+        single = np.conj(v)[:, None] * v[None, :] * base
         assert np.max(np.abs(obs.operators[i] - single)) < 1e-15
 
 
@@ -363,6 +381,93 @@ def test_validate_names_the_operator_it_rejects():
             ObservableSet(operators=ops, labels=[("bin", 2, -4), ("bin", 2, -3)])
         # the [0, 1] bound holds for bin operators only
         ObservableSet(operators=ops, labels=[("bin", 2, -4), ("nbar",)])
+
+
+def _dense_validation_error(ops: np.ndarray, labels: list) -> str | None:
+    """The checks validate ran on every dense operator before it ran on
+    groups, kept as the oracle: the error message, or None."""
+    dev = np.max(np.abs(ops - ops.conj().transpose(0, 2, 1)), axis=(1, 2))
+    bad = np.flatnonzero(~(dev <= 1e-12))
+    if bad.size:
+        return f"operator {labels[bad[0]]} hermiticity off by {dev[bad[0]]:.3e}"
+    is_bin = np.array([lab[0] == "bin" for lab in labels])
+    ev = np.linalg.eigvalsh(ops)
+    bad = np.flatnonzero(is_bin & ~((ev[:, 0] >= -1e-10) & (ev[:, -1] <= 1.0 + 1e-10)))
+    if bad.size:
+        i = bad[0]
+        return f"bin operator {labels[i]} spectrum [{ev[i, 0]:.3e}, {ev[i, -1]:.3e}] outside [0, 1]"
+    return None
+
+
+def _verdict(message: str | None) -> str | None:
+    """The check and the operator label a validation error names."""
+    return message and re.match(r".*?operator \(.*?\) (hermiticity|spectrum)", message)[0]
+
+
+def _push_top_eigenvalue(b):
+    w, u = np.linalg.eigh(b)
+    w[-1] = 1.0 + 1e-9
+    b[:] = (u * w) @ u.T
+    b[:] = 0.5 * (b + b.T)
+
+
+def _nan_entry(b):
+    b[3, 5] = np.nan
+
+
+def _asymmetric(b):
+    b[0, 1] += 1e-11
+
+
+@pytest.mark.parametrize("perturb", [None, _asymmetric, _push_top_eigenvalue, _nan_entry],
+                         ids=["good", "asymmetric-1e-11", "top-eigenvalue-1+1e-9", "nan-entry"])
+def test_group_validation_agrees_with_dense_validation(monkeypatch, trap, perturb):
+    """On a level shaped like perfbench's noisy-dim48 one (8 rotations x 101
+    bins at dim 48), with one bin basis spoiled, the group checks give the
+    dense checks' verdict and name the same operator."""
+    from maxent_tomo import measurement
+
+    made = []
+
+    def bases(*args):
+        base = _bin_base_matrices(*args)
+        if perturb is not None:
+            perturb(base[37])
+        made.append(base.copy())
+        return base
+
+    monkeypatch.setattr(measurement, "_bin_base_matrices", bases)
+    space = FockSpace(48)
+    thetas = tuple(math.pi * j / 8 for j in range(8))
+    grid = default_bin_grid(trap, nbar=6.0, half_count=50)
+    try:
+        obs = build_observation_level(trap, grid, thetas, 6.0, space)
+        error = None
+    except ValueError as exc:
+        obs, error = None, str(exc)
+
+    v = np.stack([_rotation_phases(space.dim, t) for t in thetas])
+    phases = np.conj(v)[:, :, None] * v[:, None, :]
+    ops = np.concatenate([
+        (phases[:, None] * made[0][None]).reshape(-1, space.dim, space.dim),
+        np.diag(np.arange(space.dim, dtype=np.complex128))[None],
+    ])
+    labels = [("bin", j, int(k)) for j in range(len(thetas)) for k in grid.indices()]
+    labels.append(("nbar",))
+    expected = _dense_validation_error(ops, labels)
+    assert _verdict(error) == _verdict(expected)
+    if perturb is None:
+        assert error is None and obs.operators.tobytes() == ops.tobytes()
+    else:
+        assert re.match(r".*operator \('bin', 0, -13\) ", error)
+
+
+def test_validate_checks_each_phase_for_unit_modulus():
+    bases = np.stack([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])])
+    for phases in ([[1.0, 1.0], [1.0, 2.0]], [[1.0, 1.0], [np.nan, 1.0]]):
+        with pytest.raises(ValueError, match=r"operator \('bin', 1, 0\) phase modulus off"):
+            ObservableSet(operators=None, labels=[("bin", j, k) for j in (0, 1) for k in (0, 1)],
+                          groups=((np.array(phases), bases),))
 
 
 # ---------------------------------------------------------------------------

@@ -372,3 +372,18 @@ def test_wigner_json_is_what_json_dump_writes(tmp_path, fitted_wigner):
         "values": [float(v) for v in wig.values.ravel()],
     }
     assert path.read_bytes() == (json.dumps(payload, indent=1) + "\n").encode()
+
+
+def test_wigner_writers_share_one_repr_per_value(tmp_path):
+    """Each W value is formatted once for both files: the JSON writer reads
+    the reprs the CSV writer made, so a changed cached repr shows in both."""
+    grid = WignerGrid(q_axis=[-1.0, 0.0, 1.0], p_axis=[-1.0, 1.0],
+                      values=np.arange(6.0).reshape(3, 2) / 7.0)
+    write_wigner_csv(grid, tmp_path / "w.csv")
+    assert grid._value_reprs[2] == [repr(4.0 / 7.0), repr(5.0 / 7.0)]
+    grid._value_reprs[2][1] = "0.5"
+    write_wigner_csv(grid, tmp_path / "w.csv")
+    write_wigner_json(grid, tmp_path / "w.json")
+    assert (tmp_path / "w.csv").read_text().endswith("\n1.0,1.0,0.5\n")
+    assert json.loads((tmp_path / "w.json").read_text())["values"] == [
+        0.0, 1.0 / 7.0, 2.0 / 7.0, 3.0 / 7.0, 4.0 / 7.0, 0.5]
