@@ -13,9 +13,7 @@ from .hilbert import (
     expectation,
     fidelity,
     fock_state,
-    harmonic_evolve,
     hermite_functions,
-    hermitian_expm,
     ladder_operators,
     superposition,
     thermal_state,
@@ -55,7 +53,6 @@ from .measurement import (
     TrapConfig,
     build_observation_level,
     default_bin_grid,
-    ideal_quadrature_distribution,
 )
 from .simulate import (
     DimensionMismatch,
@@ -68,7 +65,6 @@ from .simulate import (
 from .wigner import (
     WignerGrid,
     wigner_eval,
-    wigner_marginal,
     write_wigner_csv,
     write_wigner_json,
 )

@@ -188,11 +188,14 @@ def _cmd_report(args) -> int:
         import json
         with open(args.fit) as fh:
             rep = json.load(fh)
-        delta_f = rep.get("delta_f") if isinstance(rep, dict) else None
-        if not isinstance(delta_f, (int, float)):
+        rep = rep if isinstance(rep, dict) else {}
+        delta_f, converged = rep.get("delta_f"), rep.get("converged")
+        if not isinstance(delta_f, (int, float)) or isinstance(delta_f, bool):
             raise ValueError(f"{args.fit}: fit report has no numeric 'delta_f', got {delta_f!r}")
+        if not isinstance(converged, bool):
+            raise ValueError(f"{args.fit}: fit report has no boolean 'converged', got {converged!r}")
         print(f"delta_f = {delta_f:.6g}")
-        print(f"converged = {rep.get('converged')}")
+        print(f"converged = {converged}")
     if args.reference:
         ref = tio.read_density_matrix(args.reference)
         if ref.dim != rho.dim:

@@ -30,8 +30,6 @@ __all__ = [
     "superposition",
     "even_cat",
     "thermal_state",
-    "harmonic_evolve",
-    "hermitian_expm",
     "unitary_expm",
     "hermite_functions",
     "entropy",
@@ -251,22 +249,7 @@ def thermal_state(space: FockSpace, nbar: float) -> DensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# evolution and matrix functions
-
-
-def harmonic_evolve(state, theta: float):
-    """Free evolution in the well by phase theta = omega_z * t.
-
-    Fock amplitudes pick up e^{-i n theta}; the zero-point global phase is
-    dropped.  Number populations are untouched.
-    """
-    if isinstance(state, PureState):
-        ph = np.exp(-1j * theta * np.arange(state.dim))
-        return PureState(ph * state.amplitudes)
-    if isinstance(state, DensityOperator):
-        ph = np.exp(-1j * theta * np.arange(state.dim))
-        return DensityOperator(ph[:, None] * state.matrix * ph.conj()[None, :])
-    raise TypeError("state must be a PureState or DensityOperator")
+# matrix functions
 
 
 def _eigh(matrix: np.ndarray):
@@ -274,15 +257,6 @@ def _eigh(matrix: np.ndarray):
         return np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigError(str(exc)) from exc
-
-
-def hermitian_expm(operator, sign: int = 1) -> np.ndarray:
-    """exp(sign * A) for Hermitian A via eigendecomposition, sign in {+1, -1}."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    m = _matrix_of(operator)
-    d, v = _eigh(m)
-    return (v * np.exp(sign * d)) @ v.conj().T
 
 
 def unitary_expm(operator, t: float) -> np.ndarray:
@@ -316,10 +290,12 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
 
 
 def entropy(state) -> float:
-    """Von Neumann entropy -Tr rho ln rho, with 0 ln 0 = 0."""
+    """Von Neumann entropy -Tr rho ln rho, with 0 ln 0 = 0, clipped at +0.0
+    (a pure state sums to -0.0, or below it by rounding)."""
     evals = np.linalg.eigvalsh(_density_matrix(state))
     p = evals[evals > 0.0]
-    return float(-(p * np.log(p)).sum())
+    s = float(-(p * np.log(p)).sum())
+    return s if s > 0.0 else 0.0
 
 
 def delta_rho(a, b) -> float:

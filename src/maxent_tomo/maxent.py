@@ -23,9 +23,10 @@ exponentials are ever formed.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,13 +95,11 @@ def _flat_lambdas(lambdas, observables: ObservableSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CanonicalState:
-    """exp(-A)/Z for A = sum lambda_nu G_nu, with its spectral data cached."""
+    """exp(-A)/Z for A = sum lambda_nu G_nu."""
 
     rho: DensityOperator
     log_partition: float
     lambdas: object
-    _eigvals: np.ndarray = field(repr=False, compare=False, default=None)
-    _eigvecs: np.ndarray = field(repr=False, compare=False, default=None)
 
 
 def _spectrum(vec: np.ndarray, observables: ObservableSet):
@@ -119,8 +118,7 @@ def _gibbs(d: np.ndarray, v: np.ndarray):
 
 
 def _deviation_terms(d: np.ndarray, v: np.ndarray, observables: ObservableSet):
-    """dF and its gradient at the spectrum (d, v) of A: the one evaluation
-    the fit minimizes and ``deviation`` reports.
+    """dF and its gradient at the spectrum (d, v) of A.
 
     The gradient is assembled from <G_mu> and Tr[G_mu V (phi o (V+ R V)) V+]/Z
     with R = sum_nu w_nu r_nu G_nu the weighted residual operator; the
@@ -150,8 +148,6 @@ def canonical_state(lambdas, observables: ObservableSet) -> CanonicalState:
         rho=DensityOperator(0.5 * (rho + rho.conj().T)),
         log_partition=float(-d[0] + np.log(z)),
         lambdas=lambdas,
-        _eigvals=d,
-        _eigvecs=v,
     )
 
 
@@ -161,12 +157,13 @@ def _require_means(observables: ObservableSet) -> np.ndarray:
     return observables.means
 
 
-def deviation(state: CanonicalState, observables: ObservableSet) -> tuple[float, np.ndarray]:
-    """Weighted squared mismatch between model and target means, and its
-    gradient with respect to the multipliers, flat in the operator order of
-    the set."""
+def deviation(lambdas, observables: ObservableSet) -> tuple[float, np.ndarray]:
+    """Weighted squared mismatch between model and target means at the
+    multipliers, and its gradient with respect to them, flat in the operator
+    order of the set: the objective ``fit`` minimizes."""
     _require_means(observables)
-    return _deviation_terms(state._eigvals, state._eigvecs, observables)
+    vec = _flat_lambdas(lambdas, observables)
+    return _deviation_terms(*_spectrum(vec, observables), observables)
 
 
 def _phi_kernel(e: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -283,7 +280,6 @@ class FitReport:
     grad_inf_norm: float
     restarts: int
     message: str = ""
-    history: list = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -313,7 +309,8 @@ def fit(
     On stagnation the search restarts from a jitter of the best point
     (seed 0), at most ``MAX_RESTARTS`` times; a fit that still fails is
     returned with ``converged=False`` rather than raised, so callers can
-    inspect the partial result.
+    inspect the partial result.  ``grad_tol`` must be finite and positive
+    and ``max_iter`` an integer of at least 1 (ValueError otherwise).
 
     scipy's optimizer and the OpenBLAS it bundles are loaded on the first
     fit in the process, and the thread cap looks the library up right after
@@ -324,18 +321,16 @@ def fit(
     the optimizer, and other scipy BLAS work in the process meanwhile runs
     on one thread too.  numpy's BLAS threads are not touched.
     """
+    if not (math.isfinite(grad_tol) and grad_tol > 0):
+        raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
+    if not (isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool)
+            and max_iter >= 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     data = _require_means(observables)
-
-    def fg(lam):
-        return _deviation_terms(*_spectrum(lam, observables), observables)
-
     x0 = np.zeros(observables.n_ops)
-    history: list = []
 
     def callback(intermediate_result):
-        f = float(intermediate_result.fun)
-        history.append(f)
-        if f < CONVERGED_DF:
+        if intermediate_result.fun < CONVERGED_DF:
             # deviation at its floor; the gradient test cannot add anything
             raise StopIteration
 
@@ -345,7 +340,8 @@ def fit(
     for attempt in range(MAX_RESTARTS + 1):
         with _SCIPY_BLAS:
             res = minimize(
-                fg, x0, jac=True, method="L-BFGS-B", callback=callback,
+                deviation, x0, args=(observables,), jac=True, method="L-BFGS-B",
+                callback=callback,
                 options={
                     "maxiter": max_iter, "maxfun": 3 * max_iter,
                     "ftol": 0.0, "gtol": grad_tol, "maxcor": 30, "maxls": 60,
@@ -383,6 +379,5 @@ def fit(
         grad_inf_norm=ginf_best,
         restarts=attempt,
         message=message,
-        history=history,
     )
     return state, report

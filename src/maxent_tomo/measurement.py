@@ -27,15 +27,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .hilbert import (
-    DensityOperator,
-    FockSpace,
-    PureState,
-    _readonly,
-    harmonic_evolve,
-    hermite_functions,
-    ladder_operators,
-)
+from .hilbert import FockSpace, _readonly, hermite_functions, ladder_operators
 
 __all__ = [
     "TrapConfig",
@@ -45,7 +37,6 @@ __all__ = [
     "DegenerateRotationError",
     "default_bin_grid",
     "build_observation_level",
-    "ideal_quadrature_distribution",
 ]
 
 SPECTRUM_TOL = 1e-10
@@ -388,22 +379,3 @@ def build_observation_level(
         groups=((phases, _readonly(base)),
                 (np.ones((1, space.dim)), ladder_operators(space).n.real[None])),
     )
-
-
-def ideal_quadrature_distribution(state, theta: float, x) -> np.ndarray:
-    """Quadrature distribution w(x; theta) of the state rotated by theta.
-
-    This is the position density of the theta-evolved state on the
-    dimensionless axis, the zero-smearing, continuous limit of the
-    ballistic-expansion profile at rotation theta - pi/2.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    evolved = harmonic_evolve(state, theta)
-    if isinstance(evolved, PureState):
-        psi = hermite_functions(evolved.dim - 1, x)
-        amp = evolved.amplitudes @ psi
-        return np.abs(amp) ** 2
-    if isinstance(evolved, DensityOperator):
-        psi = hermite_functions(evolved.dim - 1, x)
-        return np.real(np.einsum("mn,mx,nx->x", evolved.matrix, psi, psi, optimize=True))
-    raise TypeError("state must be a PureState or DensityOperator")

@@ -35,7 +35,6 @@ from .hilbert import _density_matrix
 __all__ = [
     "WignerGrid",
     "wigner_eval",
-    "wigner_marginal",
     "write_wigner_csv",
     "write_wigner_json",
 ]
@@ -139,34 +138,6 @@ def wigner_eval(state, *, span: float = 6.0, points: int = 257) -> WignerGrid:
     acc = _fock_kernel(rho, axis, axis)
     imag_res = float(np.max(np.abs(acc.imag))) if acc.size else 0.0
     return WignerGrid(q_axis=axis, p_axis=axis.copy(), values=acc.real, imag_residual=imag_res)
-
-
-def wigner_marginal(grid: WignerGrid, theta: float):
-    """Integrate W along the direction orthogonal to the theta quadrature.
-
-    Returns (x_axis, density) with the density normalized like a probability
-    distribution (the 1/2pi of the convention divided out).  Off-axis values
-    are obtained by bilinear interpolation with zero fill outside the grid,
-    so the grid must generously cover the state.  theta in [0, pi).
-    """
-    if not 0.0 <= theta < math.pi:
-        raise ValueError("theta must lie in [0, pi)")
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator(
-        (grid.q_axis, grid.p_axis), grid.values,
-        method="linear", bounds_error=False, fill_value=0.0,
-    )
-    x = grid.q_axis
-    s = grid.p_axis
-    ct, st = math.cos(theta), math.sin(theta)
-    qq = x[:, None] * ct - s[None, :] * st
-    pp = x[:, None] * st + s[None, :] * ct
-    pts = np.stack([qq.ravel(), pp.ravel()], axis=-1)
-    sheet = interp(pts).reshape(qq.shape)
-    ds = float(s[1] - s[0])
-    density = sheet.sum(axis=1) * ds / (2.0 * math.pi)
-    return x.copy(), density
 
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from maxent_tomo import FockSpace, fock_state, write_density_matrix
 from maxent_tomo.cli import main
 
 CONFIG = """
@@ -42,6 +43,13 @@ def test_chain_exits_zero_and_writes_every_output(simulated, tmp_path):
     assert main(["wigner", "--rho", rho, "--points", "33", "--out", out]) == 0
     assert len(json.loads((tmp_path / "wigner.json").read_text())["values"]) == 33 * 33
     assert main(["report", "--rho", rho, "--fit", str(tmp_path / "report.json")]) == 0
+
+
+def test_report_of_a_fock_state_prints_zero_entropy(tmp_path, capsys):
+    rho = tmp_path / "rho.json"
+    write_density_matrix(fock_state(FockSpace(4), 2).density(), rho)
+    assert main(["report", "--rho", str(rho)]) == 0
+    assert "entropy = 0\n" in capsys.readouterr().out
 
 
 def test_unknown_state_kind_exits_one(tmp_path, capsys):
@@ -89,7 +97,8 @@ def test_command_line_values_are_checked_like_config_values(simulated, tmp_path,
     assert "config key 'fixed_center_m' must be finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("payload", ['{"converged": true}', '{"delta_f": null}', '[]'])
+@pytest.mark.parametrize("payload", ['{"converged": true}', '{"delta_f": null}', '[]',
+                                     '{"delta_f": true, "converged": true}'])
 def test_report_without_delta_f_exits_one(simulated, tmp_path, capsys, payload):
     cfg, record = simulated
     fit_json = tmp_path / "report.json"
@@ -97,6 +106,17 @@ def test_report_without_delta_f_exits_one(simulated, tmp_path, capsys, payload):
     rho = str(record.parent / "state_true.json")
     assert main(["report", "--rho", rho, "--fit", str(fit_json)]) == 1
     assert "'delta_f'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", ['{"delta_f": 0.5}', '{"delta_f": 0.5, "converged": "yes"}',
+                                     '{"delta_f": 0.5, "converged": 1}'])
+def test_report_without_boolean_converged_exits_one(simulated, tmp_path, capsys, payload):
+    _, record = simulated
+    fit_json = tmp_path / "report.json"
+    fit_json.write_text(payload)
+    rho = str(record.parent / "state_true.json")
+    assert main(["report", "--rho", rho, "--fit", str(fit_json)]) == 1
+    assert "'converged'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload, key", [
@@ -126,6 +146,7 @@ def test_non_finite_wigner_span_exits_one_naming_it(simulated, tmp_path, capsys,
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 import maxent_tomo.cli
+from maxent_tomo import FockSpace, fock_state, write_density_matrix
 from maxent_tomo.cli import main
 cfg, out = sys.argv[1], sys.argv[2]
 rho = out + "/state_true.json"

@@ -18,14 +18,14 @@ from maxent_tomo import (
     expectation,
     fidelity,
     fock_state,
-    harmonic_evolve,
     hermite_functions,
-    hermitian_expm,
     ladder_operators,
     superposition,
     thermal_state,
     unitary_expm,
 )
+
+from conftest import harmonic_evolve
 
 LN3 = 1.0986122886681098
 PI_QUARTER = 0.7511255444649425  # pi**-0.25
@@ -210,19 +210,6 @@ def _taylor_expm(a: np.ndarray, terms: int = 24) -> np.ndarray:
     return out
 
 
-def test_hermitian_expm_against_taylor():
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        herm = (raw + raw.conj().T) / 2.0
-        herm = herm / max(np.linalg.norm(herm, 2), 1.0)  # keep the series honest
-        assert np.max(np.abs(hermitian_expm(herm) - _taylor_expm(herm))) < 1e-12
-        inv = hermitian_expm(herm, sign=-1)
-        assert np.max(np.abs(hermitian_expm(herm) @ inv - np.eye(6))) < 1e-12
-    with pytest.raises(ValueError):
-        hermitian_expm(np.eye(2), sign=2)
-
-
 def test_unitary_expm_is_unitary():
     ops = ladder_operators(FockSpace(8))
     u = unitary_expm(ops.p @ ops.p, 0.37)
@@ -266,6 +253,17 @@ def test_entropy_landmarks():
     assert entropy(fock_state(space, 3)) == pytest.approx(0.0, abs=1e-12)
     mixed = DensityOperator(np.eye(8, dtype=complex) / 8.0)
     assert entropy(mixed) == pytest.approx(math.log(8.0), abs=1e-12)
+
+
+def test_entropy_of_a_pure_state_is_positive_zero():
+    """The sum -p ln p over a pure spectrum is -0.0 or a rounding-level
+    negative; the entropy is never reported below +0.0."""
+    space = FockSpace(8)
+    pure = [fock_state(space, 0), fock_state(space, 3),
+            superposition(space, [1.0, 1.0]), superposition(space, [1.0, 0.4j, 0.0, -0.2])]
+    for state in pure + [state.density() for state in pure]:
+        assert math.copysign(1.0, entropy(state)) == 1.0
+        assert entropy(state) < 1e-12
 
 
 def test_fidelity_landmarks():

@@ -19,7 +19,6 @@ from maxent_tomo import (
     fidelity,
     fit,
     gaussian_fit_center,
-    ideal_quadrature_distribution,
     parse_config_text,
     preprocess,
     read_config,

@@ -32,15 +32,20 @@ from maxent_tomo import (
     default_bin_grid,
     expectation,
     fock_state,
-    harmonic_evolve,
-    ideal_quadrature_distribution,
     superposition,
     thermal_state,
 )
 
 from maxent_tomo.measurement import _bin_base_matrices, _rotation_phases
 
-from conftest import TAUS, TRAP_KW, make_trap, rotations
+from conftest import (
+    TAUS,
+    TRAP_KW,
+    harmonic_evolve,
+    ideal_quadrature_distribution,
+    make_trap,
+    rotations,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,6 @@ PACKAGE = "maxent_tomo"
 PACKAGE_DIR = ROOT / "src" / PACKAGE
 SUBMODULES = {p.stem for p in PACKAGE_DIR.glob("*.py")} - {"__init__"}
 
-# each is the subject or the reference of one acceptance-6 property sweep
-TESTED_ONLY = {
-    "deviation",
-    "hermitian_expm",
-    "ideal_quadrature_distribution",
-    "wigner_marginal",
-}
-
 
 def _exported() -> dict:
     """Each exported name, mapped to the submodule that defines it."""
@@ -96,13 +88,7 @@ def _used() -> set:
 def test_every_exported_name_has_a_caller_outside_the_tests():
     exported = set(_exported())
     assert exported <= set(dir(maxent_tomo))
-    assert TESTED_ONLY <= exported
-    assert sorted(exported - TESTED_ONLY - _used()) == []
-
-
-def test_allowlisted_names_are_still_unused_outside_the_tests():
-    # a name that gains a caller leaves the allowlist
-    assert sorted(TESTED_ONLY & _used()) == []
+    assert sorted(exported - _used()) == []
 
 
 def test_only_reads_through_the_package_count(tmp_path):

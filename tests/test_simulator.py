@@ -16,14 +16,13 @@ from maxent_tomo import (
     default_bin_grid,
     expectation,
     fock_state,
-    ideal_quadrature_distribution,
     ladder_operators,
     prepare_free_expansion,
     simulate_ideal,
     superposition,
 )
 
-from conftest import TAUS, make_trap, rotations
+from conftest import TAUS, ideal_quadrature_distribution, make_trap, rotations
 
 
 @pytest.fixture(scope="module")

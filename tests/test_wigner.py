@@ -24,17 +24,17 @@ from maxent_tomo import (
     fit,
     fock_state,
     hermite_functions,
-    ideal_quadrature_distribution,
     ladder_operators,
     simulate_ideal,
     superposition,
     thermal_state,
     wigner_eval,
-    wigner_marginal,
     write_wigner_csv,
     write_wigner_json,
 )
 from maxent_tomo.wigner import WignerGrid, _fock_kernel
+
+from conftest import ideal_quadrature_distribution, wigner_marginal
 
 
 def _wigner_direct(rho: np.ndarray, q: float, p: float) -> float:
