@@ -157,6 +157,7 @@ def _cmd_reconstruct(args) -> int:
     print(f"entropy = {report.entropy:.6g}")
     print(f"nbar_fit = {report.nbar_fit:.6g}")
     print(f"converged = {report.converged} after {report.iterations} iterations")
+    print(f"stop = {report.message}")
     print(f"wrote {rho_path}")
     print(f"wrote {report_path}")
     return 0 if report.converged else 2

@@ -291,9 +291,12 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
 
 def entropy(state) -> float:
     """Von Neumann entropy -Tr rho ln rho, with 0 ln 0 = 0, clipped at +0.0
-    (a pure state sums to -0.0, or below it by rounding)."""
+    (a pure state sums to -0.0, or below it by rounding).  Eigenvalues
+    within dim * eps of 0 or 1 are rounding and add nothing, so a pure
+    state gives exactly 0."""
     evals = np.linalg.eigvalsh(_density_matrix(state))
-    p = evals[evals > 0.0]
+    tol = evals.size * np.finfo(np.float64).eps
+    p = evals[(evals > tol) & (evals < 1.0 - tol)]
     s = float(-(p * np.log(p)).sum())
     return s if s > 0.0 else 0.0
 

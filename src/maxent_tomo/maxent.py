@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 CONVERGED_DF = 1e-14
+# relative-gradient stop |grad dF|inf <= REL_GRAD_TOL * dF (Dennis & Schnabel
+# 1983, sec. 7.2); 1e-5 stopped a rounding-perturbed exact fit on a plateau
+REL_GRAD_TOL = 1e-6
 # restarts from a jitter of the best point after a stalled L-BFGS run
 MAX_RESTARTS = 3
 
@@ -304,13 +307,19 @@ def fit(
     """Minimize the deviation functional over the multipliers.
 
     L-BFGS with the analytic gradient, starting from lambda = 0 (the
-    maximally mixed state).  Convergence means either the sup-norm of the
-    gradient fell below ``grad_tol`` or the deviation itself is below 1e-14.
-    On stagnation the search restarts from a jitter of the best point
-    (seed 0), at most ``MAX_RESTARTS`` times; a fit that still fails is
-    returned with ``converged=False`` rather than raised, so callers can
-    inspect the partial result.  ``grad_tol`` must be finite and positive
-    and ``max_iter`` an integer of at least 1 (ValueError otherwise).
+    maximally mixed state).  Convergence means one of three tests passed at
+    an iterate: the sup-norm of the gradient fell below ``grad_tol``; the
+    deviation itself fell below ``CONVERGED_DF`` (1e-14); or the sup-norm
+    of the gradient fell to ``REL_GRAD_TOL`` (1e-6) times the deviation.
+    Exact data drive the deviation to 0 and stop on one of the first two;
+    noisy data leave it a positive floor, and the third stops the fit there
+    instead of walking the flat valley around it.  The report's message
+    names the package's own stops and otherwise is scipy's.  On stagnation
+    the search restarts from a jitter of the best point (seed 0), at most
+    ``MAX_RESTARTS`` times; a fit that still fails is returned with
+    ``converged=False`` rather than raised, so callers can inspect the
+    partial result.  ``grad_tol`` must be finite and positive and
+    ``max_iter`` an integer of at least 1 (ValueError otherwise).
 
     scipy's optimizer and the OpenBLAS it bundles are loaded on the first
     fit in the process, and the thread cap looks the library up right after
@@ -329,18 +338,33 @@ def fit(
     data = _require_means(observables)
     x0 = np.zeros(observables.n_ops)
 
+    grad = None  # gradient of the last evaluation
+    stop = None  # the package's reason for ending the current attempt
+
+    def objective(x):
+        nonlocal grad
+        f, grad = deviation(x, observables)
+        return f, grad
+
     def callback(intermediate_result):
-        if intermediate_result.fun < CONVERGED_DF:
-            # deviation at its floor; the gradient test cannot add anything
+        # L-BFGS-B evaluates each accepted point last, so grad belongs to it
+        nonlocal stop
+        f = intermediate_result.fun
+        if f < CONVERGED_DF:
+            stop = f"deviation floor: dF < {CONVERGED_DF:g}"
+        elif np.max(np.abs(grad)) <= REL_GRAD_TOL * f:
+            stop = f"relative gradient: |grad dF|inf <= {REL_GRAD_TOL:g} dF"
+        if stop is not None:
             raise StopIteration
 
     rng = np.random.default_rng(0)
     best = None
     total_iter = 0
     for attempt in range(MAX_RESTARTS + 1):
+        stop = None
         with _SCIPY_BLAS:
             res = minimize(
-                deviation, x0, args=(observables,), jac=True, method="L-BFGS-B",
+                objective, x0, jac=True, method="L-BFGS-B",
                 callback=callback,
                 options={
                     "maxiter": max_iter, "maxfun": 3 * max_iter,
@@ -350,11 +374,11 @@ def fit(
         total_iter += int(res.nit)
         f_res = float(res.fun)
         ginf = float(np.max(np.abs(res.jac)))
-        converged = ginf < grad_tol or f_res < CONVERGED_DF
+        converged = ginf < grad_tol or f_res < CONVERGED_DF or stop is not None
         # a converged attempt is the answer even if an earlier, unconverged
         # one stalled at a lower deviation
         if converged or best is None or f_res < best[1]:
-            best = (res.x.copy(), f_res, ginf, str(res.message))
+            best = (res.x.copy(), f_res, ginf, stop or str(res.message))
         if converged:
             break
         if attempt < MAX_RESTARTS:

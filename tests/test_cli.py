@@ -45,6 +45,40 @@ def test_chain_exits_zero_and_writes_every_output(simulated, tmp_path):
     assert main(["report", "--rho", rho, "--fit", str(tmp_path / "report.json")]) == 0
 
 
+# the README's run.cfg
+README_CONFIG = """
+omega_z_hz = 80e3
+dz0_m      = 22e-9
+dv0_mps    = 11e-3
+cloud_rms_m = 60e-6
+be_time_s  = 8.7e-3
+taus_us    = 0, 1.6, 3.2, 4.8
+dim  = 16
+nbar = 0.5
+bin_half_count = 25
+state = superposition:1,1
+"""
+
+
+def test_noisy_chain_at_a_tight_grad_tol_converges_and_says_why(tmp_path, capsys):
+    """Noisy data leave delta_F a positive floor, where grad_tol = 1e-12 is
+    not met: the README chain at that setting ran 43254 iterations and
+    three restarts and exited 2.  The relative-gradient test ends it, and
+    the printed reason is the one report.json keeps."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(README_CONFIG + "grad_tol = 1e-12\n")
+    out = str(tmp_path)
+    assert main(["simulate", "--config", str(cfg), "--eta", "0.1", "--seed", "7",
+                 "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", str(cfg), "--record",
+                 str(tmp_path / "record.csv"), "--out", out]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] is True and report["restarts"] == 0
+    assert report["message"].startswith("relative gradient")
+    assert f"stop = {report['message']}\n" in capsys.readouterr().out
+
+
 def test_report_of_a_fock_state_prints_zero_entropy(tmp_path, capsys):
     rho = tmp_path / "rho.json"
     write_density_matrix(fock_state(FockSpace(4), 2).density(), rho)

@@ -20,9 +20,11 @@ from maxent_tomo import (
     fock_state,
     hermite_functions,
     ladder_operators,
+    read_density_matrix,
     superposition,
     thermal_state,
     unitary_expm,
+    write_density_matrix,
 )
 
 from conftest import harmonic_evolve
@@ -264,6 +266,25 @@ def test_entropy_of_a_pure_state_is_positive_zero():
     for state in pure + [state.density() for state in pure]:
         assert math.copysign(1.0, entropy(state)) == 1.0
         assert entropy(state) < 1e-12
+
+
+def test_entropy_ignores_rounding_level_eigenvalues(tmp_path):
+    """A pure state's spectrum is 1 and 0 up to rounding (the top eigenvalue
+    of (|0> + |1>)/sqrt(2) is 1 - 2.2e-16); those eigenvalues add nothing,
+    so its entropy is exactly 0, also after a file round trip.  A small
+    eigenvalue above dim * eps still counts."""
+    for dim in (8, 16, 48):
+        space = FockSpace(dim)
+        for coeffs in ([1.0, 1.0], [1.0, 0.4j, 0.0, -0.2], [1.0, 1.0, 1.0]):
+            assert entropy(superposition(space, coeffs).density()) == 0.0
+    assert entropy(even_cat(FockSpace(48), 1.414)) == 0.0
+    path = tmp_path / "state_true.json"
+    write_density_matrix(superposition(FockSpace(16), [1.0, 1.0]).density(), path)
+    assert entropy(read_density_matrix(path)) == 0.0
+    p = 1e-10
+    mixed = DensityOperator(np.diag([1.0 - p, p, 0.0]).astype(complex))
+    assert entropy(mixed) == pytest.approx(-(p * math.log(p) + (1 - p) * math.log1p(-p)),
+                                           rel=1e-6)
 
 
 def test_fidelity_landmarks():

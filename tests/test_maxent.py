@@ -12,7 +12,9 @@ from maxent_tomo import (
     FockSpace,
     LagrangeVector,
     MissingMeans,
+    NoiseSpec,
     ObservableSet,
+    add_noise,
     build_observation_level,
     canonical_state,
     default_bin_grid,
@@ -266,6 +268,7 @@ def test_fit_report_serializes():
     back = json.loads(text)
     assert back["converged"] is True
     assert back["delta_f"] == report.delta_f
+    assert back["message"] == report.message
     assert "history" not in back
 
 
@@ -324,6 +327,48 @@ def test_fit_stops_at_the_deviation_floor(monkeypatch):
     assert report.delta_f < 1e-14
     assert report.iterations < 20
     assert stops == [report.delta_f]
+    assert report.message.startswith("deviation floor")
+
+
+@pytest.fixture(scope="module")
+def acceptance_level(trap, space16):
+    """The four-rotation, 51-bin level of acceptance tests 1 and 2, with the
+    exact bin means of (|0> + |1>)/sqrt(2)."""
+    grid = default_bin_grid(trap, nbar=0.5, half_count=25)
+    obs = build_observation_level(trap, grid, rotations(trap), 0.5, space16)
+    return obs, simulate_ideal(superposition(space16, [1.0, 1.0]), obs)
+
+
+def test_relative_gradient_test_leaves_exact_fits_bit_identical(monkeypatch, acceptance_level):
+    """Exact data drive dF to 0, so the relative-gradient test never fires
+    before the absolute one: switching it off changes no bit of the fit."""
+    from maxent_tomo import maxent
+
+    obs, ideal = acceptance_level
+    obs = obs.with_record(ideal)
+    state, report = fit(obs, grad_tol=1e-13)
+    monkeypatch.setattr(maxent, "REL_GRAD_TOL", 0.0)
+    state_off, report_off = fit(obs, grad_tol=1e-13)
+    assert np.array_equal(state.lambdas.flat(), state_off.lambdas.flat())
+    assert np.array_equal(state.rho.matrix, state_off.rho.matrix)
+    assert report.to_dict() == report_off.to_dict()
+    assert report.converged and "relative gradient" not in report.message
+
+
+def test_noisy_fit_stops_on_the_relative_gradient_test(acceptance_level):
+    """Noisy data leave dF a positive floor; the fit ends there, converged
+    and without a restart, where the absolute gradient test alone ran 7699
+    iterations (noise seed 9 of acceptance test 2)."""
+    from maxent_tomo import maxent
+
+    obs, ideal = acceptance_level
+    noisy = add_noise(ideal, NoiseSpec(eta=0.1, seed=9), nbar_noisy=0.6)
+    _, report = fit(obs.with_record(noisy))
+    assert report.converged
+    assert report.restarts == 0
+    assert report.grad_inf_norm <= maxent.REL_GRAD_TOL * report.delta_f
+    assert report.iterations < 1000
+    assert report.message.startswith("relative gradient")
 
 
 def test_fit_flags_non_convergence(trap, space16):
@@ -451,8 +496,8 @@ def _scripted_minimize(monkeypatch, attempts):
 
 
 def test_fit_minimizes_the_deviation_it_reports(monkeypatch):
-    """The objective handed to the minimizer is ``deviation`` itself, with
-    the fitted set as its one extra argument, and the reported dF and
+    """The objective handed to the minimizer returns ``deviation`` of the
+    fitted set, value and gradient, bit for bit, and the reported dF and
     gradient norm are ``deviation`` at the returned multipliers, bit for
     bit."""
     rng = np.random.default_rng(77)
@@ -464,8 +509,11 @@ def test_fit_minimizes_the_deviation_it_reports(monkeypatch):
     seen = _scripted_minimize(monkeypatch, [(np.zeros(4), 1.0, np.zeros(4))])
     fit(obs)
     (fun, args), = seen
-    assert fun is deviation
-    assert len(args) == 1 and args[0] is obs
+    for x in (np.zeros(4), rng.standard_normal(4), np.ravel(state.lambdas)):
+        f_obj, g_obj = fun(x, *args)
+        f_ref, g_ref = deviation(x, obs)
+        assert f_obj == f_ref
+        assert np.array_equal(g_obj, g_ref)
 
 
 def test_converged_restart_wins_over_a_lower_unconverged_attempt(monkeypatch):
