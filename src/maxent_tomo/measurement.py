@@ -22,6 +22,7 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -154,6 +155,12 @@ def default_bin_grid(
 # observable construction
 
 
+@lru_cache
+def _gauss_rule(rule, n: int) -> tuple:
+    """Nodes and weights of a Gauss rule, made once per node count, not per build."""
+    return tuple(_readonly(a) for a in rule(n))
+
+
 def _bin_base_matrices(
     cfg: TrapConfig,
     space: FockSpace,
@@ -172,10 +179,10 @@ def _bin_base_matrices(
     for n, rule in ((gh_nodes, "Gauss-Hermite"), (gl_nodes, "Gauss-Legendre")):
         if n < 2:
             raise QuadratureError(f"need at least 2 {rule} nodes")
-    t, v = hermgauss(gh_nodes)
+    t, v = _gauss_rule(hermgauss, gh_nodes)
     xi0 = math.sqrt(2.0) * cfg.cloud_rms * t  # cloud positions
     w_cloud = v / math.sqrt(math.pi)
-    tl, wl = leggauss(gl_nodes)
+    tl, wl = _gauss_rule(leggauss, gl_nodes)
     scale = cfg.drop_scale
     nmax = space.dim - 1
 

@@ -4,20 +4,25 @@ Convention: W(q, p) = integral dz <q - z/2| rho |q + z/2> e^{i p z}, which
 integrates to 2 pi over the plane (vacuum peak W(0,0) = 2).  Marginals
 along any direction are quadrature distributions after dividing by 2 pi.
 
-The Fock-basis kernel sums one diagonal d = m - n at a time.  For m >= n
+The transform separates in the Hermite functions psi_k.  A 45-degree turn
+of the two-mode oscillator, keeping N = m + n quanta, and the Fourier
+transform of a Hermite function, integral dz psi_j(z/sqrt(2)) e^{i p z} =
+sqrt(4 pi) i^j psi_j(sqrt(2) p), give
 
-    K_mn = 2 e^{-r^2} (sqrt(2) (q - i p))^d / sqrt(d!) * l_n^d(2 r^2),
-    l_n^d(x) = (-1)^n sqrt(d! n!/(n+d)!) L_n^d(x),   r^2 = q^2 + p^2,
+    psi_m(q - z/2) psi_n(q + z/2) = sum_k B^N[m, k] psi_k(sqrt(2) q) psi_{N-k}(z/sqrt(2)),
+    W = Psi(sqrt(2) q)^T C Psi(sqrt(2) p), C_kj = sqrt(4 pi) i^j sum_{m+n=k+j} rho_mn B^{k+j}[m, k],
 
-and K_nm is its complex conjugate.  The rescaled Laguerre polynomials obey
+two matrix products over orders 0 .. 2 dim - 2.  Risbo's symmetric recursion
+(J. Geodesy 70, 383 (1996)) builds the orthogonal blocks B^N from B^0 = 1,
 
-    sqrt((n+1)(n+d+1)) l_{n+1} = (x - 2n - 1 - d) l_n - sqrt(n(n+d)) l_{n-1},
+    sqrt(2) N B^N[m, k] = sqrt(m k) B^{N-1}[m-1, k-1] - sqrt(m (N-k)) B^{N-1}[m-1, k]
+                        + sqrt((N-m) k) B^{N-1}[m, k-1] + sqrt((N-m)(N-k)) B^{N-1}[m, k],
 
-run upward from l_0 = 1, so no factorial is ever formed; the prefactor
-passes from one diagonal to the next by one multiplication.  Summing by
-diagonals follows QuTiP's Clenshaw method (Johansson, Nation and Nori,
-Comput. Phys. Commun. 184, 1234 (2013)).  The l_n depend on the grid only
-through x = 2 r^2, so they are computed once per distinct x.
+a convex mix of adding a quantum to either mode that stays orthonormal to
+rounding (either step alone divides by sqrt(m) and drifts).  W is the
+transform of (rho + rho^dagger)/2, so the diagonal gives Re rho_mm only; the
+imaginary residual is that of the anti-Hermitian part off the diagonal,
+exactly 0 for an exactly Hermitian rho.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import _density_matrix
+from .hilbert import _density_matrix, hermite_functions
 
 __all__ = [
     "WignerGrid",
@@ -84,46 +89,54 @@ class WignerGrid:
         return [list(map(repr, row)) for row in self.values.tolist()]
 
 
-def _fock_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Sum_{mn} rho_mn K_mn on the meshgrid of q (rows) and p (columns).
+def _rotation_rows(dim: int):
+    """Yield (lo, B^N[lo:hi]) for N = 0 .. 2 dim - 2: the rows max(0, N - dim + 1) <= m
+    <= min(N, dim - 1) that meet a dim x dim rho; they need only that band of B^{N-1}."""
+    size = 2 * dim - 1
+    pad = np.zeros((dim + 1, size + 1))  # pad[m + 1, k + 1] = B^{N-1}[m, k], 0 off the block
+    pad[1, 1] = 1.0
+    roots = np.sqrt(np.arange(size + 0.0))
+    yield 0, pad[1:2, 1:2].copy()
+    for n in range(1, size):
+        lo, hi = max(0, n - dim + 1), min(n, dim - 1) + 1
+        up, down = roots[:n + 1], roots[n::-1]  # sqrt(k), sqrt(N - k); by row sqrt(m), sqrt(N - m)
+        prev = pad[lo:hi + 1, :n + 2]
+        left, right = prev[:, :-1] * up, prev[:, 1:] * down
+        rows = (up[lo:hi, None] * (left[:-1] - right[:-1])
+                + down[lo:hi, None] * (left[1:] + right[1:])) / (math.sqrt(2.0) * n)
+        pad[lo + 1:hi + 1, 1:n + 2] = rows
+        yield lo, rows
 
-    The recurrence and the sums low, up of each diagonal run on the distinct
-    values of x = 2 r^2 (q <-> p and sign flips repeat them); the grid reads
-    them through the inverse index of ``np.unique``, once per diagonal."""
-    qq, pp = np.meshgrid(q, p, indexing="ij")
-    x = 2.0 * (qq * qq + pp * pp)
-    xu, inv = np.unique(x, return_inverse=True)
-    step = math.sqrt(2.0) * (qq - 1j * pp)
-    prefactor = 2.0 * np.exp(-0.5 * x) + 0j
+
+def _fock_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """W + i (imaginary residual) on the meshgrid of q (rows) and p (columns): Psi^T C Psi
+    of the Hermitian part and of the off-diagonal anti-Hermitian part, side by side."""
     dim = rho.shape[0]
-    acc = np.zeros_like(prefactor)
-    for d in range(dim):
-        # low = sum_n rho[n+d, n] l_n and up = sum_n rho[n, n+d] l_n, per distinct x
-        prev, cur = 0.0, np.ones_like(xu)
-        low, up = rho[d, 0] * cur, rho[0, d] * cur
-        for n in range(dim - d - 1):
-            nxt = (xu - (2 * n + 1 + d)) * cur - math.sqrt(n * (n + d)) * prev
-            prev, cur = cur, nxt / math.sqrt((n + 1) * (n + d + 1))
-            low += rho[n + 1 + d, n + 1] * cur
-            up += rho[n + 1, n + 1 + d] * cur
-        if d == 0:  # the diagonal contributes Re(prefactor low) only
-            acc += prefactor.real * low.real[inv]
-        else:  # prefactor low + conj(prefactor) up, real when up = conj(low)
-            acc += prefactor.real * (low + up)[inv] + prefactor.imag * (1j * (low - up))[inv]
-        prefactor *= step / math.sqrt(d + 1)
-    return acc
+    size = 2 * dim - 1
+    parts = np.stack([rho + rho.conj().T, rho - rho.conj().T]) / 2
+    np.fill_diagonal(parts[1], 0.0)
+    coeff = np.zeros((2, size, size), dtype=np.complex128)
+    for n, (lo, rows) in enumerate(_rotation_rows(dim)):
+        m, k = np.arange(lo, lo + rows.shape[0]), np.arange(n + 1)
+        coeff[:, k, n - k] = np.einsum("pm,mk->pk", parts[:, m, n - m], rows)
+    coeff *= math.sqrt(4.0 * math.pi) * np.array([1, 1j, -1, -1j])[np.arange(size) % 4]
+    psi = hermite_functions(size - 1, math.sqrt(2.0) * np.concatenate([q, p]))
+    left = psi[:, :q.size].T @ np.concatenate([coeff[0].real, coeff[1].imag], axis=1)
+    grid = np.concatenate([left[:, :size], left[:, size:]]) @ psi[:, q.size:]
+    return grid[:q.size] + 1j * grid[q.size:]
 
 
 def wigner_eval(state, *, span: float = 6.0, points: int = 257) -> WignerGrid:
     """Evaluate W on the square grid of ``points`` per axis over [-span, span].
 
-    Warns when the grid looks too small for the state's energy: the bulk of
-    a state with mean occupation nbar lives within radius sqrt(2 nbar) + 3.
+    ``points`` is an integer of at least 2 (ValueError otherwise).  Warns
+    when the grid looks too small for the state's energy: the bulk of a
+    state with mean occupation nbar lives within radius sqrt(2 nbar) + 3.
     """
     if not (math.isfinite(span) and span > 0):
         raise ValueError(f"span must be finite and positive, got {span}")
-    if points < 2:
-        raise ValueError(f"points must be at least 2, got {points}")
+    if isinstance(points, bool) or not (isinstance(points, (int, np.integer)) and points >= 2):
+        raise ValueError(f"points must be an integer >= 2, got {points!r}")
     rho = _density_matrix(state)
     axis = np.linspace(-span, span, points)
 
@@ -136,8 +149,8 @@ def wigner_eval(state, *, span: float = 6.0, points: int = 257) -> WignerGrid:
             stacklevel=2,
         )
     acc = _fock_kernel(rho, axis, axis)
-    imag_res = float(np.max(np.abs(acc.imag))) if acc.size else 0.0
-    return WignerGrid(q_axis=axis, p_axis=axis.copy(), values=acc.real, imag_residual=imag_res)
+    return WignerGrid(q_axis=axis, p_axis=axis.copy(), values=acc.real,
+                      imag_residual=float(np.max(np.abs(acc.imag))))
 
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:

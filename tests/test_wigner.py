@@ -8,6 +8,7 @@ The oracle is the defining transform, W(q, p) = 2 int dzeta
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from maxent_tomo import (
     write_wigner_csv,
     write_wigner_json,
 )
-from maxent_tomo.wigner import WignerGrid, _fock_kernel
+from maxent_tomo.wigner import WignerGrid, _fock_kernel, _rotation_rows
 
 from conftest import ideal_quadrature_distribution, wigner_marginal
 
@@ -216,6 +217,9 @@ def _square(span: float, points: int) -> tuple:
     (_random_density(16, 16), _square(6.0, 41)),
     (_random_density(48, 48), _square(9.0, 25)),
     (_top_fock(48), _square(9.0, 25)),
+    # orders up to 158: the rotation blocks and psi_k(sqrt(2) q) at their widest
+    (_random_density(80, 80), _square(13.0, 25)),
+    (_top_fock(80), _square(13.0, 25)),
     (_off_hermitian(16, 5), _square(6.0, 41)),
     # q != p: different lengths and spans; 402 distinct radii on 713 points
     (_off_hermitian(16, 6), (np.linspace(-5.0, 6.0, 23), np.linspace(-7.0, 4.5, 31))),
@@ -223,7 +227,8 @@ def _square(span: float, points: int) -> tuple:
     (_off_hermitian(16, 7), (np.linspace(-4.0, 5.3, 19) + 0.1, np.linspace(-3.7, 6.1, 27))),
     # half-integer axes: every radius repeats, at least under a sign flip
     (_off_hermitian(16, 8), (np.arange(-5.5, 6.0), np.arange(-3.5, 4.0))),
-], ids=["dense-dim16", "dense-dim48", "top-fock-dim48", "off-hermitian-dim16",
+], ids=["dense-dim16", "dense-dim48", "top-fock-dim48", "dense-dim80", "top-fock-dim80",
+        "off-hermitian-dim16",
         "uneven-spans", "no-repeated-radius", "every-radius-repeated"])
 def test_diagonal_recurrence_matches_the_pairwise_closed_form(rho, axes):
     q, p = axes
@@ -234,9 +239,30 @@ def test_diagonal_recurrence_matches_the_pairwise_closed_form(rho, axes):
     assert np.max(np.abs(got.imag)) == pytest.approx(np.max(np.abs(ref.imag)), abs=1e-13)
 
 
+def test_rotation_blocks_are_orthonormal_through_order_158():
+    """Risbo's symmetric recursion keeps every B^N orthogonal to rounding.
+    Adding one quantum to one mode at a time, dividing by sqrt(m), drifts
+    (B B^T is off by 2e-3 at order 94) and fails here."""
+    for n, (lo, block) in zip(range(159), _rotation_rows(159)):
+        assert lo == 0 and block.shape == (n + 1, n + 1)
+        assert np.max(np.abs(block @ block.T - np.eye(n + 1))) < 1e-13
+
+
+def test_far_grid_is_finite_and_zero_where_the_hermite_functions_underflow():
+    """At span 30, psi_0(sqrt(2) q) = pi^(-1/4) e^(-q^2) underflows to 0 on
+    the outer grid: W there is exactly 0, finite everywhere, and the plane
+    integral is whole, with no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = wigner_eval(_random_density(8, 30), span=30.0)
+    assert np.all(np.isfinite(grid.values))
+    assert not np.any(grid.values[[0, 0, -1, -1], [0, -1, 0, -1]])
+    assert grid.integral() == pytest.approx(2.0 * math.pi, abs=1e-6)
+
+
 def test_exactly_hermitian_state_has_no_imaginary_part():
-    """Each off-diagonal pair is combined so that its imaginary parts cancel
-    exactly, not to rounding, when rho_nm = conj(rho_mn) bit for bit."""
+    """The imaginary part is the transform of the anti-Hermitian part, which
+    is exactly 0, not rounding, when rho_nm = conj(rho_mn) bit for bit."""
     raw = _random_density(16, 9)
     rho = 0.5 * (raw + raw.conj().T)
     assert np.array_equal(rho, rho.conj().T)
@@ -249,10 +275,21 @@ def test_exactly_hermitian_state_has_no_imaginary_part():
     (dict(span=math.inf), "span"),
     (dict(span=0.0), "span"),
     (dict(points=1), "points"),
-], ids=["span-nan", "span-inf", "span-zero", "points-one"])
+    (dict(points=3.0), "points"),
+    (dict(points=3.5), "points"),
+    (dict(points=math.nan), "points"),
+    (dict(points="257"), "points"),
+    (dict(points=True), "points"),
+], ids=["span-nan", "span-inf", "span-zero", "points-one", "points-float", "points-fraction",
+        "points-nan", "points-string", "points-bool"])
 def test_wigner_eval_rejects_bad_grids_naming_the_argument(kwargs, name):
     with pytest.raises(ValueError, match=name):
         wigner_eval(fock_state(FockSpace(4), 0), **kwargs)
+
+
+def test_wigner_eval_takes_python_and_numpy_integer_points():
+    for points in (2, np.int64(5), np.int32(5)):
+        assert wigner_eval(fock_state(FockSpace(4), 0), points=points).values.shape == (points,) * 2
 
 
 # ---------------------------------------------------------------------------
