@@ -14,44 +14,12 @@ import sys
 import numpy as np
 
 from . import io as tio
-from .hilbert import (
-    FockSpace,
-    PureState,
-    entropy,
-    even_cat,
-    expectation,
-    fidelity,
-    fock_state,
-    ladder_operators,
-    superposition,
-    thermal_state,
-)
+from .hilbert import FockSpace, PureState, entropy, expectation, fidelity, ladder_operators
 from .maxent import fit
-from .measurement import build_observation_level
-from .simulate import NoiseSpec, add_noise, prepare_free_expansion, simulate_ideal
+from .simulate import NoiseSpec, add_noise, simulate_ideal
 from .wigner import wigner_eval, write_wigner_csv, write_wigner_json
 
 __all__ = ["main"]
-
-
-def _build_state(config: tio.RunConfig, space: FockSpace):
-    kind, arg = config.state_spec()
-    if kind == "free_expansion":
-        t1 = float(arg) * 1e-6
-        return prepare_free_expansion(config.trap_config(), t1, space)
-    if kind == "fock":
-        return fock_state(space, int(arg))
-    if kind == "superposition":
-        return superposition(space, [complex(tok.strip()) for tok in arg.split(",")])
-    if kind == "even_cat":
-        return even_cat(space, float(arg))
-    if kind == "thermal":
-        return thermal_state(space, float(arg))
-    raise ValueError(f"unknown state spec {config.state!r}")
-
-
-def _state_nbar(state, space: FockSpace) -> float:
-    return expectation(state, ladder_operators(space).n)
 
 
 def _apply_overrides(config: tio.RunConfig, args) -> tio.RunConfig:
@@ -74,16 +42,10 @@ def _outdir(args) -> str:
 
 def _cmd_simulate(args) -> int:
     config = _apply_overrides(tio.read_config(args.config), args)
-    space = config.space()
-    cfg = config.trap_config()
-    state = _build_state(config, space)
-    nbar_true = _state_nbar(state, space)
+    state = config.build_state()
+    nbar_true = expectation(state, ladder_operators(config.space()).n)
     grid = config.grid(nbar_hint=nbar_true)
-    observables = build_observation_level(
-        cfg, grid, config.rotations(), None, space,
-        weight_nbar=config.weight_nbar,
-        gh_nodes=config.gh_nodes, gl_nodes=config.gl_nodes,
-    )
+    observables = config.observation_level(grid, config.rotations(config.taus_us), None)
     record = simulate_ideal(state, observables)
     if config.eta > 0:
         record = add_noise(
@@ -105,43 +67,18 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     config = _apply_overrides(tio.read_config(args.config), args)
-    space = config.space()
-    cfg = config.trap_config()
-
     if args.record and args.cut:
         raise ValueError("pass either --record or --cut files, not both")
     if args.record:
         record = tio.read_record(args.record)
-        nbar = config.nbar if config.nbar is not None else record.nbar
-        grid, rotations, values = record.grid, record.rotations, record.values
+        if config.nbar is not None:
+            record = dataclasses.replace(record, nbar=config.nbar)
     elif args.cut:
-        if config.nbar is None:
-            raise ValueError(
-                "a measured mean excitation number is required to reconstruct "
-                "from image cuts: it anchors the fit and bounds the occupied "
-                "levels; pass --nbar or set nbar in the config"
-            )
-        cuts = [tio.read_cut_file(p) for p in args.cut]
-        nbar = config.nbar
-        grid = config.grid(nbar_hint=nbar)
-        rotations = tuple(config.omega_z * c.tau_s for c in cuts)
-        values = [
-            tio.preprocess(
-                c, grid,
-                subtract_background=config.subtract_background,
-                recenter=config.recenter,
-                fixed_center=config.fixed_center_m,
-            )
-            for c in cuts
-        ]
+        record = config.cut_record([tio.read_cut_file(p) for p in args.cut])
     else:
         raise ValueError("reconstruct needs --record or at least one --cut")
-
-    observables = build_observation_level(
-        cfg, grid, rotations, nbar, space,
-        weight_nbar=config.weight_nbar,
-        gh_nodes=config.gh_nodes, gl_nodes=config.gl_nodes,
-    ).with_means(np.append(np.ravel(values), nbar))
+    observables = config.observation_level(
+        record.grid, record.rotations, record.nbar).with_record(record)
     state, report = fit(
         observables, max_iter=config.max_iter, grad_tol=config.grad_tol,
     )

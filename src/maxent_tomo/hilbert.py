@@ -207,6 +207,8 @@ def even_cat(space: FockSpace, alpha: float) -> PureState:
     Populated on even levels only, p_2k proportional to alpha^4k/(2k)!.
     Mean occupation of the untruncated state is alpha^2 tanh(alpha^2).
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     a2 = float(alpha) ** 2
     if a2 > 300.0:
         raise TruncationError("alpha^2 too large for a truncated Fock basis")
@@ -233,8 +235,8 @@ def even_cat(space: FockSpace, alpha: float) -> PureState:
 
 def thermal_state(space: FockSpace, nbar: float) -> DensityOperator:
     """Geometric (thermal) mixture with untruncated mean occupation nbar."""
-    if nbar < 0:
-        raise ValueError("nbar must be non-negative")
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be finite and non-negative, got {nbar!r}")
     if nbar == 0.0:
         return fock_state(space, 0).density()
     q = nbar / (1.0 + nbar)

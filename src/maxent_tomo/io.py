@@ -22,9 +22,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .hilbert import DensityOperator, FockSpace
-from .measurement import BinGrid, TrapConfig, default_bin_grid
-from .simulate import MeasurementRecord
+from .hilbert import DensityOperator, FockSpace, even_cat, fock_state, superposition, thermal_state
+from .measurement import (
+    BinGrid,
+    ObservableSet,
+    TrapConfig,
+    build_observation_level,
+    default_bin_grid,
+)
+from .simulate import MeasurementRecord, prepare_free_expansion
 
 __all__ = [
     "CutFile",
@@ -89,10 +95,6 @@ class CutFile:
             raise ValueError(f"center_m must be finite, got {self.center_m!r}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "values", vals)
-
-    @property
-    def tau_s(self) -> float:
-        return self.tau_us * 1e-6
 
 
 def read_cut_file(path) -> CutFile:
@@ -484,8 +486,10 @@ class RunConfig:
     def space(self) -> FockSpace:
         return FockSpace(self.dim)
 
-    def rotations(self) -> tuple:
-        return tuple(self.omega_z * tau * 1e-6 for tau in self.taus_us)
+    def rotations(self, taus_us) -> tuple:
+        """Hold times in microseconds as rotation angles omega_z * tau: the
+        one conversion, for the config's taus_us and cut files alike."""
+        return tuple(self.omega_z * tau * 1e-6 for tau in taus_us)
 
     def grid(self, nbar_hint: float | None = None) -> BinGrid:
         if self.bin_width_m is not None:
@@ -506,21 +510,63 @@ class RunConfig:
             center=self.grid_center_m,
         )
 
-    def state_spec(self) -> tuple:
-        kind, _, arg = self.state.partition(":")
-        return kind.strip(), arg.strip()
+    def observation_level(self, grid: BinGrid, rotations, nbar: float | None) -> ObservableSet:
+        return build_observation_level(
+            self.trap_config(), grid, rotations, nbar, self.space(),
+            weight_nbar=self.weight_nbar, gh_nodes=self.gh_nodes, gl_nodes=self.gl_nodes,
+        )
+
+    def cut_record(self, cuts) -> MeasurementRecord:
+        """One preprocessed row per cut on the config's grid, at the cuts'
+        hold-time angles, with the config's nbar."""
+        if self.nbar is None:
+            raise ValueError(
+                "a measured mean excitation number is required to reconstruct "
+                "from image cuts: it anchors the fit and bounds the occupied "
+                "levels; pass --nbar or set nbar in the config"
+            )
+        grid = self.grid()
+        rows = [
+            preprocess(c, grid, subtract_background=self.subtract_background,
+                       recenter=self.recenter, fixed_center=self.fixed_center_m)
+            for c in cuts
+        ]
+        return MeasurementRecord(
+            rotations=self.rotations([c.tau_us for c in cuts]), grid=grid,
+            values=rows, nbar=self.nbar, provenance={"kind": "cuts"},
+        )
+
+    def build_state(self):
+        """The ``state`` spec, kind:args, as a state in ``space()``."""
+        kind, _, arg = (part.strip() for part in self.state.partition(":"))
+        space = self.space()
+        if kind == "free_expansion":
+            return prepare_free_expansion(self.trap_config(), float(arg) * 1e-6, space)
+        if kind == "fock":
+            return fock_state(space, int(arg))
+        if kind == "superposition":
+            return superposition(space, [complex(tok.strip()) for tok in arg.split(",")])
+        if kind == "even_cat":
+            return even_cat(space, float(arg))
+        if kind == "thermal":
+            return thermal_state(space, float(arg))
+        raise ValueError(f"unknown state spec {self.state!r}")
 
 
 def parse_config_text(text: str) -> dict:
-    raw = {}
+    """key = value lines as a dict; a key may appear once."""
+    raw, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         bare = line.split("#", 1)[0].strip()
         if not bare:
             continue
         if "=" not in bare:
             raise ValueError(f"config line {lineno}: expected key = value")
-        key, _, value = bare.partition("=")
-        raw[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in bare.partition("="))
+        if key in first_line:
+            raise ValueError(f"config line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        raw[key] = value
     return raw
 
 

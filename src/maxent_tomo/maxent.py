@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -285,17 +285,7 @@ class FitReport:
     message: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "delta_f": self.delta_f,
-            "entropy": self.entropy,
-            "nbar_fit": self.nbar_fit,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "residuals": [float(x) for x in np.asarray(self.residuals)],
-            "grad_inf_norm": self.grad_inf_norm,
-            "restarts": self.restarts,
-            "message": self.message,
-        }
+        return {**asdict(self), "residuals": [float(x) for x in np.asarray(self.residuals)]}
 
 
 def fit(

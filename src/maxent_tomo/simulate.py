@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hilbert import (
+    LEAKAGE_TOL,
     DensityOperator,
     FockSpace,
     PureState,
@@ -170,11 +171,11 @@ def prepare_free_expansion(cfg: TrapConfig, t1: float, space: FockSpace) -> Pure
     Raises TruncationError when the squeezed state no longer fits; the
     analytic even-level populations provide the leakage estimate.
     """
-    if t1 < 0:
-        raise ValueError("t1 must be non-negative")
+    if not (math.isfinite(t1) and t1 >= 0):
+        raise ValueError(f"t1 must be finite and non-negative, got {t1!r}")
     kappa = 0.5 * cfg.omega_z * t1
     leak = _squeezed_leakage(kappa, space.dim)
-    if leak > 1e-6:
+    if leak > LEAKAGE_TOL:
         raise TruncationError(
             f"free flight t1={t1:.3e} s (kappa={kappa:.3f}) leaks {leak:.3e} "
             f"above level {space.dim - 1}; raise the Fock dimension"

@@ -1,10 +1,24 @@
 """The maxent-tomo command line, called in process: exit codes and outputs."""
 
 import json
+import math
 
 import pytest
 
-from maxent_tomo import FockSpace, fock_state, write_density_matrix
+from maxent_tomo import (
+    CutFile,
+    FockSpace,
+    TrapConfig,
+    build_observation_level,
+    default_bin_grid,
+    fidelity,
+    fock_state,
+    read_density_matrix,
+    simulate_ideal,
+    superposition,
+    write_cut_file,
+    write_density_matrix,
+)
 from maxent_tomo.cli import main
 
 CONFIG = """
@@ -79,6 +93,62 @@ def test_noisy_chain_at_a_tight_grad_tol_converges_and_says_why(tmp_path, capsys
     assert f"stop = {report['message']}\n" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def cut_files(tmp_path_factory):
+    """Four absorption-image cuts of (|0> + |1>)/sqrt(2) at the README's hold
+    times, made as demos/ingest_cuts.py makes them: exact bin means on a
+    fine camera grid, scaled, with a constant offset."""
+    root = tmp_path_factory.mktemp("cuts")
+    trap = TrapConfig(omega_z=2 * math.pi * 80e3, dz0=22e-9, dv0=11e-3,
+                      cloud_rms=60e-6, be_time=8.7e-3)
+    space = FockSpace(16)
+    psi = superposition(space, [1.0, 1.0])
+    taus_us = (0.0, 1.6, 3.2, 4.8)
+    pixels = default_bin_grid(trap, nbar=0.5, half_count=120, margin=8.0)
+    record = simulate_ideal(psi, build_observation_level(
+        trap, pixels, [trap.omega_z * (t * 1e-6) for t in taus_us], 0.5, space))
+    paths = []
+    for i, tau in enumerate(taus_us):
+        path = root / f"cut_{i}.csv"
+        write_cut_file(CutFile(tau_us=tau, positions=pixels.centers(),
+                               values=37.0 * record.values[i] + 0.002,
+                               pixel_width=pixels.width), path)
+        paths.append(str(path))
+    return psi, paths
+
+
+# the README's run.cfg without its nbar line
+CUT_CONFIG = README_CONFIG.replace("nbar = 0.5\n", "")
+
+
+def test_reconstruct_from_cuts_recovers_the_state(cut_files, tmp_path, capsys):
+    psi, paths = cut_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CUT_CONFIG)
+    capsys.readouterr()
+    code = main(["reconstruct", "--config", str(cfg)]
+                + [arg for p in paths for arg in ("--cut", p)]
+                + ["--nbar", "0.5", "--fixed-center", "0", "--out", str(tmp_path)])
+    assert code == 0
+    assert "converged = True" in capsys.readouterr().out
+    assert json.loads((tmp_path / "report.json").read_text())["converged"] is True
+    assert fidelity(psi, read_density_matrix(tmp_path / "rho.json")) >= 0.99
+
+
+def test_reconstruct_from_cuts_without_nbar_exits_one(cut_files, tmp_path, capsys):
+    """With neither nbar nor bin_width_m in the config, the missing mean
+    excitation number is what the command names, not the grid it sizes."""
+    _, paths = cut_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CUT_CONFIG)
+    code = main(["reconstruct", "--config", str(cfg)]
+                + [arg for p in paths for arg in ("--cut", p)]
+                + ["--fixed-center", "0", "--out", str(tmp_path)])
+    assert code == 1
+    assert "mean excitation number is required" in capsys.readouterr().err
+    assert not (tmp_path / "rho.json").exists()
+
+
 def test_report_of_a_fock_state_prints_zero_entropy(tmp_path, capsys):
     rho = tmp_path / "rho.json"
     write_density_matrix(fock_state(FockSpace(4), 2).density(), rho)
@@ -88,7 +158,7 @@ def test_report_of_a_fock_state_prints_zero_entropy(tmp_path, capsys):
 
 def test_unknown_state_kind_exits_one(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CONFIG + "state = squeezed:1\n")
+    cfg.write_text(CONFIG.replace("state = superposition:1,1", "state = squeezed:1"))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert "squeezed" in capsys.readouterr().err
 
@@ -118,7 +188,9 @@ def test_iteration_cap_exits_two_and_keeps_the_partial_fit(simulated, tmp_path):
 ])
 def test_non_finite_config_values_exit_one_naming_the_key(tmp_path, capsys, extra, key):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CONFIG + extra)
+    # in place of the key's own line: a config key may appear once
+    kept = [ln for ln in CONFIG.splitlines(keepends=True) if not ln.startswith(f"{key} =")]
+    cfg.write_text("".join(kept) + extra)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     assert f"config key '{key}' must be finite" in capsys.readouterr().err
 

@@ -30,8 +30,10 @@ from maxent_tomo import (
     WignerGrid,
     build_observation_level,
     default_bin_grid,
+    even_cat,
     expectation,
     fock_state,
+    prepare_free_expansion,
     superposition,
     thermal_state,
 )
@@ -112,31 +114,41 @@ def _record(rotations=(0.0,), value=0.2):
     return MeasurementRecord(rotations=rotations, grid=grid, values=values, nbar=0.5)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: PureState([np.nan, 1.0]),
-    lambda: DensityOperator(NAN_2X2),
-    lambda: make_trap(omega_z=np.nan),
-    lambda: BinGrid(center=0.0, width=np.nan, half_count=3),
-    lambda: BinGrid(center=0.0, width=np.inf, half_count=3),
-    lambda: NoiseSpec(eta=np.nan),
-    lambda: _one_op_set(weights=[np.nan]),
-    lambda: ObservableSet(operators=np.full((1, 1, 1), np.nan), labels=[("op", 0)]),
-    lambda: _cut(tau_us=np.nan),
-    lambda: _cut(positions=[0.0, np.nan, 1.0]),
-    lambda: _cut(pixel_width=np.nan),
-    lambda: _cut(pixel_width=np.inf),
-    lambda: _cut(center_m=np.nan),
-    lambda: _record(value=np.nan),
-    lambda: _record(value=np.inf),
-    lambda: _record(rotations=(np.nan,)),
-    lambda: _record(rotations=(0.0, np.inf)),
+@pytest.mark.parametrize("build, name", [
+    (lambda: PureState([np.nan, 1.0]), None),
+    (lambda: DensityOperator(NAN_2X2), None),
+    (lambda: make_trap(omega_z=np.nan), None),
+    (lambda: BinGrid(center=0.0, width=np.nan, half_count=3), None),
+    (lambda: BinGrid(center=0.0, width=np.inf, half_count=3), None),
+    (lambda: NoiseSpec(eta=np.nan), None),
+    (lambda: _one_op_set(weights=[np.nan]), None),
+    (lambda: ObservableSet(operators=np.full((1, 1, 1), np.nan), labels=[("op", 0)]), None),
+    (lambda: _cut(tau_us=np.nan), None),
+    (lambda: _cut(positions=[0.0, np.nan, 1.0]), None),
+    (lambda: _cut(pixel_width=np.nan), None),
+    (lambda: _cut(pixel_width=np.inf), None),
+    (lambda: _cut(center_m=np.nan), None),
+    (lambda: _record(value=np.nan), None),
+    (lambda: _record(value=np.inf), None),
+    (lambda: _record(rotations=(np.nan,)), None),
+    (lambda: _record(rotations=(0.0, np.inf)), None),
+    (lambda: even_cat(FockSpace(8), np.nan), "alpha"),
+    (lambda: even_cat(FockSpace(8), np.inf), "alpha"),
+    (lambda: thermal_state(FockSpace(8), np.nan), "nbar"),
+    (lambda: thermal_state(FockSpace(8), np.inf), "nbar"),
+    (lambda: prepare_free_expansion(make_trap(), np.nan, FockSpace(8)), "t1"),
+    (lambda: prepare_free_expansion(make_trap(), np.inf, FockSpace(8)), "t1"),
 ], ids=["pure-state", "density-operator", "trap-omega",
         "grid-width-nan", "grid-width-inf", "noise-eta", "set-weights",
         "set-operators", "cut-tau", "cut-positions", "cut-pixel-width-nan",
         "cut-pixel-width-inf", "cut-center", "record-value-nan", "record-value-inf",
-        "record-rotation-nan", "record-rotation-inf"])
-def test_constructors_reject_non_finite_input(build):
-    with pytest.raises(ValueError):
+        "record-rotation-nan", "record-rotation-inf", "even-cat-nan", "even-cat-inf",
+        "thermal-nan", "thermal-inf", "free-expansion-nan", "free-expansion-inf"])
+def test_constructors_reject_non_finite_input(build, name):
+    """A ValueError, named after the parameter where one is given: a nan
+    cat amplitude used to give the vacuum, a nan free-flight time a
+    RuntimeWarning first."""
+    with pytest.raises(ValueError, match=None if name is None else f"^{name} must be finite"):
         build()
 
 
