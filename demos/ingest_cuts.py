@@ -40,7 +40,7 @@ trap = TrapConfig(omega_z=2 * math.pi * 80e3, dz0=22e-9, dv0=11e-3,
 space = FockSpace(16)
 psi = superposition(space, [1.0, 1.0])
 taus_us = (0.0, 1.6, 3.2, 4.8)                 # hold times, microseconds
-thetas = tuple(trap.omega_z * (t * 1e-6) for t in taus_us)
+thetas = tuple(trap.omega_z * tau * 1e-6 for tau in taus_us)  # as RunConfig.rotations
 
 # camera: a much finer grid than the reconstruction wants, wide margins
 pixels = default_bin_grid(trap, nbar=0.5, half_count=120, margin=8.0)

@@ -182,6 +182,54 @@ def _phi_kernel(e: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(small, narrow, wide)
 
 
+def _mean_jacobian(lambdas, observables: ObservableSet) -> tuple[np.ndarray, np.ndarray]:
+    """Model means <G_mu> and their Jacobian d<G_mu>/d lambda_nu =
+    <G_mu><G_nu> - sum_ab conj(Gt_mu)_ab phi_ab (Gt_nu)_ab / Z with Gt = V+ G V,
+    minus the Kubo-Mori covariance; dF's gradient is 2 J^T W r."""
+    d, v = _spectrum(_flat_lambdas(lambdas, observables), observables)
+    e, q, z, _ = _gibbs(d, v)
+    gt = observables.transformed(v)
+    model = np.real(np.diagonal(gt, axis1=1, axis2=2)) @ q / z
+    flat = gt.reshape(len(gt), -1).view(np.float64)  # re and im interleaved
+    weighted = flat * np.repeat(_phi_kernel(e, q).ravel(), 2)
+    return model, np.outer(model, model) - weighted @ flat.T / z
+
+
+def _lm_probe(observables: ObservableSet, grad_tol: float):
+    """Levenberg-Marquardt from lambda = 0 (Madsen, Nielsen & Tingleff 2004,
+    sec. 3.2), every trial point one iteration evaluated by ``deviation``:
+    (x, dF, gradient, iterations, stop) once dF < CONVERGED_DF or |grad
+    dF|inf < grad_tol; None, a decline, once the relative-gradient test
+    passes, dF fell less than 10x in 10 iterations or mu overflows."""
+    x = np.zeros(observables.n_ops)
+    f, grad = deviation(x, observables)
+    history, mu, nu, jac = [f], 0.0, 2.0, None  # mu is set from the first J^T W J
+    while True:
+        ginf = np.max(np.abs(grad))
+        if f < CONVERGED_DF or ginf < grad_tol:
+            stop = (f"deviation floor: dF < {CONVERGED_DF:g}" if f < CONVERGED_DF
+                    else f"gradient: |grad dF|inf < {grad_tol:g}")
+            return x, f, grad, len(history) - 1, "lm: " + stop
+        if (ginf <= REL_GRAD_TOL * f or not math.isfinite(mu)
+                or (len(history) > 10 and history[-11] < 10.0 * f)):
+            return None
+        if jac is None:
+            jac = _mean_jacobian(x, observables)[1]
+            normal = jac.T @ (observables.weights[:, None] * jac)
+            mu = mu or 1e-3 * np.max(np.diag(normal))
+        g = 0.5 * grad  # J^T W r
+        step = np.linalg.solve(normal + mu * np.eye(len(x)), -g)
+        f_new, grad_new = deviation(x + step, observables)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # mu may overflow: a decline
+            gain = (f - f_new) / (step @ (mu * step - g))
+            if gain > 0:
+                x, f, grad, jac = x + step, f_new, grad_new, None
+                mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 2.0
+            else:
+                mu, nu = mu * nu, 2.0 * nu
+        history.append(f)
+
+
 # ---------------------------------------------------------------------------
 # fitting
 
@@ -303,12 +351,20 @@ def fit(
     of the gradient fell to ``REL_GRAD_TOL`` (1e-6) times the deviation.
     Exact data drive the deviation to 0 and stop on one of the first two;
     noisy data leave it a positive floor, and the third stops the fit there
-    instead of walking the flat valley around it.  The report's message
-    names the package's own stops and otherwise is scipy's.  On stagnation
-    the search restarts from a jitter of the best point (seed 0), at most
-    ``MAX_RESTARTS`` times; a fit that still fails is returned with
-    ``converged=False`` rather than raised, so callers can inspect the
-    partial result.  ``grad_tol`` must be finite and positive and
+    instead of walking the flat valley around it.  An attempt still running
+    after iteration max(n_ops, 30) gets one Levenberg-Marquardt probe per
+    fit, from lambda = 0.  It ends exact fits, whose multipliers L-BFGS
+    chases to infinity for thousands of iterations, once it meets one of the
+    first two tests (message ``lm: ...``; ``iterations`` counts both
+    methods).  It declines on the signs of noisy data (the third test passes,
+    dF falls less than 10x in 10 iterations, or its damping overflows), and
+    L-BFGS goes on with its memory intact, so noisy fits keep their bits
+    rather than take the probe's minimum, which overfits the noise.  The
+    report's message names the package's own stops and otherwise is
+    scipy's.  On stagnation the search restarts from a jitter of the best
+    point (seed 0), at most ``MAX_RESTARTS`` times; a fit that still fails
+    is returned with ``converged=False`` rather than raised, so callers can
+    inspect the partial result.  ``grad_tol`` must be finite and positive and
     ``max_iter`` an integer of at least 1 (ValueError otherwise).
 
     scipy's optimizer and the OpenBLAS it bundles are loaded on the first
@@ -330,6 +386,9 @@ def fit(
 
     grad = None  # gradient of the last evaluation
     stop = None  # the package's reason for ending the current attempt
+    it = 0  # iterations of the current attempt
+    probe_at = max(observables.n_ops, 30)  # 30 is the L-BFGS memory, maxcor
+    lm = None  # the probe's answer, once it accepts
 
     def objective(x):
         nonlocal grad
@@ -338,12 +397,16 @@ def fit(
 
     def callback(intermediate_result):
         # L-BFGS-B evaluates each accepted point last, so grad belongs to it
-        nonlocal stop
+        nonlocal stop, it, probe_at, lm
         f = intermediate_result.fun
+        it += 1
         if f < CONVERGED_DF:
             stop = f"deviation floor: dF < {CONVERGED_DF:g}"
         elif np.max(np.abs(grad)) <= REL_GRAD_TOL * f:
             stop = f"relative gradient: |grad dF|inf <= {REL_GRAD_TOL:g} dF"
+        elif it == probe_at:  # once per fit; a declined probe leaves L-BFGS as it was
+            probe_at, lm = None, _lm_probe(observables, grad_tol)
+            stop = None if lm is None else lm[4]
         if stop is not None:
             raise StopIteration
 
@@ -351,7 +414,7 @@ def fit(
     best = None
     total_iter = 0
     for attempt in range(MAX_RESTARTS + 1):
-        stop = None
+        stop, it = None, 0
         with _SCIPY_BLAS:
             res = minimize(
                 objective, x0, jac=True, method="L-BFGS-B",
@@ -361,14 +424,14 @@ def fit(
                     "ftol": 0.0, "gtol": grad_tol, "maxcor": 30, "maxls": 60,
                 },
             )
-        total_iter += int(res.nit)
-        f_res = float(res.fun)
-        ginf = float(np.max(np.abs(res.jac)))
+        x, f_res, jac, lm_iter = (res.x, float(res.fun), res.jac, 0) if lm is None else lm[:4]
+        total_iter += int(res.nit) + lm_iter
+        ginf = float(np.max(np.abs(jac)))
         converged = ginf < grad_tol or f_res < CONVERGED_DF or stop is not None
         # a converged attempt is the answer even if an earlier, unconverged
         # one stalled at a lower deviation
         if converged or best is None or f_res < best[1]:
-            best = (res.x.copy(), f_res, ginf, stop or str(res.message))
+            best = (x.copy(), f_res, ginf, stop or str(res.message))
         if converged:
             break
         if attempt < MAX_RESTARTS:

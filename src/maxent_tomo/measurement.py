@@ -287,6 +287,12 @@ class ObservableSet:
         ops = self.operators
         return (coeffs @ ops.reshape(len(ops), -1)).reshape(ops.shape[1:])
 
+    def transformed(self, v: np.ndarray) -> np.ndarray:
+        """V^dagger G_nu V for every operator, an (n_ops, N, N) array, from the
+        groups: W_j^dagger B_k W_j with W_j = diag(v_j) V."""
+        return np.concatenate([w.conj().T @ (bases @ w) for phases, bases in self.groups
+                               for w in phases[:, :, None] * v])
+
     def with_means(self, means: np.ndarray) -> "ObservableSet":
         out = copy.copy(self)
         out.means = self._per_op("means", means)

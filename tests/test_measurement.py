@@ -479,6 +479,21 @@ def test_group_validation_agrees_with_dense_validation(monkeypatch, trap, pertur
         assert re.match(r".*operator \('bin', 0, -13\) ", error)
 
 
+def test_transformed_operators_match_the_dense_stack(trap, space16):
+    """V^dagger G_nu V from the groups equals the same product of the dense
+    operators, for a built level (bin group and number group) and for a set
+    given as a dense stack, at a random unitary V."""
+    rng = np.random.default_rng(8)
+    raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    v = np.linalg.qr(raw)[0]
+    grid = default_bin_grid(trap, nbar=0.5, half_count=4)
+    built = build_observation_level(trap, grid, (0.0, 0.7, 2.1), 0.5, space16)
+    dense = ObservableSet(operators=built.operators[::5], labels=built.labels[::5])
+    for obs in (built, dense):
+        reference = np.einsum("ab,kbc,cd->kad", v.conj().T, obs.operators, v)
+        assert np.max(np.abs(obs.transformed(v) - reference)) < 1e-14
+
+
 def test_validate_checks_each_phase_for_unit_modulus():
     bases = np.stack([np.diag([0.5, 0.0]), np.diag([0.0, 0.5])])
     for phases in ([[1.0, 1.0], [1.0, 2.0]], [[1.0, 1.0], [np.nan, 1.0]]):
