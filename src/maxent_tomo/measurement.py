@@ -287,11 +287,29 @@ class ObservableSet:
         ops = self.operators
         return (coeffs @ ops.reshape(len(ops), -1)).reshape(ops.shape[1:])
 
-    def transformed(self, v: np.ndarray) -> np.ndarray:
-        """V^dagger G_nu V for every operator, an (n_ops, N, N) array, from the
-        groups: W_j^dagger B_k W_j with W_j = diag(v_j) V."""
-        return np.concatenate([w.conj().T @ (bases @ w) for phases, bases in self.groups
-                               for w in phases[:, :, None] * v])
+    def packed_transformed(self, v: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+        """Columns F_nu, an (N^2, n_ops) array, with F_mu . F_nu = sum_ab
+        kernel_ab conj(Gt_mu)_ab (Gt_nu)_ab for Gt = V^dagger G V and a real
+        symmetric, non-negative kernel: each Gt packed as its diagonal times
+        sqrt(kernel), then the real and the imaginary parts of its strict
+        upper triangle times sqrt(2 kernel).  Per group and phase, Gt =
+        W_j^dagger B_k W_j with W_j = diag(v_j) V comes from two products,
+        W_j^dagger [B_1 .. B_K], then that times W_j; no (n_ops, N, N) stack."""
+        n = self.dim
+        iu, ju = np.triu_indices(n, 1)
+        off = 2.0 * kernel[iu, ju]
+        scale = np.sqrt(np.concatenate([np.diagonal(kernel), off, off]))
+        out, col = np.empty((n * n, self.n_ops)), 0
+        for phases, bases in self.groups:
+            side = bases.transpose(1, 0, 2).reshape(n, -1).astype(np.complex128)
+            for w in phases[:, :, None] * v:
+                gt = ((w.conj().T @ side).reshape(-1, n) @ w).reshape(n, len(bases), n)
+                upper, block = gt[iu, :, ju], out[:, col:col + len(bases)]
+                block[:n] = np.diagonal(gt, axis1=0, axis2=2).real.T
+                block[n:n + len(iu)], block[n + len(iu):] = upper.real, upper.imag
+                col += len(bases)
+        out *= scale[:, None]
+        return out
 
     def with_means(self, means: np.ndarray) -> "ObservableSet":
         out = copy.copy(self)

@@ -20,6 +20,7 @@ from maxent_tomo import (
     default_bin_grid,
     deviation,
     entropy,
+    even_cat,
     fidelity,
     fit,
     ladder_operators,
@@ -407,6 +408,35 @@ def test_mean_jacobian_matches_finite_differences_and_the_gradient(level, accept
     assert np.max(np.abs(from_jac - grad)) < 1e-12 * np.max(np.abs(grad))
 
 
+@pytest.mark.parametrize("level", ["random", "acceptance"])
+def test_packed_jacobian_is_symmetric_and_matches_the_unpacked_formula(level, acceptance_level):
+    """J = m m^T - F^T F from the packed Hermitian features equals its own
+    transpose bit for bit and the unpacked <G_mu><G_nu> - sum_ab
+    conj(Gt_mu)_ab phi_ab (Gt_nu)_ab / Z over the dense stack, Gt = V+ G V,
+    to 1e-14 relative (measured 1.2e-15 and 1.9e-17)."""
+    from maxent_tomo import maxent
+
+    rng = np.random.default_rng(41)
+    if level == "random":
+        obs = _random_obs(rng, 6, 5)
+        obs = ObservableSet(operators=obs.operators, labels=obs.labels, means=obs.means,
+                            weights=rng.uniform(0.5, 2.0, 5))
+        lam = rng.uniform(-1.0, 1.0, 5)
+    else:
+        obs, ideal = acceptance_level
+        obs = obs.with_record(ideal)
+        lam = rng.uniform(-0.5, 0.5, obs.n_ops)
+    model, jac = maxent._mean_jacobian(lam, obs)
+    assert np.array_equal(jac, jac.T)
+    d, v = maxent._spectrum(lam, obs)
+    e, q, z, _ = maxent._gibbs(d, v)
+    gt = (v.conj().T @ obs.operators @ v).reshape(obs.n_ops, -1)
+    unpacked = np.real(gt.conj() * maxent._phi_kernel(e, q).ravel() @ gt.T) / z
+    means = obs.expectations(canonical_state(lam, obs).rho.matrix)
+    reference = np.outer(means, means) - unpacked
+    assert np.max(np.abs(jac - reference)) < 1e-14 * np.max(np.abs(reference))
+
+
 def test_exact_fits_do_not_depend_on_rounding_of_the_data(acceptance_level):
     """Eight 1-ulp perturbations of the exact acceptance-1 means: each ends
     in the second-order probe with no restart, after the same number of
@@ -454,6 +484,81 @@ def test_noisy_fits_keep_their_bits_when_the_probe_declines(monkeypatch, accepta
     assert np.array_equal(state.lambdas.flat(), state_off.lambdas.flat())
     assert report.to_dict() == report_off.to_dict()
     assert report.converged and report.message.startswith("relative gradient")
+
+
+def test_exact_fit_reaches_the_probe_before_iteration_n_ops(monkeypatch, acceptance_level):
+    """On the exact acceptance-1 data dF falls more than 10x within one
+    L-BFGS memory (30 iterations) by iteration 60, so the probe runs once,
+    long before the n_ops = 205 trigger, and the fit ends in it."""
+    from maxent_tomo import maxent
+
+    obs, ideal = acceptance_level
+    real_probe, answers = maxent._lm_probe, []
+
+    def recording(*args):
+        answers.append(real_probe(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(maxent, "_lm_probe", recording)
+    _, report = fit(obs.with_record(ideal), grad_tol=1e-13)
+    assert len(answers) == 1 and answers[0] is not None
+    lbfgs = report.iterations - answers[0][3]  # the probe returns its own count
+    assert obs.n_ops == 205 and lbfgs < 205
+    assert report.converged and report.restarts == 0
+    assert report.message.startswith("lm: ") and report.iterations < 205
+
+
+def test_noisy_cat_fits_keep_their_bits_and_probe_only_past_n_ops(monkeypatch, trap, space16):
+    """Acceptance-3 noise seeds 0-9, the noisy fits whose dF falls fastest
+    early on: no fit reaches the early trigger (dF falls at most 1.4x per
+    30 iterations), so each gives the multipliers and report of a twin whose
+    probe always declines, bit for bit, and the probe runs exactly in the
+    fits where that twin ran past n_ops = 205 iterations."""
+    from maxent_tomo import maxent
+
+    cat = even_cat(space16, math.sqrt(2.0))
+    nbar = float(np.abs(cat.amplitudes) ** 2 @ np.arange(16))
+    grid = default_bin_grid(trap, nbar=nbar, half_count=25)
+    obs = build_observation_level(trap, grid, rotations(trap), nbar, space16)
+    ideal = simulate_ideal(cat, obs)
+    real_probe, past = maxent._lm_probe, []
+    for seed in range(10):
+        noisy = obs.with_record(add_noise(ideal, NoiseSpec(eta=0.1, seed=seed), nbar_noisy=2.09))
+        calls = []
+        monkeypatch.setattr(maxent, "_lm_probe",
+                            lambda *args: calls.append(args) or real_probe(*args))
+        state, report = fit(noisy)
+        monkeypatch.setattr(maxent, "_lm_probe", lambda *args: None)
+        state_off, report_off = fit(noisy)
+        assert np.array_equal(state.lambdas.flat(), state_off.lambdas.flat())
+        assert report.to_dict() == report_off.to_dict()
+        assert report_off.restarts == 0
+        assert len(calls) == (report_off.iterations > obs.n_ops)
+        past.append(report_off.iterations > obs.n_ops)
+    assert 0 < sum(past) < 10  # both kinds of fit occur
+
+
+def test_nearly_noise_free_fit_declines_an_early_probe_and_says_why_it_stopped(
+        monkeypatch, acceptance_level):
+    """eta = 1e-3 on the acceptance-1 level (noise seed 0): dF falls more
+    than 10x in 30 iterations, so the probe runs before iteration 205, meets
+    the noise floor and declines.  The fit keeps the bits of a twin whose
+    probe always declines and ends on L-BFGS-B's own gradient test, which
+    the report names in the package's wording, not scipy's."""
+    from maxent_tomo import maxent
+
+    obs, ideal = acceptance_level
+    obs = obs.with_record(add_noise(ideal, NoiseSpec(eta=1e-3, seed=0), nbar_noisy=0.5))
+    real_probe, answers = maxent._lm_probe, []
+    monkeypatch.setattr(maxent, "_lm_probe",
+                        lambda *args: answers.append(real_probe(*args)) or answers[-1])
+    state, report = fit(obs)
+    assert answers == [None] and report.iterations < 205
+    monkeypatch.setattr(maxent, "_lm_probe", lambda *args: None)
+    state_off, report_off = fit(obs)
+    assert np.array_equal(state.lambdas.flat(), state_off.lambdas.flat())
+    assert report.to_dict() == report_off.to_dict()
+    assert report.converged and report.message == "gradient: |grad dF|inf < 1e-09"
 
 
 def test_fit_flags_non_convergence(trap, space16):

@@ -480,18 +480,31 @@ def test_group_validation_agrees_with_dense_validation(monkeypatch, trap, pertur
 
 
 def test_transformed_operators_match_the_dense_stack(trap, space16):
-    """V^dagger G_nu V from the groups equals the same product of the dense
-    operators, for a built level (bin group and number group) and for a set
-    given as a dense stack, at a random unitary V."""
+    """V^dagger G_nu V from the groups, packed at a kernel k, equals the same
+    product of the dense operators packed by hand: the diagonal times
+    sqrt(k), then the real and the imaginary strict upper triangle times
+    sqrt(2 k), so that F^T F is sum_ab k_ab conj(Gt_mu)_ab (Gt_nu)_ab.  For a
+    built level (bin group and number group) and for a set given as a dense
+    stack, at a random unitary V and a random symmetric kernel."""
     rng = np.random.default_rng(8)
     raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     v = np.linalg.qr(raw)[0]
+    kernel = rng.uniform(0.0, 1.0, (16, 16))
+    kernel = 0.5 * (kernel + kernel.T)
+    iu, ju = np.triu_indices(16, 1)
     grid = default_bin_grid(trap, nbar=0.5, half_count=4)
     built = build_observation_level(trap, grid, (0.0, 0.7, 2.1), 0.5, space16)
     dense = ObservableSet(operators=built.operators[::5], labels=built.labels[::5])
     for obs in (built, dense):
         reference = np.einsum("ab,kbc,cd->kad", v.conj().T, obs.operators, v)
-        assert np.max(np.abs(obs.transformed(v) - reference)) < 1e-14
+        upper = reference[:, iu, ju] * np.sqrt(2.0 * kernel[iu, ju])
+        diag = np.real(np.diagonal(reference, axis1=1, axis2=2)) * np.sqrt(np.diag(kernel))
+        by_hand = np.concatenate([diag, upper.real, upper.imag], axis=1).T
+        packed = obs.packed_transformed(v, kernel)
+        assert packed.shape == (256, obs.n_ops)
+        assert np.max(np.abs(packed - by_hand)) < 1e-14 * np.max(np.abs(by_hand))
+        gram = np.real(np.einsum("mab,ab,nab->mn", reference.conj(), kernel, reference))
+        assert np.max(np.abs(packed.T @ packed - gram)) < 1e-14 * np.max(np.abs(gram))
 
 
 def test_validate_checks_each_phase_for_unit_modulus():
