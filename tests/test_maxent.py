@@ -561,6 +561,39 @@ def test_nearly_noise_free_fit_declines_an_early_probe_and_says_why_it_stopped(
     assert report.converged and report.message == "gradient: |grad dF|inf < 1e-09"
 
 
+def test_probe_ends_exact_fits_within_30_steps_and_declines_noisy_ones(trap, space16):
+    """The probe on its own, from lambda = 0: the exact data of acceptance 1,
+    3 (ideal) and both acceptance-5 levels end in an accept within 30 LM
+    iterations (21-24 with Marquardt's mu / 5; Nielsen's gain-ratio rule
+    took 53-80), and the acceptance-2 and acceptance-3 noise seeds 0-9 all
+    decline."""
+    from maxent_tomo import maxent
+
+    pair = superposition(space16, [1.0, 1.0])
+    cat = even_cat(space16, math.sqrt(2.0))
+    nbar_cat = float(np.abs(cat.amplitudes) ** 2 @ np.arange(16))
+    point = make_trap(cloud_rms=1e-12)
+    three = (0.0, math.pi / 4.0, math.pi / 2.0)
+
+    def level(cfg, state, nbar, thetas, half_count):
+        grid = default_bin_grid(cfg, nbar=nbar, half_count=half_count)
+        obs = build_observation_level(cfg, grid, thetas, nbar, space16)
+        return obs, simulate_ideal(state, obs)
+
+    four_pair = level(trap, pair, 0.5, rotations(trap), 25)
+    four_cat = level(trap, cat, nbar_cat, rotations(trap), 25)
+    for (obs, ideal), grad_tol in ((four_pair, 1e-13), (four_cat, 1e-13),
+                                   (level(point, pair, 0.5, three, 50), 1e-11),
+                                   (level(point, cat, nbar_cat, three, 50), 1e-11)):
+        answer = maxent._lm_probe(obs.with_record(ideal), grad_tol)
+        assert answer is not None and answer[4].startswith("lm: ")
+        assert answer[3] <= 30
+    for (obs, ideal), nbar_noisy in ((four_pair, 0.6), (four_cat, 2.09)):
+        for seed in range(10):
+            noisy = add_noise(ideal, NoiseSpec(eta=0.1, seed=seed), nbar_noisy=nbar_noisy)
+            assert maxent._lm_probe(obs.with_record(noisy), 1e-9) is None
+
+
 def test_fit_flags_non_convergence(trap, space16):
     grid = default_bin_grid(trap, nbar=0.5, half_count=5)
     obs = build_observation_level(trap, grid, (0.0, 0.9), 0.5, space16)
@@ -747,7 +780,43 @@ def test_unconverged_report_describes_the_best_attempt_only(monkeypatch):
     assert report.restarts == 3
     assert report.delta_f == 1e-6
     assert report.grad_inf_norm == 1e-3
-    assert report.message == "scripted attempt 0"
+    assert report.message == "L-BFGS-B: scripted attempt 0"
+
+
+@pytest.mark.parametrize("status, nit, message", [
+    (1, 10, "iteration cap: 10 iterations"),
+    (1, 4, "evaluation cap: 30 evaluations"),
+    (2, 4, "stalled line search: no lower dF along the search direction"),
+    (7, 4, "L-BFGS-B: ERROR: scripted"),
+])
+def test_unconverged_attempts_name_their_stop_in_the_package_words(monkeypatch, status, nit,
+                                                                    message):
+    """L-BFGS-B's status 1 is the iteration cap (nit reached max_iter) or
+    the evaluation cap (3 max_iter), status 2 a stalled line search; any
+    other status keeps scipy's text after the optimizer's name."""
+    from scipy.optimize import OptimizeResult
+
+    from maxent_tomo import maxent
+
+    obs = ObservableSet(operators=[ladder_operators(FockSpace(8)).n], labels=[("nbar",)],
+                        means=np.array([0.5]))
+    monkeypatch.setattr(maxent, "minimize", lambda *args, **kwargs: OptimizeResult(
+        x=np.array([1.0]), fun=1e-6, jac=np.array([1e-3]), nit=nit, status=status,
+        message="ERROR: scripted"))
+    _, report = fit(obs, max_iter=10, grad_tol=1e-9)
+    assert not report.converged and report.message == message
+
+
+def test_capped_fit_names_the_iteration_cap(acceptance_level):
+    """README-like noisy data at max_iter = 5: every attempt ends on the
+    cap, and the report says so in the package's words, not scipy's."""
+    from maxent_tomo import maxent
+
+    obs, ideal = acceptance_level
+    obs = obs.with_record(add_noise(ideal, NoiseSpec(eta=0.1, seed=7), nbar_noisy=0.5))
+    _, report = fit(obs, max_iter=5)
+    assert not report.converged and report.restarts == maxent.MAX_RESTARTS
+    assert report.message == "iteration cap: 5 iterations"
 
 
 # ---------------------------------------------------------------------------
