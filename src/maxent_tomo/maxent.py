@@ -47,9 +47,8 @@ CONVERGED_DF = 1e-14
 # relative-gradient stop |grad dF|inf <= REL_GRAD_TOL * dF (Dennis & Schnabel
 # 1983, sec. 7.2); 1e-5 stopped a rounding-perturbed exact fit on a plateau
 REL_GRAD_TOL = 1e-6
-# restarts from a jitter of the best point after a stalled L-BFGS run
-MAX_RESTARTS = 3
-# the package's own stop messages; L-BFGS-B's status 1 is either cap, 2 a stall
+# the package's own stop messages; L-BFGS-B's status 1 is either cap, and 2, or
+# 0 without the gradient test (under ftol = 0 no lower dF), is a stall
 FLOOR_STOP = f"deviation floor: dF < {CONVERGED_DF:g}"
 GRADIENT_STOP = "gradient: |grad dF|inf < {:g}"
 RELATIVE_STOP = f"relative gradient: |grad dF|inf <= {REL_GRAD_TOL:g} dF"
@@ -330,7 +329,10 @@ _SCIPY_BLAS = _OneBlasThread(_scipy_openblas)
 @dataclass
 class FitReport:
     """Outcome of one reconstruction: deviation at the optimum, entropy and
-    mean occupation of the fitted state, iteration counts and residuals."""
+    mean occupation of the fitted state, iteration counts and residuals.
+    ``restarts`` is always 0, since ``fit`` runs L-BFGS once; the field and
+    its ``report.json`` key stay because the benchmark (``perfbench``,
+    ``BENCHMARK.json``) records it as ``maxent.restarts``."""
 
     delta_f: float
     entropy: float
@@ -339,7 +341,7 @@ class FitReport:
     converged: bool
     residuals: np.ndarray
     grad_inf_norm: float
-    restarts: int
+    restarts: int = 0
     message: str = ""
 
     def to_dict(self) -> dict:
@@ -362,14 +364,13 @@ def fit(
     Exact data drive the deviation to 0 and stop on one of the first two;
     noisy data leave it a positive floor, and the third stops the fit there
     instead of walking the flat valley around it.  Each fit gets at most one
-    Levenberg-Marquardt probe, from lambda = 0, in the first attempt that
-    reaches iteration max(n_ops, 30) or, earlier, an iteration from 60 on at
-    which dF has fallen at least 10x over the last 30 (one L-BFGS memory;
-    the count restarts with each attempt).  Exact data fall that fast, and
-    the probe ends their fits, whose multipliers L-BFGS chases to infinity
-    for thousands of iterations, once it meets one of the first two tests
-    (message ``lm: ...``; ``iterations`` counts both methods, 60 + 23 on
-    acceptance 1).  It declines on the signs of noisy data (the third test
+    Levenberg-Marquardt probe, from lambda = 0, when L-BFGS reaches
+    iteration max(n_ops, 30) or, earlier, an iteration from 60 on at which
+    dF has fallen at least 10x over the last 30 (one L-BFGS memory).  Exact
+    data fall that fast, and the probe ends their fits, whose multipliers
+    L-BFGS chases to infinity for thousands of iterations, once it meets
+    one of the first two tests (message ``lm: ...``; ``iterations`` counts
+    both methods, 60 + 23 on acceptance 1).  It declines on the signs of noisy data (the third test
     passes, dF falls less than 10x in 10 iterations, or its damping
     overflows), and L-BFGS goes on with its memory intact, so noisy fits
     keep their bits rather than take the probe's minimum, which overfits
@@ -377,14 +378,15 @@ def fit(
     for a declined probe, 7-22 Jacobians or about 0.03-0.07 s at dimension
     16 with 205 observables.  The report's message names the stop in the
     package's words: the three tests, the probe (``lm: ...``), the
-    iteration cap (``max_iter``), the evaluation cap (3 ``max_iter``) and a
-    stalled line search; any other end of L-BFGS-B keeps scipy's text after
-    ``L-BFGS-B: ``.  On stagnation the search restarts from a jitter of the
-    best point (seed 0), at most ``MAX_RESTARTS`` times; a fit that still
-    fails is returned with ``converged=False`` rather than raised, so
-    callers can inspect the partial result.  ``grad_tol`` must be finite
-    and positive and ``max_iter`` an integer of at least 1 (ValueError
-    otherwise).
+    iteration cap, the evaluation cap (3 ``max_iter``) and a stall
+    (``STALL_STOP``: a step that did not lower dF, or a failed line
+    search); any other end of L-BFGS-B keeps scipy's text after
+    ``L-BFGS-B: ``.  ``max_iter`` caps the L-BFGS iterations; the probe's
+    steps count on top.  L-BFGS runs once: a fit that ends on a cap or a
+    stall is returned with ``converged=False`` rather than raised or
+    rerun, so callers can inspect the partial result.  ``grad_tol`` must
+    be finite and positive and ``max_iter`` an integer of at least 1
+    (ValueError otherwise).
 
     scipy's optimizer and the OpenBLAS it bundles are loaded on the first
     fit in the process, and the thread cap looks the library up right after
@@ -401,11 +403,10 @@ def fit(
             and max_iter >= 1):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     data = _require_means(observables)
-    x0 = np.zeros(observables.n_ops)
 
     grad = None  # gradient of the last evaluation
-    stop = None  # the package's reason for ending the current attempt
-    history = []  # dF at each iteration of the current attempt
+    stop = None  # the package's reason for ending the run early
+    history = []  # dF at each iteration
     memory = 30  # the L-BFGS memory, maxcor
     probe_at = max(observables.n_ops, memory)
     max_fun = 3 * max_iter
@@ -433,62 +434,47 @@ def fit(
         if stop is not None:
             raise StopIteration
 
-    rng = np.random.default_rng(0)
-    best = None
-    total_iter = 0
-    for attempt in range(MAX_RESTARTS + 1):
-        stop = None
-        history.clear()
-        with _SCIPY_BLAS:
-            res = minimize(
-                objective, x0, jac=True, method="L-BFGS-B",
-                callback=callback,
-                options={
-                    "maxiter": max_iter, "maxfun": max_fun,
-                    "ftol": 0.0, "gtol": grad_tol, "maxcor": memory, "maxls": 60,
-                },
-            )
-        x, f_res, jac, lm_iter = (res.x, float(res.fun), res.jac, 0) if lm is None else lm[:4]
-        total_iter += int(res.nit) + lm_iter
-        ginf = float(np.max(np.abs(jac)))
-        converged = ginf < grad_tol or f_res < CONVERGED_DF or stop is not None
-        # a converged attempt is the answer even if an earlier, unconverged
-        # one stalled at a lower deviation
-        if converged or best is None or f_res < best[1]:
-            status = res.get("status")  # a stand-in minimizer may omit it
-            if ginf < grad_tol:
-                message = GRADIENT_STOP.format(grad_tol)
-            elif status == 1:
-                message = (ITERATION_STOP.format(max_iter) if res.nit >= max_iter
-                           else EVALUATION_STOP.format(max_fun))
-            elif status == 2:
-                message = STALL_STOP
-            else:
-                message = f"L-BFGS-B: {res.message}"
-            best = (x.copy(), f_res, ginf, stop or message)
-        if converged:
-            break
-        if attempt < MAX_RESTARTS:
-            x0 = best[0] + 0.05 * rng.standard_normal(best[0].size) * (1.0 + np.abs(best[0]))
-
-    x_best, f_best, ginf_best, message = best
-    if observables.bin_shape is not None:
-        lam_out = LagrangeVector.from_flat(x_best, observables.bin_shape)
+    with _SCIPY_BLAS:
+        res = minimize(
+            objective, np.zeros(observables.n_ops), jac=True, method="L-BFGS-B",
+            callback=callback,
+            options={
+                "maxiter": max_iter, "maxfun": max_fun,
+                "ftol": 0.0, "gtol": grad_tol, "maxcor": memory, "maxls": 60,
+            },
+        )
+    x, f_res, jac, lm_iter = (res.x, float(res.fun), res.jac, 0) if lm is None else lm[:4]
+    ginf = float(np.max(np.abs(jac)))
+    converged = ginf < grad_tol or f_res < CONVERGED_DF or stop is not None
+    status = res.get("status")  # a stand-in minimizer may omit it
+    if stop is not None:
+        message = stop
+    elif ginf < grad_tol:
+        message = GRADIENT_STOP.format(grad_tol)
+    elif status == 1:
+        message = (ITERATION_STOP.format(max_iter) if res.nit >= max_iter
+                   else EVALUATION_STOP.format(max_fun))
+    elif status in (0, 2):
+        message = STALL_STOP
     else:
-        lam_out = x_best
+        message = f"L-BFGS-B: {res.message}"
+
+    if observables.bin_shape is not None:
+        lam_out = LagrangeVector.from_flat(x, observables.bin_shape)
+    else:
+        lam_out = x
     state = canonical_state(lam_out, observables)
     model = observables.expectations(state.rho.matrix)
     nbar_idx = observables.nbar_index
     nbar_fit = float(model[nbar_idx]) if nbar_idx is not None else float("nan")
     report = FitReport(
-        delta_f=f_best,
+        delta_f=f_res,
         entropy=entropy(state.rho),
         nbar_fit=nbar_fit,
-        iterations=total_iter,
+        iterations=int(res.nit) + lm_iter,
         converged=converged,
         residuals=model - data,
-        grad_inf_norm=ginf_best,
-        restarts=attempt,
+        grad_inf_norm=ginf,
         message=message,
     )
     return state, report
