@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -142,7 +141,8 @@ def gaussian_fit_center(cut: CutFile) -> GaussianFit:
     """Least-squares Gaussian-plus-constant fit of a cut.
 
     Deterministic moment initialization: center at the maximum, width from
-    the FWHM, background from the minimum value.
+    the FWHM, background from the minimum value.  MINPACK's lmdif, called
+    as curve_fit calls it; an info outside 1-4 raises FitDivergence.
     """
     z, od = cut.positions, cut.values
     if z.size < 5:
@@ -156,20 +156,15 @@ def gaussian_fit_center(cut: CutFile) -> GaussianFit:
              cut.pixel_width)
     if a0 <= 0:
         raise FitDivergence("flat profile: no peak to fit")
-    from scipy.optimize import OptimizeWarning, curve_fit
+    from .maxent import _optimize_extension
 
-    try:
-        with warnings.catch_warnings():
-            # the covariance is discarded, so its degeneracy on noise-free
-            # synthetic profiles is not worth a warning
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                _gauss_model, z, od,
-                p0=[a0, float(z[i_max]), s0, b0],
-                maxfev=20000,
-            )
-    except RuntimeError as exc:
-        raise FitDivergence(f"profile fit did not converge: {exc}") from exc
+    # MINPACK's lmdif with curve_fit's defaults: ftol = xtol = 1.49012e-8,
+    # gtol 0, epsfcn machine epsilon, factor 100, no diag
+    popt, ier = _optimize_extension("_minpack")._lmdif(
+        lambda p: _gauss_model(z, *p) - od, np.array([a0, float(z[i_max]), s0, b0]), (),
+        0, 1.49012e-8, 1.49012e-8, 0.0, 20000, np.finfo(float).eps, 100, None)
+    if ier not in (1, 2, 3, 4):
+        raise FitDivergence(f"profile fit did not converge (lmdif info {ier})")
     amp, center, sigma, background = (float(v) for v in popt)
     sigma = abs(sigma)
     if not np.isfinite(center) or sigma > 10.0 * span or amp <= 0:

@@ -23,9 +23,11 @@ exponentials are ever formed.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
+import types
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -243,25 +245,87 @@ def _lm_probe(observables: ObservableSet, grad_tol: float):
 # fitting
 
 
-def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported on the first call so that commands
-    which never fit do not load scipy."""
-    from scipy.optimize import minimize as scipy_minimize
+SCIPY_FLOOR = "scipy>=1.15"  # its C port of L-BFGS-B has this calling sequence:
+SETULB = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+_TASK_ENDS = {4: "CONVERGENCE", 5: "STOP", 6: "WARNING", 7: "ERROR", 8: "ABNORMAL"}
 
-    return scipy_minimize(fun, x0, **kwargs)
+
+@functools.cache
+def _optimize_extension(name: str):
+    """scipy.optimize's compiled module ``name``, loaded from its file alone:
+    scipy/optimize/__init__.py (0.5 s of imports) never runs."""
+    import importlib.util
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "optimize")
+    spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+        f"scipy.optimize.{name}")
+    if spec is None:
+        raise ImportError(f"no compiled scipy.optimize.{name} in {folder}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if name == "_lbfgsb" and not (module.setulb.__doc__ or "").startswith(SETULB):
+        raise ImportError(f"maxent-tomo needs {SCIPY_FLOOR}, whose L-BFGS-B is {SETULB}")
+    return module
+
+
+def minimize(fun, x0, *, callback, maxcor, ftol, gtol, maxiter, maxfun, maxls):
+    """``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+    callback=callback, options=...)`` bit for bit, without importing
+    scipy.optimize: its reverse-communication loop around the compiled
+    ``setulb``, unbounded.  ``fun(x)`` returns (f, gradient); a callback
+    raising StopIteration halts the run.  The result has x, fun and jac (the
+    last evaluation), nit, nfev, status (0 converged, 1 a cap, 99 the
+    callback's halt, 2 other) and message (setulb's end state and task
+    code)."""
+    setulb = _optimize_extension("_lbfgsb").setulb
+    x = np.array(x0, dtype=np.float64).ravel()
+    n, m = x.size, maxcor
+    f, g, x_f = 0.0, np.zeros(n), None  # the last evaluation, and where
+    free, nbd = np.zeros(n), np.zeros(n, np.int32)  # nbd 0: no bound on any variable
+    wa, iwa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = (np.zeros(k, np.int32) for k in (2, 2, 4))
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    nfev, nit, halted = 0, 0, False
+    while True:
+        setulb(m, x, free, free, nbd, f, g, ftol / np.finfo(float).eps, gtol, wa, iwa,
+               task, lsave, isave, dsave, maxls, ln_task)
+        if task[0] == 3:  # f and g at x; an unchanged x reuses the last evaluation
+            if x_f is None or not np.array_equal(x, x_f):
+                x_f, nfev = x.copy(), nfev + 1
+                f, g = fun(x.copy())
+                g = np.array(g, dtype=np.float64)
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            try:
+                callback(types.SimpleNamespace(x=x, fun=f))
+            except StopIteration:
+                task[:], halted = (5, 505), True
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > maxfun:
+                task[:] = 5, 502
+        else:
+            break
+    status = 99 if halted else 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
+    return types.SimpleNamespace(x=x, fun=f, jac=g, nit=nit, nfev=nfev, status=status,
+                                 message=f"{_TASK_ENDS.get(task[0], task[0])}: task {task[1]}")
 
 
 def _scipy_openblas():
-    """(get, set) of the thread count of the OpenBLAS that scipy's optimizer
+    """(get, set) of the thread count of the OpenBLAS that scipy's L-BFGS-B
     uses, or None where scipy links some other BLAS (MKL, Accelerate, a
     system library) or the library lacks the two symbols.
 
-    Imports scipy.optimize first, which loads that OpenBLAS: the lookup
-    below only finds a copy already in the process."""
+    Loads ``_lbfgsb`` first, which links that OpenBLAS: the lookup below
+    only finds a copy already in the process."""
     import ctypes
 
-    import scipy.optimize
+    import scipy
 
+    _optimize_extension("_lbfgsb")
     # the wheels bundle it in scipy.libs, next to the scipy package
     folder = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
     try:
@@ -294,7 +358,7 @@ class _OneBlasThread:
     the process, so nested and concurrent entries share one cap: the first
     entry saves the count, the last exit restores it.  The library is
     looked up once, on the first entry, and ``locate`` must load it before
-    looking: a lookup that runs before scipy's optimizer is imported finds
+    looking: a lookup that runs before scipy's L-BFGS-B is loaded finds
     nothing, and the cap would then stay off for the life of the process.
     Where ``locate`` finds none, entering does nothing."""
 
@@ -380,22 +444,22 @@ def fit(
     package's words: the three tests, the probe (``lm: ...``), the
     iteration cap, the evaluation cap (3 ``max_iter``) and a stall
     (``STALL_STOP``: a step that did not lower dF, or a failed line
-    search); any other end of L-BFGS-B keeps scipy's text after
-    ``L-BFGS-B: ``.  ``max_iter`` caps the L-BFGS iterations; the probe's
-    steps count on top.  L-BFGS runs once: a fit that ends on a cap or a
-    stall is returned with ``converged=False`` rather than raised or
+    search); only a stand-in minimizer's status other than 0, 1, 2 or 99
+    keeps its text after ``L-BFGS-B: ``.  ``max_iter`` caps the L-BFGS
+    iterations; the probe's steps count on top.  L-BFGS runs once: a fit
+    that ends on a cap or a stall is returned with ``converged=False`` rather than raised or
     rerun, so callers can inspect the partial result.  ``grad_tol`` must
     be finite and positive and ``max_iter`` an integer of at least 1
     (ValueError otherwise).
 
-    scipy's optimizer and the OpenBLAS it bundles are loaded on the first
-    fit in the process, and the thread cap looks the library up right after
-    that.  Each L-BFGS run holds that OpenBLAS at one thread and then
-    restores the count it found (a no-op for other BLAS builds).  That
-    count is global to the process: fits running concurrently in several
-    Python threads share one cap, which lasts until the last of them leaves
-    the optimizer, and other scipy BLAS work in the process meanwhile runs
-    on one thread too.  numpy's BLAS threads are not touched.
+    scipy's compiled L-BFGS-B, without scipy.optimize, and the OpenBLAS it
+    links are loaded on the first fit in the process, and the thread cap
+    looks the library up right after that.  Each L-BFGS run holds that
+    OpenBLAS at one thread and then restores the count it found (a no-op
+    for other BLAS builds).  That count is global to the process: fits
+    running concurrently in several Python threads share one cap, which
+    lasts until the last of them leaves the optimizer, and other scipy BLAS
+    work in the process meanwhile runs on one thread too.  numpy's BLAS threads are not touched.
     """
     if not (math.isfinite(grad_tol) and grad_tol > 0):
         raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")
@@ -435,18 +499,13 @@ def fit(
             raise StopIteration
 
     with _SCIPY_BLAS:
-        res = minimize(
-            objective, np.zeros(observables.n_ops), jac=True, method="L-BFGS-B",
-            callback=callback,
-            options={
-                "maxiter": max_iter, "maxfun": max_fun,
-                "ftol": 0.0, "gtol": grad_tol, "maxcor": memory, "maxls": 60,
-            },
-        )
+        res = minimize(objective, np.zeros(observables.n_ops), callback=callback,
+                       maxiter=max_iter, maxfun=max_fun, ftol=0.0, gtol=grad_tol,
+                       maxcor=memory, maxls=60)
     x, f_res, jac, lm_iter = (res.x, float(res.fun), res.jac, 0) if lm is None else lm[:4]
     ginf = float(np.max(np.abs(jac)))
     converged = ginf < grad_tol or f_res < CONVERGED_DF or stop is not None
-    status = res.get("status")  # a stand-in minimizer may omit it
+    status = getattr(res, "status", None)  # a stand-in minimizer may omit it
     if stop is not None:
         message = stop
     elif ginf < grad_tol:

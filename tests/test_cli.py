@@ -254,28 +254,34 @@ import contextlib, io, json, sys
 import maxent_tomo.cli
 from maxent_tomo import FockSpace, fock_state, write_density_matrix
 from maxent_tomo.cli import main
-cfg, out = sys.argv[1], sys.argv[2]
+cfg, out, cut_cfg, cuts = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
 rho = out + "/state_true.json"
 steps = {"import": None, "--help": ["--help"],
          "simulate": ["simulate", "--config", cfg, "--out", out],
          "wigner": ["wigner", "--rho", rho, "--points", "33", "--out", out],
          "report": ["report", "--rho", rho, "--reference", rho],
          "reconstruct": ["reconstruct", "--config", cfg, "--record", out + "/record.csv",
-                         "--out", out]}
+                         "--out", out],
+         "reconstruct --cut": ["reconstruct", "--config", cut_cfg]
+                              + [arg for p in cuts for arg in ("--cut", p)]
+                              + ["--nbar", "0.5", "--fixed-center", "0", "--out", out + "/cuts"]}
 seen = {}
 for name, argv in steps.items():
     with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
         code = main(argv) if argv else 0
         assert code == 0, (name, code)
-    seen[name] = "scipy" in sys.modules
+    seen[name] = ["scipy" in sys.modules, "scipy.optimize" in sys.modules]
 print(json.dumps(seen))
 """
 
 
-def test_only_reconstruct_loads_scipy(tmp_path):
+def test_only_reconstruct_loads_scipy(cut_files, tmp_path):
     """In a fresh interpreter, importing the CLI and running --help,
     simulate (a superposition), wigner and report leave scipy unloaded; the
-    fit in reconstruct loads it."""
+    fits in reconstruct, from a record and from cuts with background
+    subtraction (a Gaussian profile fit per cut), load scipy but never
+    scipy.optimize, whose imports cost about 0.5 s: they load its compiled
+    L-BFGS-B and MINPACK alone."""
     import os
     import subprocess
     import sys
@@ -284,12 +290,16 @@ def test_only_reconstruct_loads_scipy(tmp_path):
 
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CONFIG)
+    cut_cfg = tmp_path / "cuts.cfg"
+    cut_cfg.write_text(CUT_CONFIG)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maxent_tomo.__file__))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(cfg), str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(cfg), str(tmp_path),
+                           str(cut_cfg), *cut_files[1]],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    free, fitted = [False, False], [True, False]
     assert json.loads(proc.stdout) == {
-        "import": False, "--help": False, "simulate": False, "wigner": False,
-        "report": False, "reconstruct": True,
+        "import": free, "--help": free, "simulate": free, "wigner": free, "report": free,
+        "reconstruct": fitted, "reconstruct --cut": fitted,
     }

@@ -103,6 +103,45 @@ def test_gaussian_fit_recovers_parameters():
     assert prof.background == pytest.approx(0.21, abs=1e-8)
 
 
+def _demo_cuts():
+    """The four cuts demos/ingest_cuts.py writes to demos/cuts_demo/: exact
+    camera-pixel means of (|0> + |1>)/sqrt(2) at the README's hold times,
+    scaled by 37 on a 0.002 offset."""
+    trap, space, taus_us = make_trap(), FockSpace(16), (0.0, 1.6, 3.2, 4.8)
+    pixels = default_bin_grid(trap, nbar=0.5, half_count=120, margin=8.0)
+    thetas = [trap.omega_z * tau * 1e-6 for tau in taus_us]
+    record = simulate_ideal(superposition(space, [1.0, 1.0]),
+                            build_observation_level(trap, pixels, thetas, 0.5, space))
+    return [CutFile(tau_us=tau, positions=pixels.centers(),
+                    values=37.0 * record.values[i] + 0.002, pixel_width=pixels.width)
+            for i, tau in enumerate(taus_us)]
+
+
+def test_gaussian_fit_matches_curve_fit_bit_for_bit():
+    """The profile fit calls MINPACK's lmdif directly, as curve_fit does:
+    on the demo's four cuts and on noisy copies of them, its parameters
+    are curve_fit's, bit for bit."""
+    from scipy.optimize import curve_fit
+
+    from maxent_tomo.io import _gauss_model
+
+    rng = np.random.default_rng(20)
+    cuts = _demo_cuts()
+    cuts += [dataclasses.replace(c, values=c.values + rng.normal(0.0, 0.02 * c.values.max(),
+                                                                 c.values.size))
+             for c in cuts for _ in range(2)]
+    for cut in cuts:
+        prof = gaussian_fit_center(cut)
+        z, od = cut.positions, cut.values
+        b0 = float(od.min())
+        s0 = max(float(np.count_nonzero(od - b0 > 0.5 * (od.max() - b0))) * cut.pixel_width
+                 / 2.355, cut.pixel_width)
+        popt, _ = curve_fit(_gauss_model, z, od,
+                            p0=[od.max() - b0, z[np.argmax(od)], s0, b0], maxfev=20000)
+        assert (prof.amplitude, prof.center, prof.sigma, prof.background) == (
+            popt[0], popt[1], abs(popt[2]), popt[3])
+
+
 def test_gaussian_fit_rejects_flat_and_short_cuts():
     flat = CutFile(tau_us=0.0, positions=np.linspace(-1e-4, 1e-4, 50),
                    values=np.full(50, 0.3), pixel_width=4e-6)
@@ -111,6 +150,19 @@ def test_gaussian_fit_rejects_flat_and_short_cuts():
     with pytest.raises(ValueError):
         gaussian_fit_center(CutFile(tau_us=0.0, positions=np.linspace(0, 1, 4),
                                     values=np.ones(4), pixel_width=0.25))
+
+
+def test_profile_fit_that_does_not_converge_raises_fit_divergence(monkeypatch):
+    """lmdif's info 5 (20000 evaluations) and every other info outside 1-4
+    raise FitDivergence, as curve_fit's RuntimeError did."""
+    import types
+
+    from maxent_tomo import maxent
+
+    stand_in = types.SimpleNamespace(_lmdif=lambda fun, x0, *args: (x0, 5))
+    monkeypatch.setattr(maxent, "_optimize_extension", lambda name: stand_in)
+    with pytest.raises(FitDivergence, match="info 5"):
+        gaussian_fit_center(_gaussian_cut())
 
 
 # ---------------------------------------------------------------------------

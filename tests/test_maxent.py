@@ -812,6 +812,104 @@ def test_stalled_noisy_fit_is_reported_as_a_stall(acceptance_level):
     assert fidelity(psi.density(), state.rho) >= 0.98
 
 
+def _through_scipy(fun, x0, callback=None, **options):
+    """The fit's minimizer call made through scipy.optimize.minimize."""
+    import scipy.optimize
+
+    return scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", callback=callback,
+                                   options=options)
+
+
+def _assert_same_run(ours, theirs):
+    assert np.array_equal(ours.x, theirs.x)
+    assert ours.fun == theirs.fun
+    assert np.array_equal(ours.jac, theirs.jac)
+    assert (ours.nit, ours.nfev, ours.status) == (theirs.nit, theirs.nfev, theirs.status)
+
+
+@pytest.mark.parametrize("eta, seed, max_iter, nit, status", [
+    (0.1, 2, 20000, 516, 99),  # acceptance 2, noise seed 2: halted on the relative gradient
+    (0.02, 6, 20000, 207, 0),  # the stall of demos/noisy_reconstruction.py
+    (0.1, 7, 5, 5, 1),  # the iteration cap
+])
+def test_minimize_runs_as_scipy_minimize(monkeypatch, acceptance_level, eta, seed, max_iter,
+                                       nit, status):
+    """fit's L-BFGS-B run through the package's setulb loop and through
+    scipy.optimize.minimize(method="L-BFGS-B", jac=True), each with a
+    fresh fit's options and callback: the same x, dF, gradient, iterations,
+    evaluations and status, bit for bit."""
+    from maxent_tomo import maxent
+
+    obs, ideal = acceptance_level
+    obs = obs.with_record(add_noise(ideal, NoiseSpec(eta=eta, seed=seed), nbar_noisy=0.6))
+    runs = []
+    for minimizer in (maxent.minimize, _through_scipy):
+        def recording(*args, minimizer=minimizer, **kwargs):
+            runs.append(minimizer(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(maxent, "minimize", recording)
+        fit(obs, max_iter=max_iter)
+    ours, theirs = runs
+    _assert_same_run(ours, theirs)
+    assert (ours.nit, ours.status) == (nit, status)
+
+
+def test_minimize_halts_on_a_callback_stop_iteration_as_scipy_does(acceptance_level):
+    """A callback that raises StopIteration at iteration 7 ends both runs
+    there, after the same iterates."""
+    from maxent_tomo import maxent
+
+    obs, ideal = acceptance_level
+    obs = obs.with_record(add_noise(ideal, NoiseSpec(eta=0.1, seed=2), nbar_noisy=0.6))
+    options = {"maxiter": 100, "maxfun": 300, "ftol": 0.0, "gtol": 1e-9, "maxcor": 30,
+               "maxls": 60}
+    runs, seen = [], []
+    for minimizer in (maxent.minimize, _through_scipy):
+        seen.append([])
+
+        def callback(intermediate_result):
+            seen[-1].append(intermediate_result.fun)
+            if len(seen[-1]) == 7:
+                raise StopIteration
+
+        runs.append(minimizer(lambda x: deviation(x, obs), np.zeros(obs.n_ops),
+                           callback=callback, **options))
+    _assert_same_run(*runs)
+    assert runs[0].nit == 7 and runs[0].status == 99
+    assert seen[0] == seen[1]
+
+
+def test_an_older_scipy_is_refused_naming_the_floor(monkeypatch):
+    """scipy before 1.15 wraps the Fortran L-BFGS-B, whose setulb takes a
+    character task, iprint and csave: the loader, handed such a module,
+    refuses it with an ImportError naming the floor pyproject.toml
+    declares, instead of a setulb call failing on its arguments."""
+    import importlib.machinery
+    import importlib.util
+    import os
+    import types
+
+    import maxent_tomo
+    from maxent_tomo import maxent
+
+    def setulb():
+        """setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,iprint,csave,lsave,isave,dsave,maxls,[n])"""
+
+    stand_in = types.ModuleType("_lbfgsb")
+    stand_in.setulb = setulb
+    load = maxent._optimize_extension.__wrapped__  # past the cache of loaded modules
+    assert load("_lbfgsb").setulb.__doc__.startswith(maxent.SETULB)
+    monkeypatch.setattr(importlib.util, "module_from_spec", lambda spec: stand_in)
+    monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module",
+                        lambda self, module: None)
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        load("_lbfgsb")
+    root = os.path.dirname(os.path.dirname(os.path.dirname(maxent_tomo.__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        assert f'"{maxent.SCIPY_FLOOR}"' in fh.read()
+
+
 # ---------------------------------------------------------------------------
 # BLAS threads
 
@@ -891,18 +989,18 @@ maxent.minimize = counting
 fit(obs)
 assert maxent._SCIPY_BLAS._lib is not None, "the cap found no OpenBLAS"
 assert inside and set(inside) == {1}, inside
+assert "scipy" in sys.modules and "scipy.optimize" not in sys.modules
 """
 
 
 def test_first_fit_in_a_scipy_free_process_caps_blas():
     """A fit that makes the process's first scipy import still finds and
-    caps scipy's OpenBLAS.  In the test process scipy is loaded already,
-    so only a fresh interpreter shows this."""
+    caps scipy's OpenBLAS, which it loads with L-BFGS-B while scipy.optimize
+    stays unloaded.  In the test process scipy is loaded already, so only a
+    fresh interpreter shows this."""
     import os
     import subprocess
     import sys
-
-    import scipy.optimize  # noqa: F401  (the lookup finds only a loaded library)
 
     import maxent_tomo
     from maxent_tomo import maxent
