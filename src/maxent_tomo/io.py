@@ -97,7 +97,7 @@ class CutFile:
 
 
 def read_cut_file(path) -> CutFile:
-    meta, rows = _read_csv_with_meta(path, ("tau_us", "pixel_width_m"))
+    meta, rows = _read_csv_with_meta(path, ("tau_us", "pixel_width_m"), 2)
     pos = np.array([float(r[0]) for r in rows])
     vals = np.array([float(r[1]) for r in rows])
     center = meta.get("center_m")
@@ -234,11 +234,11 @@ def preprocess(
 # record and matrix serialization
 
 
-def _read_csv_with_meta(path, required):
-    """'#' key=value metadata and the rows after the header line; every
-    row must have the header's column count and every ``required`` key
-    must be present."""
-    meta, rows, n_cols = {}, [], None
+def _read_csv_with_meta(path, required, n_cols):
+    """'#' key=value metadata and the rows after the header line; the
+    header and every row must have the format's ``n_cols`` columns and
+    every ``required`` key must be present."""
+    meta, rows = {}, []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -249,17 +249,14 @@ def _read_csv_with_meta(path, required):
                 meta[key.strip()] = value.strip()
                 continue
             tokens = [tok.strip() for tok in line.split(",")]
-            if n_cols is None:
-                n_cols = len(tokens)  # column names, layout is fixed per format
-            elif len(tokens) != n_cols:
+            if len(tokens) != n_cols:
                 raise ValueError(f"{path} line {lineno}: {len(tokens)} columns, "
-                                 f"the header has {n_cols}")
-            else:
-                rows.append(tokens)
+                                 f"the format has {n_cols}")
+            rows.append(tokens)
     for key in required:
         if key not in meta:
             raise ValueError(f"{path}: metadata key {key!r} is missing")
-    return meta, rows
+    return meta, rows[1:]  # the first names the columns
 
 
 def write_record(record: MeasurementRecord, path) -> None:
@@ -287,7 +284,7 @@ def write_record(record: MeasurementRecord, path) -> None:
 
 def read_record(path) -> MeasurementRecord:
     meta, rows = _read_csv_with_meta(
-        path, ("nbar", "grid_center_m", "grid_width_m", "grid_half_count", "rotations_rad"))
+        path, ("nbar", "grid_center_m", "grid_width_m", "grid_half_count", "rotations_rad"), 5)
     grid = BinGrid(
         center=float(meta["grid_center_m"]),
         width=float(meta["grid_width_m"]),
@@ -437,11 +434,12 @@ class RunConfig:
             (key, getattr(self, key) is None or getattr(self, key) > 0, "positive")
             for key in ("omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s",
                         "bin_width_m", "weight_nbar", "grad_tol")
+        ] + [
+            (key, getattr(self, key) is None or getattr(self, key) >= 0, "non-negative")
+            for key in ("nbar", "noisy_nbar", "eta", "seed")
         ]
         rules += [
             ("dim", self.dim >= 2, "at least 2"),
-            ("nbar", self.nbar is None or self.nbar >= 0, "non-negative"),
-            ("noisy_nbar", self.noisy_nbar is None or self.noisy_nbar >= 0, "non-negative"),
             ("bin_half_count", self.bin_half_count >= 1, "at least 1"),
             ("max_iter", self.max_iter >= 1, "at least 1"),
             ("gh_nodes", self.gh_nodes >= 2, "at least 2"),

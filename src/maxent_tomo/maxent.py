@@ -27,7 +27,6 @@ import functools
 import math
 import os
 import threading
-import types
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,8 +48,8 @@ CONVERGED_DF = 1e-14
 # relative-gradient stop |grad dF|inf <= REL_GRAD_TOL * dF (Dennis & Schnabel
 # 1983, sec. 7.2); 1e-5 stopped a rounding-perturbed exact fit on a plateau
 REL_GRAD_TOL = 1e-6
-# the package's own stop messages; L-BFGS-B's status 1 is either cap, and 2, or
-# 0 without the gradient test (under ftol = 0 no lower dF), is a stall
+# the package's own stop messages; a run that ends past none of the others found
+# no lower dF (ftol = 0): a stall
 FLOOR_STOP = f"deviation floor: dF < {CONVERGED_DF:g}"
 GRADIENT_STOP = "gradient: |grad dF|inf < {:g}"
 RELATIVE_STOP = f"relative gradient: |grad dF|inf <= {REL_GRAD_TOL:g} dF"
@@ -247,7 +246,6 @@ def _lm_probe(observables: ObservableSet, grad_tol: float):
 
 SCIPY_FLOOR = "scipy>=1.15"  # its C port of L-BFGS-B has this calling sequence:
 SETULB = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
-_TASK_ENDS = {4: "CONVERGENCE", 5: "STOP", 6: "WARNING", 7: "ERROR", 8: "ABNORMAL"}
 
 
 @functools.cache
@@ -271,15 +269,15 @@ def _optimize_extension(name: str):
     return module
 
 
-def minimize(fun, x0, *, callback, maxcor, ftol, gtol, maxiter, maxfun, maxls):
-    """``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
-    callback=callback, options=...)`` bit for bit, without importing
-    scipy.optimize: its reverse-communication loop around the compiled
-    ``setulb``, unbounded.  ``fun(x)`` returns (f, gradient); a callback
-    raising StopIteration halts the run.  The result has x, fun and jac (the
-    last evaluation), nit, nfev, status (0 converged, 1 a cap, 99 the
-    callback's halt, 2 other) and message (setulb's end state and task
-    code)."""
+def minimize(fun, x0, *, on_iterate, maxcor, gtol, maxls):
+    """Unbounded L-BFGS-B on the compiled ``setulb`` in scipy's own
+    reverse-communication loop, without importing scipy.optimize: the
+    iterates of ``scipy.optimize.minimize(fun, x0, jac=True,
+    method="L-BFGS-B")`` at ftol = 0, bit for bit.  ``fun(x)`` returns
+    (f, gradient), evaluated once per distinct x; ``on_iterate(x, f)`` runs
+    at each new iterate, and returning True stops the run there.  Returns
+    (x, f, gradient, iterations), f and the gradient from the last
+    evaluation."""
     setulb = _optimize_extension("_lbfgsb").setulb
     x = np.array(x0, dtype=np.float64).ravel()
     n, m = x.size, maxcor
@@ -288,30 +286,21 @@ def minimize(fun, x0, *, callback, maxcor, ftol, gtol, maxiter, maxfun, maxls):
     wa, iwa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32)
     task, ln_task, lsave = (np.zeros(k, np.int32) for k in (2, 2, 4))
     isave, dsave = np.zeros(44, np.int32), np.zeros(29)
-    nfev, nit, halted = 0, 0, False
+    nit = 0
     while True:
-        setulb(m, x, free, free, nbd, f, g, ftol / np.finfo(float).eps, gtol, wa, iwa,
-               task, lsave, isave, dsave, maxls, ln_task)
+        setulb(m, x, free, free, nbd, f, g, 0.0, gtol, wa, iwa, task, lsave, isave, dsave,
+               maxls, ln_task)
         if task[0] == 3:  # f and g at x; an unchanged x reuses the last evaluation
             if x_f is None or not np.array_equal(x, x_f):
-                x_f, nfev = x.copy(), nfev + 1
+                x_f = x.copy()
                 f, g = fun(x.copy())
                 g = np.array(g, dtype=np.float64)
         elif task[0] == 1:  # a new iterate
             nit += 1
-            try:
-                callback(types.SimpleNamespace(x=x, fun=f))
-            except StopIteration:
-                task[:], halted = (5, 505), True
-            if nit >= maxiter:
-                task[:] = 5, 504
-            elif nfev > maxfun:
-                task[:] = 5, 502
+            if on_iterate(x, f):
+                task[:] = 5, 505  # STOP, and one more call to end the run
         else:
-            break
-    status = 99 if halted else 0 if task[0] == 4 else 1 if nfev > maxfun or nit >= maxiter else 2
-    return types.SimpleNamespace(x=x, fun=f, jac=g, nit=nit, nfev=nfev, status=status,
-                                 message=f"{_TASK_ENDS.get(task[0], task[0])}: task {task[1]}")
+            return x, f, g, nit
 
 
 def _scipy_openblas():
@@ -442,13 +431,14 @@ def fit(
     for a declined probe, 7-22 Jacobians or about 0.03-0.07 s at dimension
     16 with 205 observables.  The report's message names the stop in the
     package's words: the three tests, the probe (``lm: ...``), the
-    iteration cap, the evaluation cap (3 ``max_iter``) and a stall
-    (``STALL_STOP``: a step that did not lower dF, or a failed line
-    search); only a stand-in minimizer's status other than 0, 1, 2 or 99
-    keeps its text after ``L-BFGS-B: ``.  ``max_iter`` caps the L-BFGS
-    iterations; the probe's steps count on top.  L-BFGS runs once: a fit
-    that ends on a cap or a stall is returned with ``converged=False`` rather than raised or
-    rerun, so callers can inspect the partial result.  ``grad_tol`` must
+    iteration cap, the evaluation cap (more than 3 ``max_iter``
+    evaluations) and a stall (``STALL_STOP``: a step that did not lower dF,
+    or a failed line search).  ``minimize`` only iterates: every stop but
+    L-BFGS-B's own gradient test and the stall is decided here, at each
+    iterate.  ``max_iter`` caps the L-BFGS iterations; the probe's steps
+    count on top.  L-BFGS runs once: a fit that ends on a cap or a stall is
+    returned with ``converged=False`` rather than raised or rerun, so
+    callers can inspect the partial result.  ``grad_tol`` must
     be finite and positive and ``max_iter`` an integer of at least 1
     (ValueError otherwise).
 
@@ -469,22 +459,22 @@ def fit(
     data = _require_means(observables)
 
     grad = None  # gradient of the last evaluation
-    stop = None  # the package's reason for ending the run early
+    evals = 0
+    stop = cap = None  # the package's reason for ending the run early, or the cap it hit
     history = []  # dF at each iteration
     memory = 30  # the L-BFGS memory, maxcor
     probe_at = max(observables.n_ops, memory)
-    max_fun = 3 * max_iter
     lm = None  # the probe's answer, once it accepts
 
     def objective(x):
-        nonlocal grad
+        nonlocal grad, evals
+        evals += 1
         f, grad = deviation(x, observables)
         return f, grad
 
-    def callback(intermediate_result):
+    def on_iterate(x, f):
         # L-BFGS-B evaluates each accepted point last, so grad belongs to it
-        nonlocal stop, probe_at, lm
-        f = intermediate_result.fun
+        nonlocal stop, cap, probe_at, lm
         history.append(f)
         it = len(history)
         if f < CONVERGED_DF:
@@ -495,28 +485,20 @@ def fit(
                            or it >= 2 * memory and history[-memory - 1] >= 10.0 * f):
             probe_at, lm = None, _lm_probe(observables, grad_tol)
             stop = None if lm is None else lm[4]
-        if stop is not None:
-            raise StopIteration
+        if it >= max_iter:
+            cap = ITERATION_STOP.format(max_iter)
+        elif evals > 3 * max_iter:
+            cap = EVALUATION_STOP.format(3 * max_iter)
+        return stop is not None or cap is not None
 
     with _SCIPY_BLAS:
-        res = minimize(objective, np.zeros(observables.n_ops), callback=callback,
-                       maxiter=max_iter, maxfun=max_fun, ftol=0.0, gtol=grad_tol,
-                       maxcor=memory, maxls=60)
-    x, f_res, jac, lm_iter = (res.x, float(res.fun), res.jac, 0) if lm is None else lm[:4]
+        x, f_res, jac, nit = minimize(objective, np.zeros(observables.n_ops),
+                                      on_iterate=on_iterate, maxcor=memory, gtol=grad_tol,
+                                      maxls=60)
+    x, f_res, jac, lm_iter = (x, float(f_res), jac, 0) if lm is None else lm[:4]
     ginf = float(np.max(np.abs(jac)))
     converged = ginf < grad_tol or f_res < CONVERGED_DF or stop is not None
-    status = getattr(res, "status", None)  # a stand-in minimizer may omit it
-    if stop is not None:
-        message = stop
-    elif ginf < grad_tol:
-        message = GRADIENT_STOP.format(grad_tol)
-    elif status == 1:
-        message = (ITERATION_STOP.format(max_iter) if res.nit >= max_iter
-                   else EVALUATION_STOP.format(max_fun))
-    elif status in (0, 2):
-        message = STALL_STOP
-    else:
-        message = f"L-BFGS-B: {res.message}"
+    message = stop or (GRADIENT_STOP.format(grad_tol) if ginf < grad_tol else cap or STALL_STOP)
 
     if observables.bin_shape is not None:
         lam_out = LagrangeVector.from_flat(x, observables.bin_shape)
@@ -530,7 +512,7 @@ def fit(
         delta_f=f_res,
         entropy=entropy(state.rho),
         nbar_fit=nbar_fit,
-        iterations=int(res.nit) + lm_iter,
+        iterations=nit + lm_iter,
         converged=converged,
         residuals=model - data,
         grad_inf_norm=ginf,

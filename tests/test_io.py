@@ -298,13 +298,22 @@ def _broken_files(trap, space16, tmp_path):
     cut_path = tmp_path / "cut.csv"
     write_cut_file(_gaussian_cut(), cut_path)
     cut_lines = cut_path.read_text().splitlines(keepends=True)
+    record_header = next(n for n, ln in enumerate(lines) if ln.startswith("rotation_index"))
+    cut_header = next(n for n, ln in enumerate(cut_lines) if ln.startswith("z_m"))
     files = {
         "truncated-record": ("--record", lines[:-1] + [lines[-1].rsplit(",", 2)[0]],
-                             rf"line {len(lines)}: 3 columns, the header has 5"),
+                             rf"line {len(lines)}: 3 columns, the format has 5"),
+        # header and rows alike one column short: the format, not the header, counts
+        "four-column-record": ("--record", lines[:record_header]
+                               + [ln.rsplit(",", 1)[0] + "\n" for ln in lines[record_header:]],
+                               rf"line {record_header + 1}: 4 columns, the format has 5"),
         "record-without-nbar": ("--record", [ln for ln in lines if not ln.startswith("# nbar=")],
                                 "'nbar' is missing"),
         "one-column-cut-row": ("--cut", cut_lines[:5] + ["0.001\n"] + cut_lines[5:],
-                               "line 6: 1 columns, the header has 2"),
+                               "line 6: 1 columns, the format has 2"),
+        "one-column-cut": ("--cut", cut_lines[:cut_header]
+                           + [ln.split(",")[0] + "\n" for ln in cut_lines[cut_header:]],
+                           rf"line {cut_header + 1}: 1 columns, the format has 2"),
         "cut-without-tau": ("--cut", [ln for ln in cut_lines if not ln.startswith("# tau_us=")],
                             "'tau_us' is missing"),
     }
@@ -440,6 +449,8 @@ def test_every_config_field_parses_to_its_declared_type():
     ("nbar", "nan"),
     ("noisy_nbar", "-0.5"),
     ("noisy_nbar", "inf"),
+    ("eta", "-0.1"),
+    ("seed", "-1"),
     ("bin_half_count", "0"),
     ("max_iter", "0"),
     ("grad_tol", "0"),

@@ -299,9 +299,9 @@ def test_fit_rejects_bad_arguments_naming_them(kwargs, name):
 
 
 def test_fit_stops_at_the_deviation_floor(monkeypatch):
-    """With a gradient test that cannot pass, the iteration callback stops
-    L-BFGS on the dF floor (1e-14), and the fit reports that point as
-    converged, long before the iteration cap."""
+    """With a gradient test that cannot pass, fit's on_iterate stops L-BFGS
+    on the dF floor (1e-14), and the fit reports that point as converged,
+    long before the iteration cap."""
     from maxent_tomo import maxent
 
     space = FockSpace(32)
@@ -313,15 +313,14 @@ def test_fit_stops_at_the_deviation_floor(monkeypatch):
     real_minimize = maxent.minimize
     stops = []
 
-    def spying(fun, x0, callback, **kwargs):
-        def spy(intermediate_result):
-            try:
-                callback(intermediate_result)
-            except StopIteration:
-                stops.append(float(intermediate_result.fun))
-                raise
+    def spying(fun, x0, *, on_iterate, **kwargs):
+        def spy(x, f):
+            stop = on_iterate(x, f)
+            if stop:
+                stops.append(float(f))
+            return stop
 
-        return real_minimize(fun, x0, callback=spy, **kwargs)
+        return real_minimize(fun, x0, on_iterate=spy, **kwargs)
 
     monkeypatch.setattr(maxent, "minimize", spying)
     _, report = fit(obs, grad_tol=1e-300)
@@ -701,17 +700,15 @@ def test_maxent_state_has_no_feasible_entropy_ascent():
 
 def _scripted_minimize(monkeypatch, x, f, jac):
     """Replace the fit's minimizer: each call records the objective it was
-    given and returns the scripted (x, f, jac) as the run's end."""
-    from scipy.optimize import OptimizeResult
-
+    given and returns the scripted (x, f, jac) as the run's end, after one
+    iteration."""
     from maxent_tomo import maxent
 
     seen = []
 
-    def fake(fun, x0, args=(), **kwargs):
-        seen.append((fun, args))
-        return OptimizeResult(x=np.array(x), fun=f, jac=np.array(jac), nit=1,
-                              message=f"scripted run {len(seen) - 1}")
+    def fake(fun, x0, **kwargs):
+        seen.append(fun)
+        return np.array(x), f, np.array(jac), 1
 
     monkeypatch.setattr(maxent, "minimize", fake)
     return seen
@@ -730,9 +727,9 @@ def test_fit_minimizes_the_deviation_it_reports(monkeypatch):
     assert report.grad_inf_norm == np.max(np.abs(grad))
     seen = _scripted_minimize(monkeypatch, np.zeros(4), 1.0, np.zeros(4))
     fit(obs)
-    (fun, args), = seen
+    fun, = seen
     for x in (np.zeros(4), rng.standard_normal(4), np.ravel(state.lambdas)):
-        f_obj, g_obj = fun(x, *args)
+        f_obj, g_obj = fun(x)
         f_ref, g_ref = deviation(x, obs)
         assert f_obj == f_ref
         assert np.array_equal(g_obj, g_ref)
@@ -740,7 +737,10 @@ def test_fit_minimizes_the_deviation_it_reports(monkeypatch):
 
 def test_unconverged_fit_reports_its_one_run(monkeypatch):
     """fit calls the minimizer once and reports that run as it ended: its
-    multipliers, dF, gradient norm and message, with no restart."""
+    multipliers, dF and gradient norm, with no restart.  A run that ends
+    past none of fit's stops and short of the gradient test is a stall."""
+    from maxent_tomo import maxent
+
     space = FockSpace(8)
     obs = ObservableSet(
         operators=[ladder_operators(space).n],
@@ -754,34 +754,49 @@ def test_unconverged_fit_reports_its_one_run(monkeypatch):
     assert report.restarts == 0
     assert report.delta_f == 1e-6
     assert report.grad_inf_norm == 1e-3
-    assert report.message == "L-BFGS-B: scripted run 0"
+    assert report.iterations == 1 and report.message == maxent.STALL_STOP
     assert np.array_equal(np.ravel(state.lambdas), [1.0])
 
 
-@pytest.mark.parametrize("status, nit, message", [
+def _stand_in_minimize(per_iterate, nit):
+    """A minimizer that keeps ``minimize``'s contract without L-BFGS-B: it
+    stays at x = [1], evaluates ``fun`` there once and then ``per_iterate``
+    times for each of ``nit`` iterates, and ends after them or once
+    ``on_iterate`` returns True."""
+    def run(fun, x0, *, on_iterate, **options):
+        x, it = np.array([1.0]), 0
+        f, g = fun(x)
+        while it < nit:
+            for _ in range(per_iterate):
+                f, g = fun(x)
+            it += 1
+            if on_iterate(x, f):
+                break
+        return x, f, g, it
+
+    return run
+
+
+@pytest.mark.parametrize("per_iterate, nit, message", [
     (1, 10, "iteration cap: 10 iterations"),
-    (1, 4, "evaluation cap: 30 evaluations"),
+    (29, 2, "evaluation cap: 30 evaluations"),  # 30 at iterate 1 are not over it, 59 are
     (0, 4, "stalled line search: no lower dF along the search direction"),
     (2, 4, "stalled line search: no lower dF along the search direction"),
-    (7, 4, "L-BFGS-B: ERROR: scripted"),
 ])
-def test_unconverged_attempts_name_their_stop_in_the_package_words(monkeypatch, status, nit,
+def test_unconverged_attempts_name_their_stop_in_the_package_words(monkeypatch, per_iterate, nit,
                                                                     message):
-    """L-BFGS-B's status 1 is the iteration cap (nit reached max_iter) or
-    the evaluation cap (3 max_iter); status 0 without the gradient test
-    (under ftol = 0 the last step did not lower dF) and status 2 are a
-    stall; any other status keeps scipy's text after the optimizer's name."""
-    from scipy.optimize import OptimizeResult
-
+    """fit's own on_iterate decides the caps: the iteration cap at iterate
+    max_iter and the evaluation cap once more than 3 max_iter evaluations
+    were made; a run that ends past neither, short of the gradient test, is
+    a stall.  Each stop is named in the package's words."""
     from maxent_tomo import maxent
 
     obs = ObservableSet(operators=[ladder_operators(FockSpace(8)).n], labels=[("nbar",)],
                         means=np.array([0.5]))
-    monkeypatch.setattr(maxent, "minimize", lambda *args, **kwargs: OptimizeResult(
-        x=np.array([1.0]), fun=1e-6, jac=np.array([1e-3]), nit=nit, status=status,
-        message="ERROR: scripted"))
+    monkeypatch.setattr(maxent, "minimize", _stand_in_minimize(per_iterate, nit))
     _, report = fit(obs, max_iter=10, grad_tol=1e-9)
     assert not report.converged and report.message == message
+    assert report.iterations == nit
 
 
 def test_capped_fit_names_the_iteration_cap(acceptance_level):
@@ -812,72 +827,100 @@ def test_stalled_noisy_fit_is_reported_as_a_stall(acceptance_level):
     assert fidelity(psi.density(), state.rho) >= 0.98
 
 
-def _through_scipy(fun, x0, callback=None, **options):
-    """The fit's minimizer call made through scipy.optimize.minimize."""
+def _through_scipy(statuses):
+    """``minimize``'s contract met by scipy.optimize.minimize(method=
+    "L-BFGS-B", jac=True) at ftol = 0, whose own caps never fire:
+    on_iterate returning True makes the callback raise StopIteration,
+    scipy's halt.  Each run appends scipy's status (0 its own end, 99 the
+    halt) to ``statuses``."""
     import scipy.optimize
 
-    return scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", callback=callback,
-                                   options=options)
+    def run(fun, x0, *, on_iterate, **options):
+        def callback(intermediate_result):
+            if on_iterate(intermediate_result.x, intermediate_result.fun):
+                raise StopIteration
+
+        res = scipy.optimize.minimize(
+            fun, x0, jac=True, method="L-BFGS-B", callback=callback,
+            options={**options, "ftol": 0.0, "maxiter": 2**31 - 1, "maxfun": 2**31 - 1})
+        statuses.append(res.status)
+        return res.x, res.fun, res.jac, res.nit
+
+    return run
+
+
+def _counting(minimizer, evaluations):
+    """``minimizer`` with each call's number of evaluations appended to
+    ``evaluations``."""
+    def run(fun, x0, **kwargs):
+        evaluations.append(0)
+
+        def counted(x):
+            evaluations[-1] += 1
+            return fun(x)
+
+        return minimizer(counted, x0, **kwargs)
+
+    return run
 
 
 def _assert_same_run(ours, theirs):
-    assert np.array_equal(ours.x, theirs.x)
-    assert ours.fun == theirs.fun
-    assert np.array_equal(ours.jac, theirs.jac)
-    assert (ours.nit, ours.nfev, ours.status) == (theirs.nit, theirs.nfev, theirs.status)
+    assert np.array_equal(ours[0], theirs[0])
+    assert ours[1] == theirs[1]
+    assert np.array_equal(ours[2], theirs[2])
+    assert ours[3] == theirs[3]
 
 
 @pytest.mark.parametrize("eta, seed, max_iter, nit, status", [
     (0.1, 2, 20000, 516, 99),  # acceptance 2, noise seed 2: halted on the relative gradient
     (0.02, 6, 20000, 207, 0),  # the stall of demos/noisy_reconstruction.py
-    (0.1, 7, 5, 5, 1),  # the iteration cap
+    (0.1, 7, 5, 5, 99),  # fit's iteration cap
 ])
 def test_minimize_runs_as_scipy_minimize(monkeypatch, acceptance_level, eta, seed, max_iter,
                                        nit, status):
     """fit's L-BFGS-B run through the package's setulb loop and through
-    scipy.optimize.minimize(method="L-BFGS-B", jac=True), each with a
-    fresh fit's options and callback: the same x, dF, gradient, iterations,
-    evaluations and status, bit for bit."""
+    scipy.optimize.minimize(method="L-BFGS-B", jac=True), each under a
+    fresh fit's on_iterate: the same x, dF, gradient, iterations,
+    evaluations and report, bit for bit."""
     from maxent_tomo import maxent
 
     obs, ideal = acceptance_level
     obs = obs.with_record(add_noise(ideal, NoiseSpec(eta=eta, seed=seed), nbar_noisy=0.6))
-    runs = []
-    for minimizer in (maxent.minimize, _through_scipy):
-        def recording(*args, minimizer=minimizer, **kwargs):
+    runs, reports, evaluations, statuses = [], [], [], []
+    for minimizer in (maxent.minimize, _through_scipy(statuses)):
+        def recording(*args, minimizer=_counting(minimizer, evaluations), **kwargs):
             runs.append(minimizer(*args, **kwargs))
             return runs[-1]
 
         monkeypatch.setattr(maxent, "minimize", recording)
-        fit(obs, max_iter=max_iter)
-    ours, theirs = runs
-    _assert_same_run(ours, theirs)
-    assert (ours.nit, ours.status) == (nit, status)
+        reports.append(fit(obs, max_iter=max_iter)[1].to_dict())
+    _assert_same_run(*runs)
+    assert evaluations[0] == evaluations[1] and reports[0] == reports[1]
+    assert runs[0][3] == nit and statuses == [status]
 
 
 def test_minimize_halts_on_a_callback_stop_iteration_as_scipy_does(acceptance_level):
-    """A callback that raises StopIteration at iteration 7 ends both runs
-    there, after the same iterates."""
+    """on_iterate returning True at iteration 7 ends the package's run
+    where a callback raising StopIteration ends scipy's, after the same
+    iterates and evaluations."""
     from maxent_tomo import maxent
 
     obs, ideal = acceptance_level
     obs = obs.with_record(add_noise(ideal, NoiseSpec(eta=0.1, seed=2), nbar_noisy=0.6))
-    options = {"maxiter": 100, "maxfun": 300, "ftol": 0.0, "gtol": 1e-9, "maxcor": 30,
-               "maxls": 60}
-    runs, seen = [], []
-    for minimizer in (maxent.minimize, _through_scipy):
+    runs, seen, evaluations, statuses = [], [], [], []
+    for minimizer in (maxent.minimize, _through_scipy(statuses)):
         seen.append([])
 
-        def callback(intermediate_result):
-            seen[-1].append(intermediate_result.fun)
-            if len(seen[-1]) == 7:
-                raise StopIteration
+        def on_iterate(x, f):
+            seen[-1].append(f)
+            return len(seen[-1]) == 7
 
-        runs.append(minimizer(lambda x: deviation(x, obs), np.zeros(obs.n_ops),
-                           callback=callback, **options))
+        runs.append(_counting(minimizer, evaluations)(
+            lambda x: deviation(x, obs), np.zeros(obs.n_ops), on_iterate=on_iterate,
+            maxcor=30, gtol=1e-9, maxls=60))
     _assert_same_run(*runs)
-    assert runs[0].nit == 7 and runs[0].status == 99
-    assert seen[0] == seen[1]
+    assert runs[0][3] == 7 and statuses == [99]
+    assert seen[0] == seen[1] and evaluations[0] == evaluations[1]
 
 
 def test_an_older_scipy_is_refused_naming_the_floor(monkeypatch):
