@@ -458,7 +458,10 @@ class RunConfig:
         for key, text in raw.items():
             if key not in parsers:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = parsers[key](str(text))
+            try:
+                kwargs[key] = parsers[key](str(text))
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
         return cls(**kwargs)
 
     # derived objects ------------------------------------------------------

@@ -202,12 +202,24 @@ def _mean_jacobian(lambdas, observables: ObservableSet) -> tuple[np.ndarray, np.
     return model, np.outer(model, model) - packed.T @ packed
 
 
+def _stop(f: float, grad: np.ndarray, grad_tol: float) -> str | None:
+    """The name of the first convergence test that dF ``f`` and its gradient
+    pass, in the order floor, relative gradient, gradient (L-BFGS-B's own
+    ``<=``), or None: every converged verdict of ``fit`` comes from here."""
+    ginf = np.max(np.abs(grad))
+    if f < CONVERGED_DF:
+        return FLOOR_STOP
+    if ginf <= REL_GRAD_TOL * f:
+        return RELATIVE_STOP
+    return GRADIENT_STOP.format(grad_tol) if ginf <= grad_tol else None
+
+
 def _lm_probe(observables: ObservableSet, grad_tol: float):
     """Levenberg-Marquardt from lambda = 0 (Madsen, Nielsen & Tingleff 2004,
     sec. 3.2), every trial point one iteration evaluated by ``deviation``:
-    (x, dF, gradient, iterations, stop) once dF < CONVERGED_DF or |grad
-    dF|inf < grad_tol; None, a decline, once the relative-gradient test
-    passes, dF fell less than 10x in 10 iterations or mu overflows.  An
+    (x, dF, gradient, iterations, stop) once ``_stop`` names the floor or
+    the gradient test; None, a decline, once it names the relative-gradient
+    test, dF fell less than 10x in 10 iterations or mu overflows.  An
     accepted step divides the damping mu by 5, Marquardt's fixed decrease
     (SIAM J. Appl. Math. 11, 431, 1963); a rejected one multiplies it by
     nu = 2, 4, 8, ...  Exact data end in 21-24 steps, where Nielsen's
@@ -216,12 +228,10 @@ def _lm_probe(observables: ObservableSet, grad_tol: float):
     f, grad = deviation(x, observables)
     history, mu, nu, normal = [f], 0.0, 2.0, None  # mu is set from the first J W J
     while True:
-        ginf = np.max(np.abs(grad))
-        if f < CONVERGED_DF or ginf < grad_tol:
-            stop = FLOOR_STOP if f < CONVERGED_DF else GRADIENT_STOP.format(grad_tol)
+        stop = _stop(f, grad, grad_tol)
+        if stop not in (None, RELATIVE_STOP):
             return x, f, grad, len(history) - 1, "lm: " + stop
-        if (ginf <= REL_GRAD_TOL * f or not math.isfinite(mu)
-                or (len(history) > 10 and history[-11] < 10.0 * f)):
+        if stop or not math.isfinite(mu) or (len(history) > 10 and history[-11] < 10.0 * f):
             return None
         if normal is None:
             scaled = _mean_jacobian(x, observables)[1] * np.sqrt(observables.weights)
@@ -410,37 +420,34 @@ def fit(
     """Minimize the deviation functional over the multipliers.
 
     L-BFGS with the analytic gradient, starting from lambda = 0 (the
-    maximally mixed state).  Convergence means one of three tests passed at
-    an iterate: the sup-norm of the gradient fell below ``grad_tol``; the
-    deviation itself fell below ``CONVERGED_DF`` (1e-14); or the sup-norm
-    of the gradient fell to ``REL_GRAD_TOL`` (1e-6) times the deviation.
-    Exact data drive the deviation to 0 and stop on one of the first two;
-    noisy data leave it a positive floor, and the third stops the fit there
-    instead of walking the flat valley around it.  Each fit gets at most one
-    Levenberg-Marquardt probe, from lambda = 0, when L-BFGS reaches
-    iteration max(n_ops, 30) or, earlier, an iteration from 60 on at which
-    dF has fallen at least 10x over the last 30 (one L-BFGS memory).  Exact
-    data fall that fast, and the probe ends their fits, whose multipliers
-    L-BFGS chases to infinity for thousands of iterations, once it meets
-    one of the first two tests (message ``lm: ...``; ``iterations`` counts
-    both methods, 60 + 23 on acceptance 1).  It declines on the signs of noisy data (the third test
-    passes, dF falls less than 10x in 10 iterations, or its damping
-    overflows), and L-BFGS goes on with its memory intact, so noisy fits
-    keep their bits rather than take the probe's minimum, which overfits
-    the noise.  Nearly noise-free data can reach the early trigger and pay
-    for a declined probe, 7-22 Jacobians or about 0.03-0.07 s at dimension
-    16 with 205 observables.  The report's message names the stop in the
-    package's words: the three tests, the probe (``lm: ...``), the
-    iteration cap, the evaluation cap (more than 3 ``max_iter``
-    evaluations) and a stall (``STALL_STOP``: a step that did not lower dF,
-    or a failed line search).  ``minimize`` only iterates: every stop but
-    L-BFGS-B's own gradient test and the stall is decided here, at each
-    iterate.  ``max_iter`` caps the L-BFGS iterations; the probe's steps
-    count on top.  L-BFGS runs once: a fit that ends on a cap or a stall is
-    returned with ``converged=False`` rather than raised or rerun, so
-    callers can inspect the partial result.  ``grad_tol`` must
-    be finite and positive and ``max_iter`` an integer of at least 1
-    (ValueError otherwise).
+    maximally mixed state).  One rule, ``_stop``, names every converged
+    stop, at each iterate, in the probe and at the point the run returns:
+    dF below ``CONVERGED_DF`` (1e-14), else the gradient's sup-norm at or
+    below ``REL_GRAD_TOL`` (1e-6) times dF, else at or below ``grad_tol``
+    (L-BFGS-B's own test).  Exact data drive dF to 0 and stop on the first
+    or the last; noisy data leave it a positive floor, where the relative
+    test stops the fit instead of walking the flat valley around it.  Each
+    fit gets at most one Levenberg-Marquardt probe, from lambda = 0, at an
+    iterate that passes no test: iteration max(n_ops, 30) or, earlier, an
+    iteration from 60 on at which dF has fallen at least 10x over the last
+    30 (one L-BFGS memory).  Exact data fall that fast, and the probe ends
+    their fits, whose multipliers L-BFGS chases to infinity for thousands
+    of iterations, once it meets the floor or the gradient test (message
+    ``lm: ...``; ``iterations`` counts both methods, 60 + 23 on acceptance
+    1).  It declines on the signs of noisy data (the relative test passes,
+    dF falls less than 10x in 10 iterations, or its damping overflows), and
+    L-BFGS goes on with its memory intact, so noisy fits keep their bits
+    rather than take the probe's minimum, which overfits the noise.  Nearly
+    noise-free data can reach the early trigger and pay for a declined
+    probe, 7-22 Jacobians or about 0.03-0.07 s at dimension 16 with 205
+    observables.  A run that ends where no test passes is named by the
+    iteration cap (``max_iter`` L-BFGS iterations; the probe's steps count
+    on top), the evaluation cap (more than 3 ``max_iter`` evaluations) or a
+    stall (``STALL_STOP``: a step that did not lower dF, or a failed line
+    search), and returned with ``converged=False`` rather than raised or
+    rerun (L-BFGS runs once), so callers can inspect the partial result.
+    ``grad_tol`` must be finite and positive and ``max_iter`` an integer of
+    at least 1 (ValueError otherwise).
 
     scipy's compiled L-BFGS-B, without scipy.optimize, and the OpenBLAS it
     links are loaded on the first fit in the process, and the thread cap
@@ -460,7 +467,6 @@ def fit(
 
     grad = None  # gradient of the last evaluation
     evals = 0
-    stop = cap = None  # the package's reason for ending the run early, or the cap it hit
     history = []  # dF at each iteration
     memory = 30  # the L-BFGS memory, maxcor
     probe_at = max(observables.n_ops, memory)
@@ -474,31 +480,25 @@ def fit(
 
     def on_iterate(x, f):
         # L-BFGS-B evaluates each accepted point last, so grad belongs to it
-        nonlocal stop, cap, probe_at, lm
+        nonlocal probe_at, lm
         history.append(f)
         it = len(history)
-        if f < CONVERGED_DF:
-            stop = FLOOR_STOP
-        elif np.max(np.abs(grad)) <= REL_GRAD_TOL * f:
-            stop = RELATIVE_STOP
-        elif probe_at and (it == probe_at  # once per fit; a decline leaves L-BFGS as it was
-                           or it >= 2 * memory and history[-memory - 1] >= 10.0 * f):
+        stop = _stop(f, grad, grad_tol)
+        if stop is None and probe_at and (
+                it == probe_at  # once per fit; a decline leaves L-BFGS as it was
+                or it >= 2 * memory and history[-memory - 1] >= 10.0 * f):
             probe_at, lm = None, _lm_probe(observables, grad_tol)
-            stop = None if lm is None else lm[4]
-        if it >= max_iter:
-            cap = ITERATION_STOP.format(max_iter)
-        elif evals > 3 * max_iter:
-            cap = EVALUATION_STOP.format(3 * max_iter)
-        return stop is not None or cap is not None
+        return bool(stop or lm or it >= max_iter or evals > 3 * max_iter)
 
     with _SCIPY_BLAS:
         x, f_res, jac, nit = minimize(objective, np.zeros(observables.n_ops),
                                       on_iterate=on_iterate, maxcor=memory, gtol=grad_tol,
                                       maxls=60)
-    x, f_res, jac, lm_iter = (x, float(f_res), jac, 0) if lm is None else lm[:4]
+    x, f_res, jac, lm_iter, stop = lm or (x, float(f_res), jac, 0, _stop(f_res, jac, grad_tol))
+    message = stop or (ITERATION_STOP.format(max_iter) if nit >= max_iter
+                       else EVALUATION_STOP.format(3 * max_iter) if evals > 3 * max_iter
+                       else STALL_STOP)
     ginf = float(np.max(np.abs(jac)))
-    converged = ginf < grad_tol or f_res < CONVERGED_DF or stop is not None
-    message = stop or (GRADIENT_STOP.format(grad_tol) if ginf < grad_tol else cap or STALL_STOP)
 
     if observables.bin_shape is not None:
         lam_out = LagrangeVector.from_flat(x, observables.bin_shape)
@@ -513,7 +513,7 @@ def fit(
         entropy=entropy(state.rho),
         nbar_fit=nbar_fit,
         iterations=nit + lm_iter,
-        converged=converged,
+        converged=stop is not None,
         residuals=model - data,
         grad_inf_norm=ginf,
         message=message,

@@ -163,6 +163,24 @@ def test_unknown_state_kind_exits_one(tmp_path, capsys):
     assert "squeezed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--config", "run.cfg", "--nbar", "half"],
+    ["wigner", "--rho", "x.json", "--points", "2.5"],
+    ["bogus"],
+    [],
+], ids=["float-flag", "int-flag", "command", "no-command"])
+def test_usage_errors_exit_one_not_the_non_convergence_code(capsys, argv):
+    """argparse exits 2 on a usage error, the code reserved for a fit that
+    did not converge; main returns 1, bad input, and keeps the usage text."""
+    assert main(argv) == 1
+    assert "usage: maxent-tomo" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: maxent-tomo" in capsys.readouterr().out
+
+
 def test_record_and_cut_together_exit_one(simulated, tmp_path, capsys):
     cfg, record = simulated
     code = main(["reconstruct", "--config", str(cfg), "--record", str(record),
@@ -267,7 +285,7 @@ steps = {"import": None, "--help": ["--help"],
                               + ["--nbar", "0.5", "--fixed-center", "0", "--out", out + "/cuts"]}
 seen = {}
 for name, argv in steps.items():
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv) if argv else 0
         assert code == 0, (name, code)
     seen[name] = ["scipy" in sys.modules, "scipy.optimize" in sys.modules]

@@ -437,9 +437,12 @@ def test_every_config_field_parses_to_its_declared_type():
     # the None-able floats stay None when absent
     assert RunConfig.from_dict({}).nbar is None
     assert RunConfig.from_dict({"subtract_background": "1"}).subtract_background is True
-    for bad in ({"grid_margin_m": "1"}, {"recenter": "maybe"}, {"dim": "2.5"},
-                {"nbar": "half"}):
-        with pytest.raises(ValueError):
+    for bad, match in (({"grid_margin_m": "1"}, "^unknown config key 'grid_margin_m'$"),
+                       ({"recenter": "maybe"}, "^config key 'recenter': not a boolean"),
+                       ({"dim": "2.5"}, "^config key 'dim': "),
+                       ({"nbar": "half"}, "^config key 'nbar': "),
+                       ({"taus_us": "0, , 3"}, "^config key 'taus_us': ")):
+        with pytest.raises(ValueError, match=match):
             RunConfig.from_dict(bad)
 
 

@@ -827,6 +827,65 @@ def test_stalled_noisy_fit_is_reported_as_a_stall(acceptance_level):
     assert fidelity(psi.density(), state.rho) >= 0.98
 
 
+def test_gradient_test_at_the_tie_converges_as_l_bfgs_b_stops(acceptance_level):
+    """grad_tol equal to |grad dF(0)|inf on the exact acceptance-1 data:
+    L-BFGS-B ends at lambda = 0 on its own test, |grad dF|inf <= grad_tol,
+    and the fit reports that stop, converged, not a stall."""
+    from maxent_tomo import maxent
+
+    obs, ideal = acceptance_level
+    obs = obs.with_record(ideal)
+    grad_tol = float(np.max(np.abs(deviation(np.zeros(obs.n_ops), obs)[1])))
+    assert 297.0 < grad_tol < 298.0
+    state, report = fit(obs, grad_tol=grad_tol)
+    assert report.converged and report.iterations == 0
+    assert report.message == maxent.GRADIENT_STOP.format(grad_tol)
+    assert report.grad_inf_norm == grad_tol
+    assert not np.any(state.lambdas.flat())
+
+
+def test_stop_names_the_first_test_passed_floor_relative_gradient():
+    """The one stop rule, in its order: where dF keeps a noisy floor near
+    1e-3, the relative bound is near the default grad_tol, and a point that
+    passes both is named by the relative test."""
+    from maxent_tomo import maxent
+
+    assert maxent._stop(1e-15, np.array([1.0]), 1e-9) == maxent.FLOOR_STOP
+    assert maxent._stop(1e-3, np.array([-5e-10]), 1e-9) == maxent.RELATIVE_STOP
+    assert maxent._stop(1.0, np.array([1e-6]), 1e-9) == maxent.RELATIVE_STOP
+    assert maxent._stop(1e-3, np.array([2e-9, -3e-9]), 3e-9) == maxent.GRADIENT_STOP.format(3e-9)
+    assert maxent._stop(1e-3, np.array([2e-9, -3e-9]), 2e-9) is None
+
+
+REFERENCE_FITS = [
+    # (eta, noise seed, nbar_noisy, fit options, message); eta 0 is the exact record
+    (0.0, None, None, {"grad_tol": 1e-13}, "lm: deviation floor: dF < 1e-14"),
+    *((0.1, seed, 0.6, {}, "relative gradient: |grad dF|inf <= 1e-06 dF") for seed in range(10)),
+    (0.02, 6, 0.6, {}, "stalled line search: no lower dF along the search direction"),
+    (0.1, 7, 0.5, {"max_iter": 5}, "iteration cap: 5 iterations"),
+    (0.02, 3, 0.6, {}, "relative gradient: |grad dF|inf <= 1e-06 dF"),
+]
+
+
+@pytest.mark.parametrize("eta, seed, nbar_noisy, options, message", REFERENCE_FITS)
+def test_converged_exactly_when_the_message_names_a_convergence_test(
+        acceptance_level, eta, seed, nbar_noisy, options, message):
+    """Acceptance 1 exact, acceptance-2 noise seeds 0-9, the eta 0.02 stall,
+    the iteration cap and the 4319-iteration eta 0.02 fit: each names its
+    stop, and it is converged exactly when that name, less the probe's
+    ``lm: ``, is one of the three convergence tests."""
+    from maxent_tomo import maxent
+
+    obs, ideal = acceptance_level
+    if eta:
+        ideal = add_noise(ideal, NoiseSpec(eta=eta, seed=seed), nbar_noisy=nbar_noisy)
+    _, report = fit(obs.with_record(ideal), **options)
+    assert report.message == message
+    tests = (maxent.FLOOR_STOP, maxent.RELATIVE_STOP,
+             maxent.GRADIENT_STOP.format(options.get("grad_tol", 1e-9)))
+    assert report.converged == (report.message.removeprefix("lm: ") in tests)
+
+
 def _through_scipy(statuses):
     """``minimize``'s contract met by scipy.optimize.minimize(method=
     "L-BFGS-B", jac=True) at ftol = 0, whose own caps never fire:
