@@ -8,23 +8,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
+import math
 import os
 import sys
 
-import numpy as np
-
-from . import io as tio
-from .hilbert import FockSpace, PureState, entropy, expectation, fidelity, ladder_operators
-from .maxent import fit
-from .simulate import NoiseSpec, add_noise, simulate_ideal
-from .wigner import wigner_eval, write_wigner_csv, write_wigner_json
+# each command imports what it runs, so --help and a usage error load no
+# numpy, and only reconstruct loads the fit, only wigner the Wigner kernel
 
 __all__ = ["main"]
 
 
-def _apply_overrides(config: tio.RunConfig, args) -> tio.RunConfig:
-    """The config with command-line values in place, checked like one read
-    from a file."""
+def _apply_overrides(config, args):
+    """The RunConfig with command-line values in place, checked like one
+    read from a file."""
     flags = {"nbar": "nbar", "weight_nbar": "wnbar", "eta": "eta", "seed": "seed",
              "dim": "dim", "fixed_center_m": "fixed_center"}
     changes = {key: getattr(args, flag, None) for key, flag in flags.items()}
@@ -41,6 +38,10 @@ def _outdir(args) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    from . import io as tio
+    from .hilbert import PureState, expectation, ladder_operators
+    from .simulate import NoiseSpec, add_noise, simulate_ideal
+
     config = _apply_overrides(tio.read_config(args.config), args)
     state = config.build_state()
     nbar_true = expectation(state, ladder_operators(config.space()).n)
@@ -66,6 +67,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from . import io as tio
+    from .maxent import fit
+
     config = _apply_overrides(tio.read_config(args.config), args)
     if args.record and args.cut:
         raise ValueError("pass either --record or --cut files, not both")
@@ -87,7 +91,6 @@ def _cmd_reconstruct(args) -> int:
     report_path = os.path.join(out, "report.json")
     tio.write_density_matrix(state.rho, rho_path)
     with open(report_path, "w") as fh:
-        import json
         json.dump(report.to_dict(), fh, indent=1)
         fh.write("\n")
     print(f"delta_f = {report.delta_f:.6g}")
@@ -101,6 +104,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_wigner(args) -> int:
+    from . import io as tio
+    from .wigner import wigner_eval, write_wigner_csv, write_wigner_json
+
     rho = tio.read_density_matrix(args.rho)
     grid = wigner_eval(rho, span=args.span, points=args.points)
     out = _outdir(args)
@@ -109,13 +115,16 @@ def _cmd_wigner(args) -> int:
     write_wigner_csv(grid, csv_path)
     write_wigner_json(grid, json_path)
     print(f"wigner grid {grid.values.shape[0]}x{grid.values.shape[1]}, "
-          f"plane integral {grid.integral():.6f} (2pi = {2 * np.pi:.6f})")
+          f"plane integral {grid.integral():.6f} (2pi = {2 * math.pi:.6f})")
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return 0
 
 
 def _cmd_report(args) -> int:
+    from . import io as tio
+    from .hilbert import FockSpace, entropy, expectation, fidelity, ladder_operators
+
     rho = tio.read_density_matrix(args.rho)
     space = FockSpace(rho.dim)
     nbar = expectation(rho, ladder_operators(space).n)
@@ -123,9 +132,11 @@ def _cmd_report(args) -> int:
     print(f"entropy = {entropy(rho):.6g}")
     print(f"nbar = {nbar:.6g}")
     if args.fit:
-        import json
-        with open(args.fit) as fh:
-            rep = json.load(fh)
+        try:
+            with open(args.fit) as fh:
+                rep = json.load(fh)
+        except ValueError as exc:  # a JSON syntax error or non-UTF-8 bytes
+            raise ValueError(f"{args.fit}: {exc}") from None
         rep = rep if isinstance(rep, dict) else {}
         delta_f, converged = rep.get("delta_f"), rep.get("converged")
         if not isinstance(delta_f, (int, float)) or isinstance(delta_f, bool):

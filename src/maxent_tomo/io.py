@@ -15,6 +15,7 @@ Formats:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -58,6 +59,18 @@ class EmptyAfterClamp(ValueError):
     """Background subtraction and clamping removed all signal."""
 
 
+def _names_its_file(read):
+    """``read(path)``, each ValueError it raises re-raised naming the file:
+    a JSON syntax error or non-UTF-8 bytes name none of their own."""
+    @functools.wraps(read)
+    def read_path(path):
+        try:
+            return read(path)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return read_path
+
+
 @dataclass(frozen=True)
 class CutFile:
     """A single absorption-image cut: one rotation's histogram along z.
@@ -96,6 +109,7 @@ class CutFile:
         object.__setattr__(self, "values", vals)
 
 
+@_names_its_file
 def read_cut_file(path) -> CutFile:
     meta, rows = _read_csv_with_meta(path, ("tau_us", "pixel_width_m"), 2)
     pos = np.array([float(r[0]) for r in rows])
@@ -250,12 +264,12 @@ def _read_csv_with_meta(path, required, n_cols):
                 continue
             tokens = [tok.strip() for tok in line.split(",")]
             if len(tokens) != n_cols:
-                raise ValueError(f"{path} line {lineno}: {len(tokens)} columns, "
+                raise ValueError(f"line {lineno}: {len(tokens)} columns, "
                                  f"the format has {n_cols}")
             rows.append(tokens)
     for key in required:
         if key not in meta:
-            raise ValueError(f"{path}: metadata key {key!r} is missing")
+            raise ValueError(f"metadata key {key!r} is missing")
     return meta, rows[1:]  # the first names the columns
 
 
@@ -282,6 +296,7 @@ def write_record(record: MeasurementRecord, path) -> None:
                 fh.write(f"{j},{float(theta)!r},{k},{float(z)!r},{float(v)!r}\n")
 
 
+@_names_its_file
 def read_record(path) -> MeasurementRecord:
     meta, rows = _read_csv_with_meta(
         path, ("nbar", "grid_center_m", "grid_width_m", "grid_half_count", "rotations_rad"), 5)
@@ -339,22 +354,23 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+@_names_its_file
 def read_density_matrix(path) -> DensityOperator:
     """Read the JSON object ``write_density_matrix`` writes: a positive
     integer ``dim`` and ``real``/``imag`` lists of dim**2 numbers."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: density matrix file must hold a JSON object")
+        raise ValueError("density matrix file must hold a JSON object")
     dim = payload.get("dim")
     if not (isinstance(dim, int) and not isinstance(dim, bool) and dim > 0):
-        raise ValueError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
+        raise ValueError(f"'dim' must be a positive integer, got {dim!r}")
     parts = []
     for key in ("real", "imag"):
         values = payload.get(key)
         if not (isinstance(values, list) and len(values) == dim * dim
                 and all(map(_is_number, values))):
-            raise ValueError(f"{path}: '{key}' must be a list of dim**2 = {dim * dim} numbers")
+            raise ValueError(f"'{key}' must be a list of dim**2 = {dim * dim} numbers")
         parts.append(np.asarray(values))
     return DensityOperator((parts[0] + 1j * parts[1]).reshape(dim, dim))
 
@@ -566,6 +582,7 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
+@_names_its_file
 def read_config(path) -> RunConfig:
     with open(path) as fh:
         return RunConfig.from_dict(parse_config_text(fh.read()))

@@ -257,6 +257,21 @@ def test_malformed_density_matrix_exits_one_naming_the_key(tmp_path, capsys, pay
     assert str(rho) in err and key in err
 
 
+@pytest.mark.parametrize("option", ["--rho", "--fit"])
+@pytest.mark.parametrize("payload", [b'{"dim": 1\n"real": [1]}', b"\xff\n"],
+                         ids=["syntax", "not-utf8"])
+def test_unparsable_json_exits_one_naming_the_file(simulated, tmp_path, capsys, option, payload):
+    """json's own message, `Expecting ',' delimiter: line 2 column 1 (char
+    10)`, or a UnicodeDecodeError, names no file."""
+    _, record = simulated
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(payload)
+    rho = str(bad) if option == "--rho" else str(record.parent / "state_true.json")
+    argv = ["report", "--rho", rho] + (["--fit", str(bad)] if option == "--fit" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
 @pytest.mark.parametrize("span", ["nan", "inf"])
 def test_non_finite_wigner_span_exits_one_naming_it(simulated, tmp_path, capsys, span):
     _, record = simulated
@@ -265,6 +280,55 @@ def test_non_finite_wigner_span_exits_one_naming_it(simulated, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "span" in err
     assert not (tmp_path / "wigner.json").exists()
+
+
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+watched = ("numpy", "scipy", "maxent_tomo.maxent", "maxent_tomo.wigner")
+seen = []
+for step in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if isinstance(step, str):  # an import statement
+            exec(step)
+            code = 0
+        else:
+            from maxent_tomo.cli import main
+            code = main(step)
+    seen.append([code] + [m for m in watched if m in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_each_command_loads_only_what_it_runs(simulated, tmp_path):
+    """Fresh interpreters: importing the package and the CLI, --help and a
+    usage error load no numpy; wigner and report load neither the fit nor
+    scipy; reconstruct does not load the Wigner kernel."""
+    import os
+    import subprocess
+    import sys
+
+    import maxent_tomo
+
+    cfg, record = simulated
+    rho = str(record.parent / "state_true.json")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maxent_tomo.__file__))
+    fitted = [0, "numpy", "scipy", "maxent_tomo.maxent"]
+    runs = [
+        (["import maxent_tomo", "import maxent_tomo.cli", ["--help"],
+          ["reconstruct", "--config", str(cfg), "--nbar", "half"]],
+         [[0], [0], [0], [1]]),
+        ([["wigner", "--rho", rho, "--points", "33", "--out", str(tmp_path)],
+          ["report", "--rho", rho, "--reference", rho]],
+         [[0, "numpy", "maxent_tomo.wigner"], [0, "numpy", "maxent_tomo.wigner"]]),
+        ([["reconstruct", "--config", str(cfg), "--record", str(record),
+           "--out", str(tmp_path)]], [fitted]),
+    ]
+    for steps, expected in runs:
+        proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, json.dumps(steps)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected, steps
 
 
 SCIPY_PROBE = """

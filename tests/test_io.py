@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,33 @@ def test_density_matrix_round_trip(tmp_path):
     psi = superposition(FockSpace(6), [1.0, 0.3j])
     write_density_matrix(psi.density(), path)
     assert np.array_equal(read_density_matrix(path).matrix, psi.density().matrix)
+
+
+# bytes that are not UTF-8, and not JSON, CSV or config text in any encoding
+NOT_UTF8 = b"\xff\n"
+
+
+@pytest.mark.parametrize("reader, payload", [
+    (read_density_matrix, b'{"dim": 1\n"real": [1]}'),
+    (read_density_matrix, NOT_UTF8),
+    (read_record, NOT_UTF8),
+    (read_record, b"# nbar=half\n# grid_center_m=0\n# grid_width_m=1e-6\n"
+                  b"# grid_half_count=1\n# rotations_rad=0\n"),
+    (read_cut_file, NOT_UTF8),
+    (read_cut_file, b"# tau_us=0\n# pixel_width_m=1e-6\nz_m,value\n0,abc\n"),
+    (read_config, NOT_UTF8),
+    (read_config, b"dim = 8\nnbar\n"),
+    (read_config, b"dim = 2.5\n"),
+], ids=["rho-syntax", "rho-bytes", "record-bytes", "record-float", "cut-bytes",
+        "cut-float", "config-bytes", "config-line", "config-value"])
+def test_every_reader_error_names_the_file(tmp_path, reader, payload):
+    """A JSON syntax error, non-UTF-8 bytes and a value that does not parse
+    name no file of their own; the reader's ValueError does."""
+    path = tmp_path / "bad.file"
+    path.write_bytes(payload)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: ") as info:
+        reader(path)
+    assert type(info.value) is ValueError
 
 
 # ---------------------------------------------------------------------------

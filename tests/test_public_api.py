@@ -13,7 +13,11 @@ do not count.
 """
 
 import ast
+import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import maxent_tomo
 
@@ -24,13 +28,9 @@ SUBMODULES = {p.stem for p in PACKAGE_DIR.glob("*.py")} - {"__init__"}
 
 
 def _exported() -> dict:
-    """Each exported name, mapped to the submodule that defines it."""
-    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
-    return {
-        alias.asname or alias.name: node.module
-        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
+    """Each exported name, mapped to the submodule that defines it: the
+    table the package's lazy namespace imports from."""
+    return dict(maxent_tomo._EXPORTS)
 
 
 def _reads(path: pathlib.Path, exported: dict) -> set:
@@ -85,9 +85,19 @@ def _used() -> set:
     return set().union(*(_reads(path, exported) for path in files))
 
 
+def test_the_table_names_each_export_where_it_is_defined():
+    """A table that read empty would let the caller test below pass on no
+    names at all."""
+    exported = _exported()
+    assert exported and set(exported.values()) <= SUBMODULES
+    for name, module in exported.items():
+        submodule = importlib.import_module(f"{PACKAGE}.{module}")
+        assert getattr(maxent_tomo, name) is getattr(submodule, name), name
+
+
 def test_every_exported_name_has_a_caller_outside_the_tests():
     exported = set(_exported())
-    assert exported <= set(dir(maxent_tomo))
+    assert exported and exported <= set(dir(maxent_tomo))
     assert sorted(exported - _used()) == []
 
 
@@ -108,3 +118,37 @@ def test_only_reads_through_the_package_count(tmp_path):
     assert _reads(script, _exported()) == {
         "fit", "read_record", "fidelity", "wigner_eval", "write_record",
     }
+
+
+NAMESPACE_PROBE = """
+import sys
+import maxent_tomo
+loaded = sorted(m for m in sys.modules if m.startswith("maxent_tomo."))
+assert loaded == [], loaded
+# submodules resolve through the namespace as attributes, as perfbench reads them
+assert maxent_tomo.maxent is sys.modules["maxent_tomo.maxent"]
+assert getattr(maxent_tomo, "measurement").ObservableSet is maxent_tomo.ObservableSet
+from maxent_tomo import fit, io
+assert fit is maxent_tomo.maxent.fit and io is sys.modules["maxent_tomo.io"]
+assert set(maxent_tomo._EXPORTS) <= set(dir(maxent_tomo))
+assert sorted(maxent_tomo.__all__) == sorted(maxent_tomo._EXPORTS)
+names = {}
+exec("from maxent_tomo import *", names)
+assert all(names[n] is getattr(maxent_tomo, n) for n in maxent_tomo.__all__)
+try:
+    maxent_tomo.no_such_name
+except AttributeError as exc:
+    assert "'no_such_name'" in str(exc), exc
+else:
+    raise AssertionError("no AttributeError")
+"""
+
+
+def test_the_namespace_imports_each_name_on_first_access():
+    """In a fresh interpreter: importing the package loads no submodule;
+    names, submodules, `from ... import` and `import *` resolve on access;
+    an unknown name raises AttributeError naming it."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    proc = subprocess.run([sys.executable, "-c", NAMESPACE_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
