@@ -13,7 +13,10 @@ N-1 exceeds ``LEAKAGE_TOL``; raising N is always the right fix.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +54,25 @@ class TruncationError(ValueError):
 
 class EigError(RuntimeError):
     """Hermitian eigendecomposition did not converge."""
+
+
+_SCIPY_LOAD = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_thread_load():
+    """Load scipy's compiled modules in this: scipy's OpenBLAS, linked by the
+    first, reads its thread count only then, and at one it starts no pool."""
+    with _SCIPY_LOAD:  # the environment is the process's: one load at a time
+        unset = os.environ.keys().isdisjoint(  # a count the user set wins
+            ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+        if unset:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            yield
+        finally:
+            if unset:
+                del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 def _readonly(arr):
@@ -217,7 +239,8 @@ def even_cat(space: FockSpace, alpha: float) -> PureState:
     if a2 > 0.0:
         # not math.lgamma: it differs in the last bits, and fits to
         # simulated cats follow those bits
-        from scipy.special import gammaln
+        with _one_thread_load():
+            from scipy.special import gammaln
 
         log_w = even * math.log(a2) - gammaln(even + 1.0)
     else:

@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .hilbert import DensityOperator, _eigh, entropy
+from .hilbert import DensityOperator, _eigh, _one_thread_load, entropy
 from .measurement import ObservableSet
 
 __all__ = [
@@ -272,8 +272,9 @@ def _optimize_extension(name: str):
         f"scipy.optimize.{name}")
     if spec is None:
         raise ImportError(f"no compiled scipy.optimize.{name} in {folder}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with _one_thread_load():  # module_from_spec, not exec_module, opens the library
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
     if name == "_lbfgsb" and not (module.setulb.__doc__ or "").startswith(SETULB):
         raise ImportError(f"maxent-tomo needs {SCIPY_FLOOR}, whose L-BFGS-B is {SETULB}")
     return module
@@ -321,22 +322,17 @@ def _scipy_openblas():
     Loads ``_lbfgsb`` first, which links that OpenBLAS: the lookup below
     only finds a copy already in the process."""
     import ctypes
+    import glob
 
     import scipy
 
     _optimize_extension("_lbfgsb")
     # the wheels bundle it in scipy.libs, next to the scipy package
     folder = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
-    try:
-        names = sorted(os.listdir(folder))
-    except OSError:
-        return None
-    for name in names:
-        if not name.startswith("libscipy_openblas"):
-            continue
+    for path in sorted(glob.glob(os.path.join(glob.escape(folder), "libscipy_openblas*"))):
         try:
             # RTLD_NOLOAD: only the copy already in the process, never a new one
-            lib = ctypes.CDLL(os.path.join(folder, name), mode=getattr(os, "RTLD_NOLOAD", 0))
+            lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))
             get = lib.scipy_openblas_get_num_threads
             put = lib.scipy_openblas_set_num_threads
         except (OSError, AttributeError):
@@ -351,30 +347,25 @@ class _OneBlasThread:
     """Context manager holding a BLAS at one thread while any fit is inside
     it, then restoring the count found on entry.
 
-    scipy's L-BFGS-B makes many tiny BLAS calls; with more than one thread
-    the pool's spinning workers starve the main thread and numpy's own BLAS
-    (a separate library, left alone here).  The thread count is global to
-    the process, so nested and concurrent entries share one cap: the first
-    entry saves the count, the last exit restores it.  The library is
-    looked up once, on the first entry, and ``locate`` must load it before
-    looking: a lookup that runs before scipy's L-BFGS-B is loaded finds
-    nothing, and the cap would then stay off for the life of the process.
-    Where ``locate`` finds none, entering does nothing."""
+    scipy's OpenBLAS, loaded by the package, starts at one thread
+    (``_one_thread_load``) and this does nothing.  It guards a pool started
+    before, by an import of scipy.linalg say, whose spinning workers starve
+    L-BFGS-B's many tiny BLAS calls and numpy's own BLAS (a separate
+    library, left alone here).  The count is global to the process, so
+    nested and concurrent entries share one cap: the first entry saves the
+    count, the last exit restores it.  ``locate`` must load the library
+    before looking it up; where it finds none, entering does nothing."""
 
     def __init__(self, locate):
-        self._locate = locate
+        self._locate = functools.cache(locate)  # looked up on the first entry only
         self._lock = threading.Lock()
-        self._lib = None
-        self._looked = False
-        self._users = 0
-        self._saved = 0
+        self._users = self._saved = 0
 
     def __enter__(self):
         with self._lock:
-            if not self._looked:
-                self._lib, self._looked = self._locate(), True
-            if self._lib is not None and self._users == 0:
-                get, put = self._lib
+            lib = self._locate()
+            if lib is not None and self._users == 0:
+                get, put = lib
                 self._saved = get()
                 put(1)
             self._users += 1
@@ -382,8 +373,8 @@ class _OneBlasThread:
     def __exit__(self, *exc):
         with self._lock:
             self._users -= 1
-            if self._lib is not None and self._users == 0:
-                self._lib[1](self._saved)
+            if self._users == 0 and (lib := self._locate()) is not None:
+                lib[1](self._saved)
 
 
 _SCIPY_BLAS = _OneBlasThread(_scipy_openblas)
@@ -450,13 +441,14 @@ def fit(
     at least 1 (ValueError otherwise).
 
     scipy's compiled L-BFGS-B, without scipy.optimize, and the OpenBLAS it
-    links are loaded on the first fit in the process, and the thread cap
-    looks the library up right after that.  Each L-BFGS run holds that
-    OpenBLAS at one thread and then restores the count it found (a no-op
-    for other BLAS builds).  That count is global to the process: fits
-    running concurrently in several Python threads share one cap, which
-    lasts until the last of them leaves the optimizer, and other scipy BLAS
-    work in the process meanwhile runs on one thread too.  numpy's BLAS threads are not touched.
+    links are loaded on the first fit in the process.  Unless the process
+    loaded that OpenBLAS before or set OPENBLAS_, GOTO_ or OMP_NUM_THREADS,
+    it starts at one thread: its worker pool never exists, and scipy's BLAS
+    stays at one thread after the fit.  Against a pool started elsewhere,
+    each L-BFGS run holds that OpenBLAS at one thread and then restores the
+    count it found (a no-op for other BLAS builds); concurrent fits share
+    that cap, and other scipy BLAS work meanwhile runs on one thread too.
+    numpy's BLAS threads are not touched.
     """
     if not (math.isfinite(grad_tol) and grad_tol > 0):
         raise ValueError(f"grad_tol must be finite and positive, got {grad_tol!r}")

@@ -141,6 +141,51 @@ def test_even_cat_populations_and_energy():
         even_cat(FockSpace(8), 2.5)
 
 
+OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, *OPENBLAS_THREAD_VARS])
+def test_concurrent_scipy_loads_see_one_thread_and_restore_the_environment(monkeypatch, preset):
+    """Threads entering and leaving ``_one_thread_load`` at random: inside,
+    OpenBLAS reads one thread, or the count set beforehand in any variable it
+    reads; afterwards the environment is as it was."""
+    import os
+    import sys
+    import threading
+    import time
+
+    from maxent_tomo.hilbert import _one_thread_load
+
+    for var in OPENBLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if preset:
+        monkeypatch.setenv(preset, "3")
+    before = dict(os.environ)
+    seen = []
+
+    def worker():
+        for _ in range(1000):
+            with _one_thread_load():
+                time.sleep(0)  # hand the interpreter to another thread inside
+                seen.append(tuple(os.environ.get(v) for v in OPENBLAS_THREAD_VARS))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    expected = (("1", None, None) if preset is None
+                else tuple("3" if v == preset else None for v in OPENBLAS_THREAD_VARS))
+    assert len(seen) == 4 * 1000 and set(seen) == {expected}
+    assert dict(os.environ) == before
+
+
 def test_thermal_state_matches_geometric_law():
     space = FockSpace(64)
     rho = thermal_state(space, 0.5)

@@ -1069,37 +1069,57 @@ def test_fit_without_a_bundled_openblas_gives_the_same_result(monkeypatch, trap,
 
 
 FIRST_SCIPY_FIT = """
-import sys
+import json, os, sys, threading
 import numpy as np
 from maxent_tomo import (FockSpace, TrapConfig, build_observation_level, default_bin_grid,
-                         fit, maxent, simulate_ideal, superposition)
+                         even_cat, fit, maxent, simulate_ideal, superposition)
+
+def tasks():  # the threads of this process, where the system lists them
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 0
+
+n_threads, cat = int(sys.argv[1]), sys.argv[2] == "cat"
 assert "scipy" not in sys.modules
+environ, counts = dict(os.environ), [tasks()]
 trap = TrapConfig(omega_z=2 * np.pi * 80e3, dz0=22e-9, dv0=11e-3, cloud_rms=60e-6,
                   be_time=8.7e-3)
 space = FockSpace(8)
 obs = build_observation_level(trap, default_bin_grid(trap, nbar=0.5, half_count=5),
                               (0.0, 0.9), 0.5, space)
-obs = obs.with_record(simulate_ideal(superposition(space, [1.0, 1.0]), obs))
-real_minimize, inside = maxent.minimize, []
+state = even_cat(space, 0.7) if cat else superposition(space, [1.0, 1.0])
+obs = obs.with_record(simulate_ideal(state, obs))
+assert ("scipy.special" in sys.modules) == cat
+counts.append(tasks())
+real_minimize, inside, fitted = maxent.minimize, [], []
 
 def counting(*args, **kwargs):
-    lib = maxent._SCIPY_BLAS._lib
-    inside.append(lib[0]() if lib else None)
+    inside.append(maxent._SCIPY_BLAS._locate()[0]())
     return real_minimize(*args, **kwargs)
 
 maxent.minimize = counting
-fit(obs)
-assert maxent._SCIPY_BLAS._lib is not None, "the cap found no OpenBLAS"
+threads = [threading.Thread(target=lambda: fitted.append(fit(obs)))
+           for _ in range(n_threads)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+counts.append(tasks())
+lib = maxent._SCIPY_BLAS._locate()
+assert lib is not None, "the cap found no OpenBLAS"
+assert len(fitted) == n_threads, "a fit raised"
 assert inside and set(inside) == {1}, inside
+assert dict(os.environ) == environ, "the environment changed"
 assert "scipy" in sys.modules and "scipy.optimize" not in sys.modules
+print(json.dumps({"threads": lib[0](), "tasks": counts}))
 """
 
+OPENBLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-def test_first_fit_in_a_scipy_free_process_caps_blas():
-    """A fit that makes the process's first scipy import still finds and
-    caps scipy's OpenBLAS, which it loads with L-BFGS-B while scipy.optimize
-    stays unloaded.  In the test process scipy is loaded already, so only a
-    fresh interpreter shows this."""
+
+def _first_fit(threads=1, state="superposition", **preset):
+    """Run FIRST_SCIPY_FIT in a fresh interpreter, with none of the thread
+    variables OpenBLAS reads set but ``preset``: scipy's OpenBLAS thread
+    count after the fits and the process's thread counts before the
+    simulation, after it and after the fits."""
     import os
     import subprocess
     import sys
@@ -1109,11 +1129,52 @@ def test_first_fit_in_a_scipy_free_process_caps_blas():
 
     if maxent._scipy_openblas() is None:
         pytest.skip("scipy does not use its bundled OpenBLAS here")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(maxent_tomo.__file__))
-    proc = subprocess.run([sys.executable, "-c", FIRST_SCIPY_FIT], env=env,
-                          capture_output=True, text=True, timeout=300)
+    env = {k: v for k, v in os.environ.items() if k not in OPENBLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=os.path.dirname(os.path.dirname(maxent_tomo.__file__)))
+    proc = subprocess.run([sys.executable, "-c", FIRST_SCIPY_FIT, str(threads), state],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_first_fit_in_a_scipy_free_process_caps_blas():
+    """A fit that makes the process's first scipy import still finds and
+    caps scipy's OpenBLAS, which it loads with L-BFGS-B while scipy.optimize
+    stays unloaded.  The library starts at one thread: its count is 1 inside
+    the fit and after it, the fit leaves no worker thread behind, and the
+    environment is as it was.  In the test process scipy is loaded already,
+    so only a fresh interpreter shows this."""
+    seen = _first_fit()
+    assert seen["threads"] == 1
+    assert max(seen["tasks"]) <= seen["tasks"][0]
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_thread_count_set_in_the_environment_wins(var):
+    """With 3 threads asked for, scipy's OpenBLAS keeps that count outside
+    the fit (OpenBLAS caps it at the processors it may run on) and runs the
+    fit at 1."""
+    import os
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert _first_fit(**{var: "3"})["threads"] == min(3, cpus)
+
+
+def test_concurrent_first_fits_leave_the_environment_as_found():
+    """Four threads making the process's first fits at once: each runs at
+    one BLAS thread, and the thread variable set for the load is gone."""
+    seen = _first_fit(threads=4)
+    assert seen["threads"] == 1
+    assert max(seen["tasks"]) <= seen["tasks"][0]
+
+
+def test_a_cat_simulation_starts_no_scipy_worker():
+    """even_cat's gammaln is the process's first load of scipy's OpenBLAS;
+    it starts at one thread, so neither the simulation nor the fit after it
+    adds a thread."""
+    seen = _first_fit(state="cat")
+    assert seen["threads"] == 1
+    assert max(seen["tasks"]) <= seen["tasks"][0]
 
 
 def test_concurrent_fits_share_one_cap():
