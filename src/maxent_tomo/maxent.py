@@ -189,17 +189,28 @@ def _phi_kernel(e: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(small, narrow, wide)
 
 
-def _mean_jacobian(lambdas, observables: ObservableSet) -> tuple[np.ndarray, np.ndarray]:
-    """Model means <G_mu> and their Jacobian d<G_mu>/d lambda_nu =
-    <G_mu><G_nu> - sum_ab conj(Gt_mu)_ab phi_ab (Gt_nu)_ab / Z with Gt = V+ G V,
-    minus the Kubo-Mori covariance; dF's gradient is 2 J^T W r.  J = m m^T -
-    F^T F with F the Gt packed at the kernel phi/Z > 0, whose diagonal rows
-    times sqrt(q/Z) are the means."""
-    d, v = _spectrum(_flat_lambdas(lambdas, observables), observables)
+def _mean_jacobian(d: np.ndarray, v: np.ndarray, observables: ObservableSet, groups):
+    """At the spectrum (d, v) of A, the means m = <H> of the operators of the
+    reduced ``groups`` of ``observables.span()`` and their Jacobian in y = C
+    lambda, J_E = m m^T - F^T F, minus the Kubo-Mori covariance: F packs
+    Ht = V+ H V at phi/Z > 0, and its diagonal rows times sqrt(q/Z) are m.
+    The set's means are C^T m, their Jacobian C^T J_E C, dF's gradient 2 J^T W r."""
     e, q, z, _ = _gibbs(d, v)
-    packed = observables.packed_transformed(v, _phi_kernel(e, q) / z)
+    packed = observables.packed_transformed(v, _phi_kernel(e, q) / z, groups)
     model = np.sqrt(q / z) @ packed[:len(q)]
     return model, np.outer(model, model) - packed.T @ packed
+
+
+def _lm_normal(d: np.ndarray, v: np.ndarray, observables: ObservableSet, groups, root):
+    """J_E Q J_E at the spectrum (d, v) of A, for Q = C W C^T = root root^T and
+    (C, groups) = ``observables.span()``: J W J = C^T (J_E Q J_E) C."""
+    scaled = _mean_jacobian(d, v, observables, groups)[1] @ root
+    return scaled @ scaled.T
+
+
+def _lm_step(normal: np.ndarray, c: np.ndarray, g: np.ndarray, mu: float) -> np.ndarray:
+    """-(C^T N C + mu I)^-1 g, g = J^T W r in range(C^T): C^T y, (N + mu I) y = -C g."""
+    return c.T @ np.linalg.solve(normal + mu * np.eye(len(normal)), -(c @ g))
 
 
 def _stop(f: float, grad: np.ndarray, grad_tol: float) -> str | None:
@@ -223,9 +234,14 @@ def _lm_probe(observables: ObservableSet, grad_tol: float):
     accepted step divides the damping mu by 5, Marquardt's fixed decrease
     (SIAM J. Appl. Math. 11, 431, 1963); a rejected one multiplies it by
     nu = 2, 4, 8, ...  Exact data end in 21-24 steps, where Nielsen's
-    gain-ratio rule took 53-80."""
+    gain-ratio rule took 53-80.  Steps are solved in the span of the bases
+    (``_lm_step``: 125 unknowns, not 205, at dimension 16), equal to the
+    full-space ones in exact arithmetic; an accepted point's eigh is reused."""
+    c, groups = observables.span()
+    root = np.linalg.cholesky((c * observables.weights) @ c.T)
     x = np.zeros(observables.n_ops)
-    f, grad = deviation(x, observables)
+    spectrum = _spectrum(x, observables)
+    f, grad = _deviation_terms(*spectrum, observables)  # deviation(x), bit for bit
     history, mu, nu, normal = [f], 0.0, 2.0, None  # mu is set from the first J W J
     while True:
         stop = _stop(f, grad, grad_tol)
@@ -234,16 +250,16 @@ def _lm_probe(observables: ObservableSet, grad_tol: float):
         if stop or not math.isfinite(mu) or (len(history) > 10 and history[-11] < 10.0 * f):
             return None
         if normal is None:
-            scaled = _mean_jacobian(x, observables)[1] * np.sqrt(observables.weights)
-            normal = scaled @ scaled.T  # J W J, J symmetric
-            mu = mu or 1e-6 * np.max(np.diag(normal))
+            normal = _lm_normal(*spectrum, observables, groups, root)
+            mu = mu or 1e-6 * np.max(np.sum(c * (normal @ c), axis=0))  # diag(J W J)
         g = 0.5 * grad  # J^T W r
-        step = np.linalg.solve(normal + mu * np.eye(len(x)), -g)
-        f_new, grad_new = deviation(x + step, observables)
+        step = _lm_step(normal, c, g, mu)
+        trial = _spectrum(x + step, observables)
+        f_new, grad_new = _deviation_terms(*trial, observables)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # mu may overflow: a decline
             gain = (f - f_new) / (step @ (mu * step - g))
             if gain > 0:
-                x, f, grad, normal = x + step, f_new, grad_new, None
+                x, f, grad, spectrum, normal = x + step, f_new, grad_new, trial, None
                 mu, nu = mu / 5.0, 2.0
             else:
                 mu, nu = mu * nu, 2.0 * nu
@@ -430,7 +446,7 @@ def fit(
     L-BFGS goes on with its memory intact, so noisy fits keep their bits
     rather than take the probe's minimum, which overfits the noise.  Nearly
     noise-free data can reach the early trigger and pay for a declined
-    probe, 7-22 Jacobians or about 0.03-0.07 s at dimension 16 with 205
+    probe, 7-18 Jacobians or about 0.02-0.05 s at dimension 16 with 205
     observables.  A run that ends where no test passes is named by the
     iteration cap (``max_iter`` L-BFGS iterations; the probe's steps count
     on top), the evaluation cap (more than 3 ``max_iter`` evaluations) or a

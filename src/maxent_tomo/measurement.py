@@ -287,20 +287,44 @@ class ObservableSet:
         ops = self.operators
         return (coeffs @ ops.reshape(len(ops), -1)).reshape(ops.shape[1:])
 
-    def packed_transformed(self, v: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    def span(self) -> tuple[np.ndarray, tuple]:
+        """(C, groups): each group's K bases as B_k = sum_l T_kl E_l, T (K, L)
+        orthonormal, L the rank of the bases as real rows (Re, Im interleaved
+        if complex; numpy's matrix_rank cutoff), at most 2N - 1 for one
+        rotation's bins as psi_m psi_n is exp(-u^2) times a polynomial of
+        degree m + n.  The groups hold (phases, E), whose operators H give G =
+        C^T H; C is block-diagonal with T^T per group and phase, C C^T = I."""
+        blocks, groups = [], []
+        for phases, bases in self.groups:
+            flat = np.ascontiguousarray(bases).reshape(len(bases), -1).view(np.float64)
+            # the tall side: numpy's SVD of the wide (K, N^2) stack is 10-40x slower
+            u, s, vt = np.linalg.svd(flat.T, full_matrices=False)
+            rank = int(np.sum(s > s[0] * max(flat.shape) * np.finfo(float).eps))
+            e = np.ascontiguousarray((u[:, :rank] * s[:rank]).T).view(bases.dtype)
+            groups.append((phases, e.reshape(rank, *bases.shape[1:])))
+            blocks += [vt[:rank]] * len(phases)
+        c = np.zeros((sum(len(b) for b in blocks), self.n_ops))
+        rows, cols = np.cumsum([(0, 0)] + [b.shape for b in blocks], axis=0).T
+        for b, r, k in zip(blocks, rows, cols):
+            c[r:r + b.shape[0], k:k + b.shape[1]] = b
+        return c, tuple(groups)
+
+    def packed_transformed(self, v: np.ndarray, kernel: np.ndarray, groups) -> np.ndarray:
         """Columns F_nu, an (N^2, n_ops) array, with F_mu . F_nu = sum_ab
         kernel_ab conj(Gt_mu)_ab (Gt_nu)_ab for Gt = V^dagger G V and a real
         symmetric, non-negative kernel: each Gt packed as its diagonal times
         sqrt(kernel), then the real and the imaginary parts of its strict
         upper triangle times sqrt(2 kernel).  Per group and phase, Gt =
         W_j^dagger B_k W_j with W_j = diag(v_j) V comes from two products,
-        W_j^dagger [B_1 .. B_K], then that times W_j; no (n_ops, N, N) stack."""
+        W_j^dagger [B_1 .. B_K], then that times W_j; no (n_ops, N, N) stack.
+        ``groups`` are the set's own or the reduced ones of ``span``, whose
+        J*L operators H then give the columns."""
         n = self.dim
         iu, ju = np.triu_indices(n, 1)
         off = 2.0 * kernel[iu, ju]
         scale = np.sqrt(np.concatenate([np.diagonal(kernel), off, off]))
-        out, col = np.empty((n * n, self.n_ops)), 0
-        for phases, bases in self.groups:
+        out, col = np.empty((n * n, sum(len(p) * len(b) for p, b in groups))), 0
+        for phases, bases in groups:
             side = bases.transpose(1, 0, 2).reshape(n, -1).astype(np.complex128)
             for w in phases[:, :, None] * v:
                 gt = ((w.conj().T @ side).reshape(-1, n) @ w).reshape(n, len(bases), n)

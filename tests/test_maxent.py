@@ -372,11 +372,26 @@ def test_noisy_fit_stops_on_the_relative_gradient_test(acceptance_level):
     assert report.message.startswith("relative gradient")
 
 
+def _dense_jacobian(lam, obs):
+    """d<G_mu>/d lambda_nu = <G_mu><G_nu> - sum_ab conj(Gt_mu)_ab phi_ab
+    (Gt_nu)_ab / Z over the dense (n_ops, N, N) stack, Gt = V+ G V: the
+    full-space formula, without packing and without the span."""
+    from maxent_tomo import maxent
+
+    d, v = maxent._spectrum(lam, obs)
+    e, q, z, _ = maxent._gibbs(d, v)
+    gt = (v.conj().T @ obs.operators @ v).reshape(obs.n_ops, -1)
+    unpacked = np.real(gt.conj() * maxent._phi_kernel(e, q).ravel() @ gt.T) / z
+    means = obs.expectations(canonical_state(lam, obs).rho.matrix)
+    return np.outer(means, means) - unpacked
+
+
 @pytest.mark.parametrize("level", ["random", "acceptance"])
 def test_mean_jacobian_matches_finite_differences_and_the_gradient(level, acceptance_level):
-    """The Jacobian of the model means at a non-zero multiplier vector: it
-    matches central differences (h = 1e-5) of Tr[rho G_mu], and 2 J^T W r
-    is ``deviation``'s gradient to 1e-12 relative."""
+    """The Jacobian of the model means at a non-zero multiplier vector,
+    expanded from the span's coordinates as J = C^T J_E C: it matches
+    central differences (h = 1e-5) of Tr[rho G_mu], and 2 J^T W r is
+    ``deviation``'s gradient to 1e-12 relative."""
     from maxent_tomo import maxent
 
     rng = np.random.default_rng(41)
@@ -393,7 +408,9 @@ def test_mean_jacobian_matches_finite_differences_and_the_gradient(level, accept
     def means_at(x):
         return obs.expectations(canonical_state(x, obs).rho.matrix)
 
-    model, jac = maxent._mean_jacobian(lam, obs)
+    c, groups = obs.span()
+    model, jac = maxent._mean_jacobian(*maxent._spectrum(lam, obs), obs, groups)
+    model, jac = c.T @ model, c.T @ jac @ c  # G = C^T H, so <G> = C^T <H> and J = C^T J_E C
     assert np.max(np.abs(model - means_at(lam))) < 1e-14
     h = 1e-5
     fd = np.empty_like(jac)
@@ -409,10 +426,11 @@ def test_mean_jacobian_matches_finite_differences_and_the_gradient(level, accept
 
 @pytest.mark.parametrize("level", ["random", "acceptance"])
 def test_packed_jacobian_is_symmetric_and_matches_the_unpacked_formula(level, acceptance_level):
-    """J = m m^T - F^T F from the packed Hermitian features equals its own
-    transpose bit for bit and the unpacked <G_mu><G_nu> - sum_ab
-    conj(Gt_mu)_ab phi_ab (Gt_nu)_ab / Z over the dense stack, Gt = V+ G V,
-    to 1e-14 relative (measured 1.2e-15 and 1.9e-17)."""
+    """J_E = m m^T - F^T F from the packed Hermitian features of the span's
+    operators equals its own transpose bit for bit, and C^T J_E C equals the
+    unpacked <G_mu><G_nu> - sum_ab conj(Gt_mu)_ab phi_ab (Gt_nu)_ab / Z over
+    the dense stack, Gt = V+ G V, to 1e-14 relative (measured 1.2e-15 and
+    1.9e-17 before the span)."""
     from maxent_tomo import maxent
 
     rng = np.random.default_rng(41)
@@ -425,15 +443,65 @@ def test_packed_jacobian_is_symmetric_and_matches_the_unpacked_formula(level, ac
         obs, ideal = acceptance_level
         obs = obs.with_record(ideal)
         lam = rng.uniform(-0.5, 0.5, obs.n_ops)
-    model, jac = maxent._mean_jacobian(lam, obs)
+    c, groups = obs.span()
+    _, jac = maxent._mean_jacobian(*maxent._spectrum(lam, obs), obs, groups)
     assert np.array_equal(jac, jac.T)
-    d, v = maxent._spectrum(lam, obs)
-    e, q, z, _ = maxent._gibbs(d, v)
-    gt = (v.conj().T @ obs.operators @ v).reshape(obs.n_ops, -1)
-    unpacked = np.real(gt.conj() * maxent._phi_kernel(e, q).ravel() @ gt.T) / z
-    means = obs.expectations(canonical_state(lam, obs).rho.matrix)
-    reference = np.outer(means, means) - unpacked
+    reference = _dense_jacobian(lam, obs)
+    jac = c.T @ jac @ c
     assert np.max(np.abs(jac - reference)) < 1e-14 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("weighting", ["unit", "nbar", "random"])
+def test_probe_step_in_the_span_moves_the_exponent_as_the_full_space_step(
+        weighting, trap, space16):
+    """The probe's step C^T y, with (J_E Q J_E + mu I) y = -C g, against the
+    full-space step s = -(J W J + mu I)^-1 g, solved densely over all 205
+    multipliers with J from the dense stack, at the first damping mu = 1e-6
+    max diag(J W J) and at mu / 5^10, with unit weights, the number operator
+    weighted 3 and random weights.  C s is the step's action on the
+    exponent, sum s G = sum (C s)_a H_a; the full-space s also carries
+    -g_null / mu, g_null the rounding of g outside range(C^T), which C
+    removes and which moves the exponent only by the rounding of G = C^T H,
+    so s itself is not compared.
+
+    The two C s agree to 1e-10 relative at the first damping (measured
+    1.5e-12 to 1.8e-11).  At mu / 5^10 the damped matrix's condition number
+    kappa = (max eig + mu) / mu is 1e13, and the two solves' rounding may
+    differ by kappa eps (measured 1.4e-6 to 1.1e-5, at most 0.08 kappa eps;
+    2e-9 at that damping on the probe's own path), so there the bound is
+    kappa eps.  The tight check at both dampings is the backward error:
+    the reduced step solves the full-space system with a residual within
+    1e-13 of |J W J + mu I| |s| (measured at most 5e-15).  diag(C^T N C) is
+    diag(J W J), the first damping's scale."""
+    from maxent_tomo import maxent
+
+    grid = default_bin_grid(trap, nbar=0.5, half_count=25)
+    obs = build_observation_level(trap, grid, rotations(trap), 0.5, space16,
+                                  weight_nbar=3.0 if weighting == "nbar" else 1.0)
+    rng = np.random.default_rng(17)
+    if weighting == "random":
+        obs = ObservableSet(operators=None, labels=obs.labels, means=obs.means,
+                            weights=rng.uniform(0.5, 2.0, obs.n_ops), rotations=obs.rotations,
+                            grid=obs.grid, groups=obs.groups)
+    obs = obs.with_record(simulate_ideal(superposition(space16, [1.0, 1.0]), obs))
+    for lam in (np.zeros(obs.n_ops), rng.uniform(-0.5, 0.5, obs.n_ops)):
+        g = 0.5 * deviation(lam, obs)[1]  # J^T W r
+        jac = _dense_jacobian(lam, obs)
+        full = jac @ (obs.weights[:, None] * jac)  # J W J
+        c, groups = obs.span()
+        root = np.linalg.cholesky((c * obs.weights) @ c.T)  # Q = C W C^T
+        normal = maxent._lm_normal(*maxent._spectrum(lam, obs), obs, groups, root)
+        diag = np.sum(c * (normal @ c), axis=0)
+        assert np.max(np.abs(diag - np.diag(full))) < 1e-12 * np.max(np.diag(full))
+        mu, top = 1e-6 * np.max(np.diag(full)), np.linalg.eigvalsh(full)[-1]
+        for damping, tol in ((mu, 1e-10), (mu / 5.0**10, None)):
+            system = full + damping * np.eye(obs.n_ops)
+            s_full = np.linalg.solve(system, -g)
+            s = maxent._lm_step(normal, c, g, damping)
+            tol = tol or (top + damping) / damping * np.finfo(float).eps
+            assert np.max(np.abs(c @ s - c @ s_full)) < tol * np.max(np.abs(c @ s_full))
+            residual = np.max(np.abs(system @ s + g))
+            assert residual < 1e-13 * np.max(np.sum(np.abs(system), axis=1)) * np.max(np.abs(s))
 
 
 def test_exact_fits_do_not_depend_on_rounding_of_the_data(acceptance_level):

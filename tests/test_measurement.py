@@ -500,11 +500,52 @@ def test_transformed_operators_match_the_dense_stack(trap, space16):
         upper = reference[:, iu, ju] * np.sqrt(2.0 * kernel[iu, ju])
         diag = np.real(np.diagonal(reference, axis1=1, axis2=2)) * np.sqrt(np.diag(kernel))
         by_hand = np.concatenate([diag, upper.real, upper.imag], axis=1).T
-        packed = obs.packed_transformed(v, kernel)
+        packed = obs.packed_transformed(v, kernel, obs.groups)
         assert packed.shape == (256, obs.n_ops)
         assert np.max(np.abs(packed - by_hand)) < 1e-14 * np.max(np.abs(by_hand))
         gram = np.real(np.einsum("mab,ab,nab->mn", reference.conj(), kernel, reference))
         assert np.max(np.abs(packed.T @ packed - gram)) < 1e-14 * np.max(np.abs(gram))
+
+
+def _span_operators(groups) -> np.ndarray:
+    """The (sum of J*L, N, N) stack of the operators H of reduced groups."""
+    return np.concatenate([((np.conj(v)[:, :, None] * v[:, None, :])[:, None] * e[None])
+                           .reshape(-1, *e.shape[1:]) for v, e in groups])
+
+
+def test_span_rebuilds_every_operator_with_one_quadrature_rank_per_rotation(trap, space16):
+    """The standard dim-16 level (four rotations of 51 bins, and the number
+    operator): each rotation's bins span 2 dim - 1 = 31 operators, since
+    psi_m psi_n is exp(-u^2) times a polynomial of degree m + n, and the
+    number group 1.  C has orthonormal rows, and C^T H, i.e. sum_l T_kl E_l
+    dressed with each rotation's phases, rebuilds every operator to 1e-14
+    relative."""
+    grid = default_bin_grid(trap, nbar=0.5, half_count=25)
+    obs = build_observation_level(trap, grid, rotations(trap), 0.5, space16)
+    c, groups = obs.span()
+    assert [len(e) for _, e in groups] == [31, 1]
+    assert all(np.isrealobj(e) for _, e in groups)
+    assert c.shape == (4 * 31 + 1, 205)
+    assert np.max(np.abs(c @ c.T - np.eye(len(c)))) < 1e-14
+    rebuilt = np.einsum("an,aij->nij", c, _span_operators(groups))
+    assert np.max(np.abs(rebuilt - obs.operators)) < 1e-14 * np.max(np.abs(obs.operators))
+
+
+def test_span_of_complex_hermitian_operators_has_at_most_their_count():
+    """An array-like set of complex Hermitian operators, four random and two
+    combinations of them: stacked as real rows they have rank 4, the span keeps
+    4 Hermitian operators, and C^T H rebuilds all six to 1e-14 relative."""
+    rng = np.random.default_rng(3)
+    raw = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+    ops = raw + raw.conj().transpose(0, 2, 1)
+    ops = np.concatenate([ops, [ops[0] - 2.0 * ops[3], 0.5 * ops[1] + ops[2]]])
+    obs = ObservableSet(operators=ops, labels=[("op", i) for i in range(6)])
+    c, groups = obs.span()
+    ((_, e),) = groups
+    assert len(e) == 4 and np.iscomplexobj(e)
+    assert np.max(np.abs(e - e.conj().transpose(0, 2, 1))) < 1e-14 * np.max(np.abs(e))
+    rebuilt = np.einsum("an,aij->nij", c, _span_operators(groups))
+    assert np.max(np.abs(rebuilt - ops)) < 1e-14 * np.max(np.abs(ops))
 
 
 def test_validate_checks_each_phase_for_unit_modulus():
