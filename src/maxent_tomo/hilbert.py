@@ -33,7 +33,6 @@ __all__ = [
     "superposition",
     "even_cat",
     "thermal_state",
-    "unitary_expm",
     "hermite_functions",
     "entropy",
     "delta_rho",
@@ -274,7 +273,7 @@ def thermal_state(space: FockSpace, nbar: float) -> DensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# matrix functions
+# Hermitian eigendecomposition
 
 
 def _eigh(matrix: np.ndarray):
@@ -282,12 +281,6 @@ def _eigh(matrix: np.ndarray):
         return np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigError(str(exc)) from exc
-
-
-def unitary_expm(operator, t: float) -> np.ndarray:
-    """exp(-i t A) for Hermitian A, same eigendecomposition route."""
-    d, v = _eigh(_matrix_of(operator))
-    return (v * np.exp(-1j * t * d)) @ v.conj().T
 
 
 # ---------------------------------------------------------------------------

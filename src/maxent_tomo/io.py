@@ -216,7 +216,11 @@ def preprocess(
     background, clamp negatives to zero, shift positions so the cloud center
     lands on grid.center, rebin by overlap, normalize to unit sum.  With the
     background already at zero the chain is idempotent apart from the clamp.
+    A ``fixed_center`` with ``recenter`` off is refused, not ignored.
     """
+    if not recenter and fixed_center is not None:
+        raise ValueError(f"fixed_center={fixed_center!r} has no effect with recenter "
+                         "off: turn recenter on or drop the fixed center")
     profile = None
     if subtract_background or (recenter and fixed_center is None):
         profile = gaussian_fit_center(cut)

@@ -14,16 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import (
-    LEAKAGE_TOL,
-    DensityOperator,
-    FockSpace,
-    PureState,
-    TruncationError,
-    fock_state,
-    ladder_operators,
-    unitary_expm,
-)
+from .hilbert import LEAKAGE_TOL, DensityOperator, FockSpace, PureState, TruncationError
 from .measurement import BinGrid, ObservableSet, TrapConfig
 
 __all__ = [
@@ -144,46 +135,26 @@ def add_noise(
 # free-flight preparation
 
 
-def _squeezed_leakage(kappa: float, dim: int) -> float:
-    """Population of exp(-i kappa p^2)|0> above level dim-1 (untruncated).
-
-    The free-flight state is a squeezed vacuum with sinh r = kappa, occupying
-    even levels with p_2k = C(2k, k) (tanh^2 r / 4)^k / cosh r.
-    """
-    if kappa == 0.0:
-        return 0.0
-    t2 = kappa * kappa / (1.0 + kappa * kappa)  # tanh^2 r
-    inv_cosh = 1.0 / math.sqrt(1.0 + kappa * kappa)
-    head = 0.0
-    term = inv_cosh  # k = 0
-    k = 0
-    while 2 * k < dim:
-        head += term
-        k += 1
-        term *= t2 * (2 * k - 1) / (2.0 * k)
-    return max(1.0 - head, 0.0)
-
-
 def prepare_free_expansion(cfg: TrapConfig, t1: float, space: FockSpace) -> PureState:
     """Ground state after the trap is off for t1 seconds: exp(-i kappa p^2)|0>
-    with kappa = omega_z t1 / 2.  Mean occupation grows as kappa^2.
-
-    Raises TruncationError when the squeezed state no longer fits; the
-    analytic even-level populations provide the leakage estimate.
+    with kappa = omega_z t1 / 2, a squeezed vacuum with sinh r = kappa and mean
+    occupation kappa^2.  Its exact amplitudes are c_0 = (1 + i kappa)^(-1/2) and
+    c_{n+2} = c_n xi sqrt((n+1)/(n+2)), xi = i kappa / (1 + i kappa), |xi| = tanh r,
+    so the population above level dim-1 is 1 - sum |c_n|^2.  Past LEAKAGE_TOL
+    that raises TruncationError; otherwise the head is renormalized.
     """
     if not (math.isfinite(t1) and t1 >= 0):
         raise ValueError(f"t1 must be finite and non-negative, got {t1!r}")
     kappa = 0.5 * cfg.omega_z * t1
-    leak = _squeezed_leakage(kappa, space.dim)
+    xi = 1j * kappa / (1.0 + 1j * kappa)
+    amps = np.zeros(space.dim, dtype=np.complex128)
+    amps[0] = 1.0 / np.sqrt(1.0 + 1j * kappa)
+    for n in range(0, space.dim - 2, 2):
+        amps[n + 2] = amps[n] * xi * math.sqrt((n + 1) / (n + 2))
+    leak = 1.0 - float(np.vdot(amps, amps).real)
     if leak > LEAKAGE_TOL:
         raise TruncationError(
             f"free flight t1={t1:.3e} s (kappa={kappa:.3f}) leaks {leak:.3e} "
             f"above level {space.dim - 1}; raise the Fock dimension"
         )
-    vacuum = fock_state(space, 0)
-    if kappa == 0.0:
-        return vacuum
-    p = ladder_operators(space).p
-    amps = unitary_expm(p @ p, kappa) @ vacuum.amplitudes
-    # unitary on the truncated space: norm preserved up to roundoff
     return PureState(amps / np.linalg.norm(amps))

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from maxent_tomo import (
@@ -13,6 +14,8 @@ from maxent_tomo import (
     default_bin_grid,
     fidelity,
     fock_state,
+    preprocess,
+    read_cut_file,
     read_density_matrix,
     simulate_ideal,
     superposition,
@@ -147,6 +150,64 @@ def test_reconstruct_from_cuts_without_nbar_exits_one(cut_files, tmp_path, capsy
     assert code == 1
     assert "mean excitation number is required" in capsys.readouterr().err
     assert not (tmp_path / "rho.json").exists()
+
+
+def test_fixed_center_with_recentering_off_exits_one(cut_files, tmp_path, capsys):
+    """recenter = false would drop --fixed-center silently; it is refused."""
+    _, paths = cut_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CUT_CONFIG + "recenter = false\n")
+    code = main(["reconstruct", "--config", str(cfg)]
+                + [arg for p in paths for arg in ("--cut", p)]
+                + ["--nbar", "0.5", "--fixed-center", "2e-5", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "fixed_center=2e-05" in err and "recenter" in err
+    assert not (tmp_path / "rho.json").exists()
+
+
+class _FitCalled(Exception):
+    """Raised by a stand-in fit once it has seen the observation level."""
+
+
+def test_no_background_subtraction_fits_the_unsubtracted_rows(cut_files, tmp_path,
+                                                              monkeypatch):
+    _, paths = cut_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CUT_CONFIG)
+    seen = []
+
+    def stand_in(observables, **kwargs):
+        seen.append(observables)
+        raise _FitCalled
+
+    monkeypatch.setattr("maxent_tomo.maxent.fit", stand_in)
+    argv = (["reconstruct", "--config", str(cfg)]
+            + [arg for p in paths for arg in ("--cut", p)]
+            + ["--nbar", "0.5", "--fixed-center", "0", "--out", str(tmp_path)])
+    for extra in (["--no-background-subtraction"], []):
+        with pytest.raises(_FitCalled):
+            main(argv + extra)
+    plain, subtracted = (obs.means[:-1].reshape(obs.bin_shape) for obs in seen)
+    rows = [preprocess(read_cut_file(p), seen[0].grid, subtract_background=False,
+                       fixed_center=0.0) for p in paths]
+    assert np.array_equal(plain, rows)
+    assert not np.array_equal(subtracted, rows)
+
+
+def test_reconstruct_without_record_or_cut_exits_one(simulated, tmp_path, capsys):
+    cfg, _ = simulated
+    assert main(["reconstruct", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "needs --record or at least one --cut" in capsys.readouterr().err
+    assert not (tmp_path / "rho.json").exists()
+
+
+def test_report_against_a_reference_of_another_dimension_exits_one(tmp_path, capsys):
+    rho, ref = tmp_path / "rho.json", tmp_path / "ref.json"
+    write_density_matrix(fock_state(FockSpace(4), 0).density(), rho)
+    write_density_matrix(fock_state(FockSpace(6), 0).density(), ref)
+    assert main(["report", "--rho", str(rho), "--reference", str(ref)]) == 1
+    assert "dimensions differ" in capsys.readouterr().err
 
 
 def test_report_of_a_fock_state_prints_zero_entropy(tmp_path, capsys):

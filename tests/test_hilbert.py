@@ -23,7 +23,6 @@ from maxent_tomo import (
     read_density_matrix,
     superposition,
     thermal_state,
-    unitary_expm,
     write_density_matrix,
 )
 
@@ -242,26 +241,6 @@ def test_density_evolution_consistent_with_pure():
     via_pure = harmonic_evolve(psi, theta).density().matrix
     via_density = harmonic_evolve(psi.density(), theta).matrix
     assert np.max(np.abs(via_pure - via_density)) < 1e-14
-
-
-# ---------------------------------------------------------------------------
-# matrix exponentials
-
-
-def _taylor_expm(a: np.ndarray, terms: int = 24) -> np.ndarray:
-    out = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, terms):
-        term = term @ a / k
-        out = out + term
-    return out
-
-
-def test_unitary_expm_is_unitary():
-    ops = ladder_operators(FockSpace(8))
-    u = unitary_expm(ops.p @ ops.p, 0.37)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(8))) < 1e-12
-    assert np.max(np.abs(u - _taylor_expm(-0.37j * (ops.p @ ops.p).__array__()))) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ from maxent_tomo import (
     add_noise,
     build_observation_level,
     default_bin_grid,
+    even_cat,
     fidelity,
     fit,
+    fock_state,
     gaussian_fit_center,
     parse_config_text,
+    prepare_free_expansion,
     preprocess,
     read_config,
     read_cut_file,
@@ -225,6 +228,13 @@ def test_preprocess_raises_when_signal_misses_the_grid(trap):
         preprocess(shifted, grid, recenter=False)
 
 
+def test_preprocess_refuses_a_fixed_center_it_would_ignore(trap):
+    grid = default_bin_grid(trap, nbar=0.5, half_count=25)
+    cut = _gaussian_cut(center=0.0, sigma=9.6e-5, amp=1.0)
+    with pytest.raises(ValueError, match=r"fixed_center=2e-05 .*recenter"):
+        preprocess(cut, grid, recenter=False, fixed_center=2e-5)
+
+
 # ---------------------------------------------------------------------------
 # record and density-matrix files
 
@@ -414,6 +424,25 @@ def test_parse_config_text_and_defaults():
         parse_config_text("dim 8")
     with pytest.raises(ValueError):
         RunConfig.from_dict({"recenter": "maybe"})
+
+
+# the README's state specs and the factory calls they stand for
+README_STATE_SPECS = {
+    "fock:2": lambda space: fock_state(space, 2),
+    "superposition:1,1": lambda space: superposition(space, [1, 1]),
+    "even_cat:1.414": lambda space: even_cat(space, 1.414),
+    "thermal:0.5": lambda space: thermal_state(space, 0.5),
+    "free_expansion:4": lambda space: prepare_free_expansion(make_trap(), 4e-6, space),
+}
+
+
+@pytest.mark.parametrize("spec", README_STATE_SPECS)
+def test_each_readme_state_spec_builds_its_factory_state(spec):
+    built = RunConfig.from_dict({"dim": "40", "state": spec}).build_state()
+    expected = README_STATE_SPECS[spec](FockSpace(40))
+    assert type(built) is type(expected)
+    field = "amplitudes" if hasattr(expected, "amplitudes") else "matrix"
+    assert np.array_equal(getattr(built, field), getattr(expected, field))
 
 
 def test_repeated_config_key_names_both_lines():

@@ -189,6 +189,41 @@ def test_free_expansion_preserves_momentum_spread(trap):
     assert expectation(psi, p @ p) == pytest.approx(0.5, abs=1e-9)
 
 
+def _dense_free_flight(kappa: float, dim: int) -> np.ndarray:
+    """exp(-i kappa p^2)|0> by eigendecomposing p^2 in a space four times
+    larger, where the truncation no longer reaches the state."""
+    p = ladder_operators(FockSpace(4 * dim)).p
+    d, v = np.linalg.eigh(p @ p)
+    return v @ (np.exp(-1j * kappa * d) * v[0].conj())
+
+
+def _squeezed_vacuum_leak(kappa: float, dim: int) -> float:
+    """Population above level dim-1 of the squeezed vacuum with sinh r =
+    kappa: p_2k = C(2k, k) (tanh^2 r / 4)^k / cosh r on the even levels."""
+    t2 = kappa**2 / (1.0 + kappa**2)
+    head = sum(math.comb(2 * k, k) * (t2 / 4.0) ** k for k in range((dim + 1) // 2))
+    return 1.0 - head / math.sqrt(1.0 + kappa**2)
+
+
+@pytest.mark.parametrize("t1, dim", [(2e-6, 16), (4e-6, 40), (8e-6, 160)])
+def test_free_expansion_is_the_renormalized_head_of_the_exact_state(trap, t1, dim):
+    """The closed form against a dense exponential: the amplitudes are the
+    exact state's first dim levels, renormalized, and what they miss is the
+    squeezed vacuum's population above the truncation."""
+    kappa = 0.5 * trap.omega_z * t1
+    exact = _dense_free_flight(kappa, dim)
+    psi = prepare_free_expansion(trap, t1, FockSpace(dim))
+    head = exact[:dim] / np.linalg.norm(exact[:dim])
+    assert np.max(np.abs(psi.amplitudes - head)) < 1e-14
+    fidelity = abs(np.vdot(exact[:dim], psi.amplitudes)) ** 2
+    assert 1.0 - fidelity == pytest.approx(_squeezed_vacuum_leak(kappa, dim), abs=1e-12)
+
+
+def test_free_expansion_without_flight_is_the_vacuum_bit_for_bit(trap):
+    psi = prepare_free_expansion(trap, 0.0, FockSpace(16))
+    assert psi.amplitudes.tobytes() == fock_state(FockSpace(16), 0).amplitudes.tobytes()
+
+
 def test_free_expansion_truncation_guard(trap):
     with pytest.raises(TruncationError):
         prepare_free_expansion(trap, 4e-6, FockSpace(16))
