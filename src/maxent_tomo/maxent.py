@@ -225,18 +225,48 @@ def _stop(f: float, grad: np.ndarray, grad_tol: float) -> str | None:
     return GRADIENT_STOP.format(grad_tol) if ginf <= grad_tol else None
 
 
-def _lm_probe(observables: ObservableSet, grad_tol: float):
+def _relation_bound(observables: ObservableSet) -> float:
+    """A lower bound on dF over all multipliers, from the means alone.
+
+    Per group and phase the model means are <B_k, D^dagger rho D> for the K
+    bases as real rows, so they lie in the range of the bases' K x K Gram
+    matrix; T holds its eigenvectors above K eps times the largest
+    eigenvalue.  The bound is min(w) times the sum over phases of |g_j - T
+    T^T g_j|^2, over the groups with more bases than that rank (one
+    rotation's bins span at most 2N - 1 dimensions), and inf where no group
+    has such a linear relation.  Exact data give it at rounding level
+    (5e-30 to 2e-26 for four states at dimension 16); noise breaks the
+    relations.  A T that misses part of the range only overstates the
+    bound, and the fit then takes the L-BFGS path."""
+    bound, related, start = 0.0, False, 0
+    for phases, bases in observables.groups:
+        size = len(phases) * len(bases)
+        g = observables.means[start:start + size].reshape(len(phases), len(bases))
+        start += size
+        flat = np.ascontiguousarray(bases).reshape(len(bases), -1).view(np.float64)
+        ev, vec = np.linalg.eigh(flat @ flat.T)
+        t = vec[:, ev > len(bases) * np.finfo(float).eps * ev[-1]]
+        if t.shape[1] < len(bases):
+            related = True
+            bound += float(np.sum((g - (g @ t) @ t.T) ** 2))
+    return float(np.min(observables.weights)) * bound if related else math.inf
+
+
+def _lm_probe(observables: ObservableSet, grad_tol: float, max_steps: float = math.inf):
     """Levenberg-Marquardt from lambda = 0 (Madsen, Nielsen & Tingleff 2004,
     sec. 3.2), every trial point one iteration evaluated by ``deviation``:
     (x, dF, gradient, iterations, stop) once ``_stop`` names the floor or
-    the gradient test; None, a decline, once it names the relative-gradient
-    test, dF fell less than 10x in 10 iterations or mu overflows.  An
-    accepted step divides the damping mu by 5, Marquardt's fixed decrease
-    (SIAM J. Appl. Math. 11, 431, 1963); a rejected one multiplies it by
-    nu = 2, 4, 8, ...  Exact data end in 21-24 steps, where Nielsen's
-    gain-ratio rule took 53-80.  Steps are solved in the span of the bases
-    (``_lm_step``: 125 unknowns, not 205, at dimension 16), equal to the
-    full-space ones in exact arithmetic; an accepted point's eigh is reused."""
+    the gradient test, ``lm: `` before the name unless lambda = 0 passed
+    it; None, a decline, once it names the relative-gradient test, dF fell
+    less than 10x in 10 iterations, mu overflows or ``max_steps`` trial
+    points were tried.  It reads nothing but the set, so it gives the same
+    answer wherever ``fit`` runs it.  An accepted step divides the damping
+    mu by 5, Marquardt's fixed decrease (SIAM J. Appl. Math. 11, 431,
+    1963); a rejected one multiplies it by nu = 2, 4, 8, ...  Exact data
+    end in 21-24 steps, where Nielsen's gain-ratio rule took 53-80.  Steps
+    are solved in the span of the bases (``_lm_step``: 125 unknowns, not
+    205, at dimension 16), equal to the full-space ones in exact
+    arithmetic; an accepted point's eigh is reused."""
     c, groups = observables.span()
     root = np.linalg.cholesky((c * observables.weights) @ c.T)
     x = np.zeros(observables.n_ops)
@@ -244,10 +274,11 @@ def _lm_probe(observables: ObservableSet, grad_tol: float):
     f, grad = _deviation_terms(*spectrum, observables)  # deviation(x), bit for bit
     history, mu, nu, normal = [f], 0.0, 2.0, None  # mu is set from the first J W J
     while True:
-        stop = _stop(f, grad, grad_tol)
+        stop, steps = _stop(f, grad, grad_tol), len(history) - 1
         if stop not in (None, RELATIVE_STOP):
-            return x, f, grad, len(history) - 1, "lm: " + stop
-        if stop or not math.isfinite(mu) or (len(history) > 10 and history[-11] < 10.0 * f):
+            return x, f, grad, steps, "lm: " + stop if steps else stop
+        if (stop or not math.isfinite(mu) or steps >= max_steps
+                or (steps >= 10 and history[-11] < 10.0 * f)):
             return None
         if normal is None:
             normal = _lm_normal(*spectrum, observables, groups, root)
@@ -434,30 +465,34 @@ def fit(
     (L-BFGS-B's own test).  Exact data drive dF to 0 and stop on the first
     or the last; noisy data leave it a positive floor, where the relative
     test stops the fit instead of walking the flat valley around it.  Each
-    fit gets at most one Levenberg-Marquardt probe, from lambda = 0, at an
-    iterate that passes no test: iteration max(n_ops, 30) or, earlier, an
-    iteration from 60 on at which dF has fallen at least 10x over the last
-    30 (one L-BFGS memory).  Exact data fall that fast, and the probe ends
-    their fits, whose multipliers L-BFGS chases to infinity for thousands
-    of iterations, once it meets the floor or the gradient test (message
-    ``lm: ...``; ``iterations`` counts both methods, 60 + 23 on acceptance
-    1).  It declines on the signs of noisy data (the relative test passes,
-    dF falls less than 10x in 10 iterations, or its damping overflows), and
-    L-BFGS goes on with its memory intact, so noisy fits keep their bits
-    rather than take the probe's minimum, which overfits the noise.  Nearly
-    noise-free data can reach the early trigger and pay for a declined
-    probe, 7-18 Jacobians or about 0.02-0.05 s at dimension 16 with 205
-    observables.  A run that ends where no test passes is named by the
-    iteration cap (``max_iter`` L-BFGS iterations; the probe's steps count
-    on top), the evaluation cap (more than 3 ``max_iter`` evaluations) or a
-    stall (``STALL_STOP``: a step that did not lower dF, or a failed line
-    search), and returned with ``converged=False`` rather than raised or
+    fit gets at most one Levenberg-Marquardt probe from lambda = 0, which
+    ends exact fits, whose multipliers L-BFGS chases to infinity for
+    thousands of iterations, once it meets the floor or the gradient test
+    (message ``lm: ...``; ``iterations`` counts its steps).  It declines on
+    the signs of noisy data (the relative test passes, dF falls less than
+    10x in 10 iterations, or its damping overflows), where its minimum
+    would overfit the noise.  Where ``_relation_bound`` shows from the means
+    alone that some state may miss them by less than ``CONVERGED_DF``, the
+    probe runs first, at most ``max_iter`` steps, and L-BFGS never starts
+    if it accepts (23 steps on acceptance 1, where L-BFGS used to run 60
+    iterations first).  Otherwise, or once it declines, L-BFGS runs, and it
+    probes at an iterate that passes no test: iteration max(n_ops, 30) or,
+    earlier, an iteration from 60 on at which dF has fallen at least 10x
+    over the last 30 (one L-BFGS memory), which nearly exact data reach.
+    A declined probe leaves L-BFGS as it was, so noisy fits keep their
+    bits; nearly noise-free data pay for it, 7-18 Jacobians or about
+    0.02-0.05 s at dimension 16 with 205 observables.  A run that ends
+    where no test passes is named by the iteration cap (``max_iter`` L-BFGS
+    iterations; a later probe's steps count on top, a declined first
+    probe's do not), the evaluation cap (more than 3 ``max_iter``
+    evaluations) or a stall (``STALL_STOP``: a step that did not lower dF,
+    or a failed line search), and returned with ``converged=False`` rather than raised or
     rerun (L-BFGS runs once), so callers can inspect the partial result.
     ``grad_tol`` must be finite and positive and ``max_iter`` an integer of
     at least 1 (ValueError otherwise).
 
     scipy's compiled L-BFGS-B, without scipy.optimize, and the OpenBLAS it
-    links are loaded on the first fit in the process.  Unless the process
+    links are loaded on the first fit in the process that runs L-BFGS.  Unless the process
     loaded that OpenBLAS before or set OPENBLAS_, GOTO_ or OMP_NUM_THREADS,
     it starts at one thread: its worker pool never exists, and scipy's BLAS
     stays at one thread after the fit.  Against a pool started elsewhere,
@@ -498,10 +533,14 @@ def fit(
             probe_at, lm = None, _lm_probe(observables, grad_tol)
         return bool(stop or lm or it >= max_iter or evals > 3 * max_iter)
 
-    with _SCIPY_BLAS:
-        x, f_res, jac, nit = minimize(objective, np.zeros(observables.n_ops),
-                                      on_iterate=on_iterate, maxcor=memory, gtol=grad_tol,
-                                      maxls=60)
+    nit = 0
+    if _relation_bound(observables) < CONVERGED_DF:  # the means allow dF below the floor
+        probe_at, lm = None, _lm_probe(observables, grad_tol, max_iter)
+    if lm is None:
+        with _SCIPY_BLAS:
+            x, f_res, jac, nit = minimize(objective, np.zeros(observables.n_ops),
+                                          on_iterate=on_iterate, maxcor=memory, gtol=grad_tol,
+                                          maxls=60)
     x, f_res, jac, lm_iter, stop = lm or (x, float(f_res), jac, 0, _stop(f_res, jac, grad_tol))
     message = stop or (ITERATION_STOP.format(max_iter) if nit >= max_iter
                        else EVALUATION_STOP.format(3 * max_iter) if evals > 3 * max_iter

@@ -18,11 +18,13 @@ from maxent_tomo import (
     build_observation_level,
     canonical_state,
     default_bin_grid,
+    delta_rho,
     deviation,
     entropy,
     even_cat,
     fidelity,
     fit,
+    fock_state,
     ladder_operators,
     simulate_ideal,
     superposition,
@@ -554,12 +556,14 @@ def test_noisy_fits_keep_their_bits_when_the_probe_declines(monkeypatch, accepta
 
 
 def test_exact_fit_reaches_the_probe_before_iteration_n_ops(monkeypatch, acceptance_level):
-    """On the exact acceptance-1 data dF falls more than 10x within one
-    L-BFGS memory (30 iterations) by iteration 60, so the probe runs once,
-    long before the n_ops = 205 trigger, and the fit ends in it."""
+    """With the probe-first route off (the relation bound inf), L-BFGS on
+    the exact acceptance-1 data: dF falls more than 10x within one L-BFGS
+    memory (30 iterations) by iteration 60, so the probe runs once, long
+    before the n_ops = 205 trigger, and the fit ends in it."""
     from maxent_tomo import maxent
 
     obs, ideal = acceptance_level
+    monkeypatch.setattr(maxent, "_relation_bound", lambda observables: math.inf)
     real_probe, answers = maxent._lm_probe, []
 
     def recording(*args):
@@ -570,7 +574,7 @@ def test_exact_fit_reaches_the_probe_before_iteration_n_ops(monkeypatch, accepta
     _, report = fit(obs.with_record(ideal), grad_tol=1e-13)
     assert len(answers) == 1 and answers[0] is not None
     lbfgs = report.iterations - answers[0][3]  # the probe returns its own count
-    assert obs.n_ops == 205 and lbfgs < 205
+    assert obs.n_ops == 205 and 60 <= lbfgs < 205
     assert report.converged and report.restarts == 0
     assert report.message.startswith("lm: ") and report.iterations < 205
 
@@ -659,6 +663,119 @@ def test_probe_ends_exact_fits_within_30_steps_and_declines_noisy_ones(trap, spa
         for seed in range(10):
             noisy = add_noise(ideal, NoiseSpec(eta=0.1, seed=seed), nbar_noisy=nbar_noisy)
             assert maxent._lm_probe(obs.with_record(noisy), 1e-9) is None
+
+
+@pytest.fixture(scope="module")
+def cat_level(trap, space16):
+    """Acceptance 3's level, four rotations of 51 bins, with the exact bin
+    means of the even cat alpha = sqrt(2)."""
+    cat = even_cat(space16, math.sqrt(2.0))
+    nbar = float(np.abs(cat.amplitudes) ** 2 @ np.arange(16))
+    grid = default_bin_grid(trap, nbar=nbar, half_count=25)
+    obs = build_observation_level(trap, grid, rotations(trap), nbar, space16)
+    return obs, simulate_ideal(cat, obs)
+
+
+def test_relation_bound_certifies_exact_data_only(acceptance_level, cat_level, trap, space16):
+    """The bound from the means' linear relations: at rounding level on
+    exact data, above the deviation floor once noise of 1e-6 breaks the
+    relations, and inf on levels with no relation (the number operator
+    alone; 11 bins per rotation, fewer than the 31 dimensions one rotation
+    spans at dimension 16)."""
+    from maxent_tomo import maxent
+
+    for obs, ideal in (acceptance_level, cat_level):
+        assert maxent._relation_bound(obs.with_record(ideal)) < 1e-20
+        noisy = add_noise(ideal, NoiseSpec(eta=1e-6, seed=0))
+        assert maxent._relation_bound(obs.with_record(noisy)) > maxent.CONVERGED_DF
+    number = ObservableSet(operators=[ladder_operators(space16).n], labels=[("nbar",)],
+                           means=np.array([0.5]))
+    assert maxent._relation_bound(number) == math.inf
+    grid = default_bin_grid(trap, nbar=0.5, half_count=5)
+    small = build_observation_level(trap, grid, (0.0, 0.9), 0.5, space16)
+    small = small.with_record(simulate_ideal(superposition(space16, [1.0, 1.0]), small))
+    assert maxent._relation_bound(small) == math.inf
+
+
+def test_relation_bound_is_the_weighted_distance_to_the_consistent_means():
+    """An array-like complex Hermitian set (A, B, A + B) with means that
+    break the one relation by delta and weights (2, 0.5, 3): the bound is
+    min(w) times the squared distance of the means to the range of the
+    operators as real rows, here 0.5 delta^2 / 3, as a dense least-squares
+    projection gives it."""
+    from maxent_tomo import maxent
+
+    rng = np.random.default_rng(3)
+    a, b = _random_obs(rng, 5, 2, with_means=False).operators
+    ops = np.array([a, b, a + b])
+    means = np.array([0.3, -0.2, 0.1 + 1e-3])
+    obs = ObservableSet(operators=ops, labels=[("op", i) for i in range(3)], means=means,
+                        weights=np.array([2.0, 0.5, 3.0]))
+    rows = ops.reshape(3, -1).view(np.float64)  # Re and Im interleaved
+    fitted = rows @ np.linalg.lstsq(rows, means, rcond=None)[0]
+    dense = 0.5 * np.sum((means - fitted) ** 2)
+    bound = maxent._relation_bound(obs)
+    assert bound == pytest.approx(dense, rel=1e-9)
+    assert bound == pytest.approx(0.5 * 1e-6 / 3.0, rel=1e-9)
+
+
+def test_exact_fits_skip_l_bfgs_and_keep_the_probe_answer(monkeypatch, acceptance_level,
+                                                         cat_level):
+    """Acceptance 1 and acceptance 3's ideal cat at grad_tol 1e-13, and the
+    eight 1-ulp draws of acceptance 1's means: the bound certifies each, so
+    the fit runs the probe first and never enters L-BFGS.  Multipliers, rho,
+    dF, message and every other report field are those of a twin whose
+    bound is inf (L-BFGS, then the probe at a mid-run trigger), bit for
+    bit; only ``iterations`` falls, to the probe's own steps."""
+    from maxent_tomo import maxent
+
+    obs, ideal = acceptance_level
+    cat_obs, cat_ideal = cat_level
+    cases = [obs.with_record(ideal), cat_obs.with_record(cat_ideal)]
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        up = rng.random(obs.n_ops) < 0.5
+        cases.append(obs.with_means(np.nextafter(obs.with_record(ideal).means,
+                                                 np.where(up, np.inf, -np.inf))))
+    real_probe, real_minimize = maxent._lm_probe, maxent.minimize
+    for case in cases:
+        answers, runs = [], []
+        monkeypatch.setattr(maxent, "_lm_probe",
+                            lambda *args: answers.append(real_probe(*args)) or answers[-1])
+        monkeypatch.setattr(maxent, "minimize",
+                            lambda *args, **kwargs: runs.append(1) or real_minimize(*args, **kwargs))
+        state, report = fit(case, grad_tol=1e-13)
+        assert runs == [] and len(answers) == 1
+        assert report.iterations == answers[0][3] <= 30
+        monkeypatch.setattr(maxent, "_relation_bound", lambda observables: math.inf)
+        twin, twin_report = fit(case, grad_tol=1e-13)
+        monkeypatch.undo()
+        assert runs == [1] and len(answers) == 2
+        assert np.array_equal(state.lambdas.flat(), twin.lambdas.flat())
+        assert np.array_equal(state.rho.matrix, twin.rho.matrix)
+        assert report.message.startswith("lm: ") and report.message == twin_report.message
+        assert report.delta_f == twin_report.delta_f
+        assert ({**report.to_dict(), "iterations": 0}
+                == {**twin_report.to_dict(), "iterations": 0})
+        assert report.iterations < twin_report.iterations
+
+
+def test_exact_fits_at_the_default_tolerance_reach_the_state(trap, space16, cat_level):
+    """Exact data at the default grad_tol 1e-9 that L-BFGS-B's own gradient
+    test used to stop before any probe trigger: |3> at three rotations
+    (delta rho 8.7e-2 then) and acceptance 3's even cat at four (1.1e-3).
+    Certified by the bound, both now end in the probe, at delta rho below
+    1e-8."""
+    three = fock_state(space16, 3)
+    grid = default_bin_grid(trap, nbar=3.0, half_count=25)
+    obs = build_observation_level(trap, grid, rotations(trap)[:3], 3.0, space16)
+    cat_obs, cat_ideal = cat_level
+    cat = even_cat(space16, math.sqrt(2.0))
+    for level, truth in ((obs.with_record(simulate_ideal(three, obs)), three),
+                         (cat_obs.with_record(cat_ideal), cat)):
+        state, report = fit(level)
+        assert report.converged and report.message.startswith("lm: ")
+        assert delta_rho(truth.density(), state.rho) < 1e-8
 
 
 def test_fit_flags_non_convergence(trap, space16):
