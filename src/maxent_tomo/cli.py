@@ -165,7 +165,6 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", default=None)
     sim.add_argument("--nbar", type=float, default=None)
-    sim.add_argument("--wnbar", type=float, default=None)
     sim.add_argument("--eta", type=float, default=None)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--dim", type=int, default=None)

@@ -111,7 +111,7 @@ class CutFile:
 
 @_names_its_file
 def read_cut_file(path) -> CutFile:
-    meta, rows = _read_csv_with_meta(path, ("tau_us", "pixel_width_m"), 2)
+    meta, rows = _read_csv_with_meta(path, ("tau_us", "pixel_width_m"), ("z_m", "od"))
     pos = np.array([float(r[0]) for r in rows])
     vals = np.array([float(r[1]) for r in rows])
     center = meta.get("center_m")
@@ -252,10 +252,10 @@ def preprocess(
 # record and matrix serialization
 
 
-def _read_csv_with_meta(path, required, n_cols):
+def _read_csv_with_meta(path, required, columns):
     """'#' key=value metadata and the rows after the header line; the
-    header and every row must have the format's ``n_cols`` columns and
-    every ``required`` key must be present."""
+    header must name the format's ``columns``, every row must have as many,
+    and every ``required`` key must be present."""
     meta, rows = {}, []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -267,9 +267,12 @@ def _read_csv_with_meta(path, required, n_cols):
                 meta[key.strip()] = value.strip()
                 continue
             tokens = [tok.strip() for tok in line.split(",")]
-            if len(tokens) != n_cols:
+            if len(tokens) != len(columns):
                 raise ValueError(f"line {lineno}: {len(tokens)} columns, "
-                                 f"the format has {n_cols}")
+                                 f"the format has {len(columns)}")
+            if not rows and tuple(tokens) != columns:
+                raise ValueError(f"line {lineno}: header {line!r}, the format's is "
+                                 f"{','.join(columns)!r}")
             rows.append(tokens)
     for key in required:
         if key not in meta:
@@ -303,7 +306,8 @@ def write_record(record: MeasurementRecord, path) -> None:
 @_names_its_file
 def read_record(path) -> MeasurementRecord:
     meta, rows = _read_csv_with_meta(
-        path, ("nbar", "grid_center_m", "grid_width_m", "grid_half_count", "rotations_rad"), 5)
+        path, ("nbar", "grid_center_m", "grid_width_m", "grid_half_count", "rotations_rad"),
+        ("rotation_index", "theta_rad", "bin_index", "z_m", "value"))
     grid = BinGrid(
         center=float(meta["grid_center_m"]),
         width=float(meta["grid_width_m"]),

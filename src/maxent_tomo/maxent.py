@@ -226,30 +226,18 @@ def _stop(f: float, grad: np.ndarray, grad_tol: float) -> str | None:
 
 
 def _relation_bound(observables: ObservableSet) -> float:
-    """A lower bound on dF over all multipliers, from the means alone.
-
-    Per group and phase the model means are <B_k, D^dagger rho D> for the K
-    bases as real rows, so they lie in the range of the bases' K x K Gram
-    matrix; T holds its eigenvectors above K eps times the largest
-    eigenvalue.  The bound is min(w) times the sum over phases of |g_j - T
-    T^T g_j|^2, over the groups with more bases than that rank (one
-    rotation's bins span at most 2N - 1 dimensions), and inf where no group
-    has such a linear relation.  Exact data give it at rounding level
-    (5e-30 to 2e-26 for four states at dimension 16); noise breaks the
-    relations.  A T that misses part of the range only overstates the
+    """A lower bound on dF over all multipliers, from the means alone: the
+    model means C^T <H>, (C, groups) = ``observables.span()``, lie in the
+    range of C^T, so dF >= min(w) |g - C^T C g|^2; inf where C is square, as
+    no group has more bases than it spans.  Exact data give it at rounding
+    level (5e-30 to 2e-26 for four states at dimension 16); noise breaks the
+    relations.  A span that misses part of the range only overstates the
     bound, and the fit then takes the L-BFGS path."""
-    bound, related, start = 0.0, False, 0
-    for phases, bases in observables.groups:
-        size = len(phases) * len(bases)
-        g = observables.means[start:start + size].reshape(len(phases), len(bases))
-        start += size
-        flat = np.ascontiguousarray(bases).reshape(len(bases), -1).view(np.float64)
-        ev, vec = np.linalg.eigh(flat @ flat.T)
-        t = vec[:, ev > len(bases) * np.finfo(float).eps * ev[-1]]
-        if t.shape[1] < len(bases):
-            related = True
-            bound += float(np.sum((g - (g @ t) @ t.T) ** 2))
-    return float(np.min(observables.weights)) * bound if related else math.inf
+    c, _ = observables.span()
+    if c.shape[0] == c.shape[1]:
+        return math.inf
+    g = observables.means
+    return float(np.min(observables.weights)) * float(np.sum((g - c.T @ (c @ g)) ** 2))
 
 
 def _lm_probe(observables: ObservableSet, grad_tol: float, max_steps: float = math.inf):

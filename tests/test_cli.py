@@ -229,7 +229,8 @@ def test_unknown_state_kind_exits_one(tmp_path, capsys):
     ["wigner", "--rho", "x.json", "--points", "2.5"],
     ["bogus"],
     [],
-], ids=["float-flag", "int-flag", "command", "no-command"])
+    ["simulate", "--config", "run.cfg", "--wnbar", "1"],
+], ids=["float-flag", "int-flag", "command", "no-command", "simulate-wnbar"])
 def test_usage_errors_exit_one_not_the_non_convergence_code(capsys, argv):
     """argparse exits 2 on a usage error, the code reserved for a fit that
     did not converge; main returns 1, bad input, and keeps the usage text."""

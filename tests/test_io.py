@@ -303,8 +303,9 @@ def test_read_record_names_a_nan_value(trap, space16, tmp_path):
 
 
 def _broken_files(trap, space16, tmp_path):
-    """(option, path, message) for record and cut files cut short or stripped
-    of a metadata line, and the message their readers must raise."""
+    """(option, path, message) for record and cut files cut short, stripped
+    of a metadata line or of their header, or with a wrong header, and the
+    message their readers must raise."""
     path, lines = _record_lines(trap, space16, tmp_path)
     cut_path = tmp_path / "cut.csv"
     write_cut_file(_gaussian_cut(), cut_path)
@@ -327,6 +328,17 @@ def _broken_files(trap, space16, tmp_path):
                            rf"line {cut_header + 1}: 1 columns, the format has 2"),
         "cut-without-tau": ("--cut", [ln for ln in cut_lines if not ln.startswith("# tau_us=")],
                             "'tau_us' is missing"),
+        # without its header the first row would name the columns, one pixel or bin lost unseen
+        "headerless-cut": ("--cut", cut_lines[:cut_header] + cut_lines[cut_header + 1:],
+                           f"line {cut_header + 1}: header '{cut_lines[cut_header + 1].strip()}', "
+                           "the format's is 'z_m,od'"),
+        "swapped-cut-header": ("--cut", cut_lines[:cut_header] + ["od,z_m\n"]
+                               + cut_lines[cut_header + 1:],
+                               f"line {cut_header + 1}: header 'od,z_m', the format's is 'z_m,od'"),
+        "headerless-record": ("--record", lines[:record_header] + lines[record_header + 1:],
+                              f"line {record_header + 1}: header "
+                              f"'{lines[record_header + 1].strip()}', the format's is "
+                              "'rotation_index,theta_rad,bin_index,z_m,value'"),
     }
     out = []
     for name, (option, text, message) in files.items():
@@ -378,7 +390,7 @@ NOT_UTF8 = b"\xff\n"
     (read_record, b"# nbar=half\n# grid_center_m=0\n# grid_width_m=1e-6\n"
                   b"# grid_half_count=1\n# rotations_rad=0\n"),
     (read_cut_file, NOT_UTF8),
-    (read_cut_file, b"# tau_us=0\n# pixel_width_m=1e-6\nz_m,value\n0,abc\n"),
+    (read_cut_file, b"# tau_us=0\n# pixel_width_m=1e-6\nz_m,od\n0,abc\n"),
     (read_config, NOT_UTF8),
     (read_config, b"dim = 8\nnbar\n"),
     (read_config, b"dim = 2.5\n"),

@@ -719,6 +719,49 @@ def test_relation_bound_is_the_weighted_distance_to_the_consistent_means():
     assert bound == pytest.approx(0.5 * 1e-6 / 3.0, rel=1e-9)
 
 
+def _cat48_level(n_rotations):
+    """The even cat alpha = 2.5 at dimension 48 with the benchmark's 10 um
+    cloud: ``n_rotations`` rotations spread over pi, 101 bins each, where
+    the Gram rule of ``span`` keeps 91 of the 2N - 1 = 95 directions a
+    rotation's bins may span; and its exact record."""
+    trap, space = make_trap(cloud_rms=10e-6), FockSpace(48)
+    cat = even_cat(space, 2.5)
+    nbar = float(np.abs(cat.amplitudes) ** 2 @ np.arange(48))
+    grid = default_bin_grid(trap, nbar=nbar, half_count=50)
+    thetas = [math.pi * j / n_rotations for j in range(n_rotations)]
+    obs = build_observation_level(trap, grid, thetas, nbar, space)
+    return obs, cat, simulate_ideal(cat, obs)
+
+
+def test_relation_bound_projects_on_the_rows_of_the_span():
+    """One rank rule decides which directions a rotation's bins measure: on
+    two rotations at dimension 48, where the rules of an SVD and of the
+    Gram matrix keep different ranks (95 and 91), the bound on noisy means
+    is min(w) |g - C^T C g|^2 for the C of ``span``, to 1e-12 relative."""
+    from maxent_tomo import maxent
+
+    obs, _, ideal = _cat48_level(2)
+    obs = obs.with_record(add_noise(ideal, NoiseSpec(eta=0.05, seed=7)))
+    c, groups = obs.span()
+    g = obs.means
+    projected = np.min(obs.weights) * np.sum((g - c.T @ (c @ g)) ** 2)
+    assert projected > maxent.CONVERGED_DF
+    assert maxent._relation_bound(obs) == pytest.approx(projected, rel=1e-12)
+    assert len(groups[0][1]) < 2 * obs.dim - 1
+
+
+def test_exact_fit_at_dimension_48_ends_in_the_probe():
+    """Exact means of four rotations at dimension 48, where the span keeps
+    fewer directions per rotation than 2N - 1: the bound still certifies
+    them, and the probe ends the fit at the deviation floor within 30
+    steps (24 measured), delta rho below 1e-10 (2e-14 measured)."""
+    obs, cat, ideal = _cat48_level(4)
+    state, report = fit(obs.with_record(ideal), grad_tol=1e-13)
+    assert report.message == "lm: deviation floor: dF < 1e-14"
+    assert report.iterations <= 30
+    assert delta_rho(cat.density(), state.rho) < 1e-10
+
+
 def test_exact_fits_skip_l_bfgs_and_keep_the_probe_answer(monkeypatch, acceptance_level,
                                                          cat_level):
     """Acceptance 1 and acceptance 3's ideal cat at grad_tol 1e-13, and the
