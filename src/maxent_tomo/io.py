@@ -255,16 +255,20 @@ def preprocess(
 def _read_csv_with_meta(path, required, columns):
     """'#' key=value metadata and the rows after the header line; the
     header must name the format's ``columns``, every row must have as many,
-    and every ``required`` key must be present."""
-    meta, rows = {}, []
+    every ``required`` key must be present and no key may repeat; '#'
+    lines without '=' are free text."""
+    meta, rows, first_line = {}, [], {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
+                key, eq, value = (part.strip() for part in line[1:].partition("="))
+                if eq and key in first_line:
+                    raise ValueError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
+                if eq:
+                    meta[key], first_line[key] = value, lineno
                 continue
             tokens = [tok.strip() for tok in line.split(",")]
             if len(tokens) != len(columns):

@@ -228,19 +228,18 @@ def _stop(f: float, grad: np.ndarray, grad_tol: float) -> str | None:
 def _relation_bound(observables: ObservableSet) -> float:
     """A lower bound on dF over all multipliers, from the means alone: the
     model means C^T <H>, (C, groups) = ``observables.span()``, lie in the
-    range of C^T, so dF >= min(w) |g - C^T C g|^2; inf where C is square, as
-    no group has more bases than it spans.  Exact data give it at rounding
-    level (5e-30 to 2e-26 for four states at dimension 16); noise breaks the
-    relations.  A span that misses part of the range only overstates the
-    bound, and the fit then takes the L-BFGS path."""
+    range of C^T, so dF >= min(w) |g - C^T C g|^2.  Exact data give it at
+    rounding level (5e-30 to 2e-26 for four states at dimension 16), as do
+    all data where C is square (no group has more bases than it spans, so
+    the means obey no relation); noise breaks the relations.  A span that
+    misses part of the range only overstates the bound, and the fit then
+    takes the L-BFGS path."""
     c, _ = observables.span()
-    if c.shape[0] == c.shape[1]:
-        return math.inf
     g = observables.means
     return float(np.min(observables.weights)) * float(np.sum((g - c.T @ (c @ g)) ** 2))
 
 
-def _lm_probe(observables: ObservableSet, grad_tol: float, max_steps: float = math.inf):
+def _lm_probe(observables: ObservableSet, grad_tol: float, max_steps: int):
     """Levenberg-Marquardt from lambda = 0 (Madsen, Nielsen & Tingleff 2004,
     sec. 3.2), every trial point one iteration evaluated by ``deviation``:
     (x, dF, gradient, iterations, stop) once ``_stop`` names the floor or
@@ -453,28 +452,28 @@ def fit(
     (L-BFGS-B's own test).  Exact data drive dF to 0 and stop on the first
     or the last; noisy data leave it a positive floor, where the relative
     test stops the fit instead of walking the flat valley around it.  Each
-    fit gets at most one Levenberg-Marquardt probe from lambda = 0, which
-    ends exact fits, whose multipliers L-BFGS chases to infinity for
-    thousands of iterations, once it meets the floor or the gradient test
-    (message ``lm: ...``; ``iterations`` counts its steps).  It declines on
-    the signs of noisy data (the relative test passes, dF falls less than
-    10x in 10 iterations, or its damping overflows), where its minimum
-    would overfit the noise.  Where ``_relation_bound`` shows from the means
-    alone that some state may miss them by less than ``CONVERGED_DF``, the
-    probe runs first, at most ``max_iter`` steps, and L-BFGS never starts
-    if it accepts (23 steps on acceptance 1, where L-BFGS used to run 60
-    iterations first).  Otherwise, or once it declines, L-BFGS runs, and it
-    probes at an iterate that passes no test: iteration max(n_ops, 30) or,
-    earlier, an iteration from 60 on at which dF has fallen at least 10x
-    over the last 30 (one L-BFGS memory), which nearly exact data reach.
-    A declined probe leaves L-BFGS as it was, so noisy fits keep their
-    bits; nearly noise-free data pay for it, 7-18 Jacobians or about
-    0.02-0.05 s at dimension 16 with 205 observables.  A run that ends
-    where no test passes is named by the iteration cap (``max_iter`` L-BFGS
-    iterations; a later probe's steps count on top, a declined first
-    probe's do not), the evaluation cap (more than 3 ``max_iter``
-    evaluations) or a stall (``STALL_STOP``: a step that did not lower dF,
-    or a failed line search), and returned with ``converged=False`` rather than raised or
+    fit runs at most one Levenberg-Marquardt probe from lambda = 0, before
+    L-BFGS, which ends exact fits, whose multipliers L-BFGS chases to
+    infinity for thousands of iterations, once it meets the floor or the
+    gradient test (message ``lm: ...``; ``iterations`` counts its steps, and
+    L-BFGS never starts: 23 on acceptance 1).  It declines on the signs of
+    noisy data (the relative test passes, dF falls less than 10x in 10
+    iterations, or its damping overflows), where its minimum would overfit
+    the noise, and a declined probe leaves L-BFGS as it was.  It runs, for
+    at most ``max_iter`` steps, where the lower bound on dF that
+    ``_relation_bound`` reads off the means lies below ``CONVERGED_DF``, or
+    ``REL_GRAD_TOL`` times it below ``grad_tol``.  Elsewhere it could not
+    accept: no point reaches the floor, and a gradient at or below
+    ``grad_tol`` passes the relative test first.  Where the bins obey no
+    linear relation the bound is 0 to rounding, so the probe runs.  It
+    moves no bit of a fit it does not end, but data it declines pay for it:
+    18 evaluations or about 0.02 s at dimension 16 with 205 observables, and
+    15 evaluations or 0.45-1.2 s at dimension 48 with 409-809.  A run that
+    ends where no test passes is named by the iteration cap (``max_iter``
+    L-BFGS iterations; a declined probe's steps do not count), the
+    evaluation cap (more than 3 ``max_iter`` evaluations) or a stall
+    (``STALL_STOP``: a step that did not lower dF, or a failed line
+    search), and returned with ``converged=False`` rather than raised or
     rerun (L-BFGS runs once), so callers can inspect the partial result.
     ``grad_tol`` must be finite and positive and ``max_iter`` an integer of
     at least 1 (ValueError otherwise).
@@ -497,11 +496,7 @@ def fit(
     data = _require_means(observables)
 
     grad = None  # gradient of the last evaluation
-    evals = 0
-    history = []  # dF at each iteration
-    memory = 30  # the L-BFGS memory, maxcor
-    probe_at = max(observables.n_ops, memory)
-    lm = None  # the probe's answer, once it accepts
+    evals = iterations = 0
 
     def objective(x):
         nonlocal grad, evals
@@ -511,25 +506,20 @@ def fit(
 
     def on_iterate(x, f):
         # L-BFGS-B evaluates each accepted point last, so grad belongs to it
-        nonlocal probe_at, lm
-        history.append(f)
-        it = len(history)
-        stop = _stop(f, grad, grad_tol)
-        if stop is None and probe_at and (
-                it == probe_at  # once per fit; a decline leaves L-BFGS as it was
-                or it >= 2 * memory and history[-memory - 1] >= 10.0 * f):
-            probe_at, lm = None, _lm_probe(observables, grad_tol)
-        return bool(stop or lm or it >= max_iter or evals > 3 * max_iter)
+        nonlocal iterations
+        iterations += 1
+        return bool(_stop(f, grad, grad_tol) or iterations >= max_iter or evals > 3 * max_iter)
 
-    nit = 0
-    if _relation_bound(observables) < CONVERGED_DF:  # the means allow dF below the floor
-        probe_at, lm = None, _lm_probe(observables, grad_tol, max_iter)
+    lm = None  # the probe's answer, if it runs and accepts
+    bound = _relation_bound(observables)
+    if bound < CONVERGED_DF or REL_GRAD_TOL * bound < grad_tol:  # else the probe must decline
+        lm = _lm_probe(observables, grad_tol, max_iter)
     if lm is None:
         with _SCIPY_BLAS:
             x, f_res, jac, nit = minimize(objective, np.zeros(observables.n_ops),
-                                          on_iterate=on_iterate, maxcor=memory, gtol=grad_tol,
+                                          on_iterate=on_iterate, maxcor=30, gtol=grad_tol,
                                           maxls=60)
-    x, f_res, jac, lm_iter, stop = lm or (x, float(f_res), jac, 0, _stop(f_res, jac, grad_tol))
+    x, f_res, jac, nit, stop = lm or (x, float(f_res), jac, nit, _stop(f_res, jac, grad_tol))
     message = stop or (ITERATION_STOP.format(max_iter) if nit >= max_iter
                        else EVALUATION_STOP.format(3 * max_iter) if evals > 3 * max_iter
                        else STALL_STOP)
@@ -547,7 +537,7 @@ def fit(
         delta_f=f_res,
         entropy=entropy(state.rho),
         nbar_fit=nbar_fit,
-        iterations=nit + lm_iter,
+        iterations=nit,
         converged=stop is not None,
         residuals=model - data,
         grad_inf_norm=ginf,

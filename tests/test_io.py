@@ -302,16 +302,30 @@ def test_read_record_names_a_nan_value(trap, space16, tmp_path):
         read_record(path)
 
 
+def test_read_record_keeps_repeated_free_text_comments(trap, space16, tmp_path):
+    """'#' lines without '=' are comments, not keys: two bare '#' lines and
+    two identical comments read back as the record without them."""
+    path, lines = _record_lines(trap, space16, tmp_path)
+    plain = read_record(path)
+    path.write_text("".join(["#\n", "# made by hand\n"] + lines[:2] + ["#\n", "# made by hand\n"]
+                            + lines[2:]))
+    back = read_record(path)
+    assert back.nbar == plain.nbar and back.rotations == plain.rotations
+    assert back.provenance == plain.provenance
+    assert np.array_equal(back.values, plain.values)
+
+
 def _broken_files(trap, space16, tmp_path):
     """(option, path, message) for record and cut files cut short, stripped
-    of a metadata line or of their header, or with a wrong header, and the
-    message their readers must raise."""
+    of a metadata line or of their header, with a wrong header or a repeated
+    metadata key, and the message their readers must raise."""
     path, lines = _record_lines(trap, space16, tmp_path)
     cut_path = tmp_path / "cut.csv"
     write_cut_file(_gaussian_cut(), cut_path)
     cut_lines = cut_path.read_text().splitlines(keepends=True)
     record_header = next(n for n, ln in enumerate(lines) if ln.startswith("rotation_index"))
     cut_header = next(n for n, ln in enumerate(cut_lines) if ln.startswith("z_m"))
+    nbar_line = next(n for n, ln in enumerate(lines) if ln.startswith("# nbar="))
     files = {
         "truncated-record": ("--record", lines[:-1] + [lines[-1].rsplit(",", 2)[0]],
                              rf"line {len(lines)}: 3 columns, the format has 5"),
@@ -339,6 +353,10 @@ def _broken_files(trap, space16, tmp_path):
                               f"line {record_header + 1}: header "
                               f"'{lines[record_header + 1].strip()}', the format's is "
                               "'rotation_index,theta_rad,bin_index,z_m,value'"),
+        # a second value for a key would silently win
+        "repeated-nbar": ("--record", lines[:record_header] + ["# nbar=7.0\n"]
+                          + lines[record_header:],
+                          f"line {record_header + 1}: key 'nbar' repeats line {nbar_line + 1}"),
     }
     out = []
     for name, (option, text, message) in files.items():

@@ -301,9 +301,10 @@ def test_fit_rejects_bad_arguments_naming_them(kwargs, name):
 
 
 def test_fit_stops_at_the_deviation_floor(monkeypatch):
-    """With a gradient test that cannot pass, fit's on_iterate stops L-BFGS
-    on the dF floor (1e-14), and the fit reports that point as converged,
-    long before the iteration cap."""
+    """With a gradient test that cannot pass and the probe declining (the
+    number operator alone obeys no relation, so it would run and end the
+    fit), fit's on_iterate stops L-BFGS on the dF floor (1e-14), and the
+    fit reports that point as converged, long before the iteration cap."""
     from maxent_tomo import maxent
 
     space = FockSpace(32)
@@ -325,6 +326,7 @@ def test_fit_stops_at_the_deviation_floor(monkeypatch):
         return real_minimize(fun, x0, on_iterate=spy, **kwargs)
 
     monkeypatch.setattr(maxent, "minimize", spying)
+    monkeypatch.setattr(maxent, "_lm_probe", lambda *args: None)
     _, report = fit(obs, grad_tol=1e-300)
     assert report.converged
     assert report.delta_f < 1e-14
@@ -528,13 +530,12 @@ def test_exact_fits_do_not_depend_on_rounding_of_the_data(acceptance_level):
     assert max(fids) - min(fids) < 1e-9
 
 
-@pytest.mark.parametrize("seed, probes", [(2, 1), (0, 0)])
-def test_noisy_fits_keep_their_bits_when_the_probe_declines(monkeypatch, acceptance_level,
-                                                            seed, probes):
-    """Acceptance-2 noise: seed 2 runs 516 L-BFGS iterations, past the
-    probe's trigger at n_ops = 205, and seed 0 stops at 115, before it.
-    Either way the multipliers and the report are those of a fit whose
-    probe always declines, bit for bit."""
+@pytest.mark.parametrize("seed", [2, 0])
+def test_noisy_fits_keep_their_bits_when_the_probe_declines(monkeypatch, acceptance_level, seed):
+    """Acceptance-2 noise: seed 2 runs 516 L-BFGS iterations and seed 0
+    stops at 115.  The relation bound puts both outside the probe's rule, so
+    no probe runs, a probe called directly declines, and the multipliers and
+    the report are those of a fit whose probe always declines, bit for bit."""
     from maxent_tomo import maxent
 
     obs, ideal = acceptance_level
@@ -547,7 +548,7 @@ def test_noisy_fits_keep_their_bits_when_the_probe_declines(monkeypatch, accepta
 
     monkeypatch.setattr(maxent, "_lm_probe", counting)
     state, report = fit(obs)
-    assert len(calls) == probes
+    assert calls == [] and real_probe(obs, 1e-9, 20000) is None
     monkeypatch.setattr(maxent, "_lm_probe", lambda *args: None)
     state_off, report_off = fit(obs)
     assert np.array_equal(state.lambdas.flat(), state_off.lambdas.flat())
@@ -555,36 +556,12 @@ def test_noisy_fits_keep_their_bits_when_the_probe_declines(monkeypatch, accepta
     assert report.converged and report.message.startswith("relative gradient")
 
 
-def test_exact_fit_reaches_the_probe_before_iteration_n_ops(monkeypatch, acceptance_level):
-    """With the probe-first route off (the relation bound inf), L-BFGS on
-    the exact acceptance-1 data: dF falls more than 10x within one L-BFGS
-    memory (30 iterations) by iteration 60, so the probe runs once, long
-    before the n_ops = 205 trigger, and the fit ends in it."""
-    from maxent_tomo import maxent
-
-    obs, ideal = acceptance_level
-    monkeypatch.setattr(maxent, "_relation_bound", lambda observables: math.inf)
-    real_probe, answers = maxent._lm_probe, []
-
-    def recording(*args):
-        answers.append(real_probe(*args))
-        return answers[-1]
-
-    monkeypatch.setattr(maxent, "_lm_probe", recording)
-    _, report = fit(obs.with_record(ideal), grad_tol=1e-13)
-    assert len(answers) == 1 and answers[0] is not None
-    lbfgs = report.iterations - answers[0][3]  # the probe returns its own count
-    assert obs.n_ops == 205 and 60 <= lbfgs < 205
-    assert report.converged and report.restarts == 0
-    assert report.message.startswith("lm: ") and report.iterations < 205
-
-
-def test_noisy_cat_fits_keep_their_bits_and_probe_only_past_n_ops(monkeypatch, trap, space16):
-    """Acceptance-3 noise seeds 0-9, the noisy fits whose dF falls fastest
-    early on: no fit reaches the early trigger (dF falls at most 1.4x per
-    30 iterations), so each gives the multipliers and report of a twin whose
-    probe always declines, bit for bit, and the probe runs exactly in the
-    fits where that twin ran past n_ops = 205 iterations."""
+def test_noisy_cat_fits_run_no_probe_and_keep_their_bits(monkeypatch, trap, space16):
+    """Acceptance-3 noise seeds 0-9, six of which run past n_ops = 205
+    L-BFGS iterations: the relation bound (9e-3 to 2e-2) puts every fit
+    outside the probe's rule, so no probe runs.  A probe called directly
+    declines on each, and each fit gives the multipliers and report of a
+    twin whose probe always declines, bit for bit."""
     from maxent_tomo import maxent
 
     cat = even_cat(space16, math.sqrt(2.0))
@@ -592,28 +569,26 @@ def test_noisy_cat_fits_keep_their_bits_and_probe_only_past_n_ops(monkeypatch, t
     grid = default_bin_grid(trap, nbar=nbar, half_count=25)
     obs = build_observation_level(trap, grid, rotations(trap), nbar, space16)
     ideal = simulate_ideal(cat, obs)
-    real_probe, past = maxent._lm_probe, []
+    real_probe = maxent._lm_probe
     for seed in range(10):
         noisy = obs.with_record(add_noise(ideal, NoiseSpec(eta=0.1, seed=seed), nbar_noisy=2.09))
         calls = []
         monkeypatch.setattr(maxent, "_lm_probe",
                             lambda *args: calls.append(args) or real_probe(*args))
         state, report = fit(noisy)
+        assert calls == [] and real_probe(noisy, 1e-9, 20000) is None
         monkeypatch.setattr(maxent, "_lm_probe", lambda *args: None)
         state_off, report_off = fit(noisy)
         assert np.array_equal(state.lambdas.flat(), state_off.lambdas.flat())
         assert report.to_dict() == report_off.to_dict()
         assert report_off.restarts == 0
-        assert len(calls) == (report_off.iterations > obs.n_ops)
-        past.append(report_off.iterations > obs.n_ops)
-    assert 0 < sum(past) < 10  # both kinds of fit occur
 
 
 def test_nearly_noise_free_fit_declines_an_early_probe_and_says_why_it_stopped(
         monkeypatch, acceptance_level):
-    """eta = 1e-3 on the acceptance-1 level (noise seed 0): dF falls more
-    than 10x in 30 iterations, so the probe runs before iteration 205, meets
-    the noise floor and declines.  The fit keeps the bits of a twin whose
+    """eta = 1e-3 on the acceptance-1 level (noise seed 0): the relation
+    bound times REL_GRAD_TOL lies below grad_tol, so the probe runs before
+    L-BFGS, meets the noise floor and declines.  The fit keeps the bits of a twin whose
     probe always declines and ends on L-BFGS-B's own gradient test, which
     the report names in the package's wording, not scipy's."""
     from maxent_tomo import maxent
@@ -656,13 +631,13 @@ def test_probe_ends_exact_fits_within_30_steps_and_declines_noisy_ones(trap, spa
     for (obs, ideal), grad_tol in ((four_pair, 1e-13), (four_cat, 1e-13),
                                    (level(point, pair, 0.5, three, 50), 1e-11),
                                    (level(point, cat, nbar_cat, three, 50), 1e-11)):
-        answer = maxent._lm_probe(obs.with_record(ideal), grad_tol)
+        answer = maxent._lm_probe(obs.with_record(ideal), grad_tol, 20000)
         assert answer is not None and answer[4].startswith("lm: ")
         assert answer[3] <= 30
     for (obs, ideal), nbar_noisy in ((four_pair, 0.6), (four_cat, 2.09)):
         for seed in range(10):
             noisy = add_noise(ideal, NoiseSpec(eta=0.1, seed=seed), nbar_noisy=nbar_noisy)
-            assert maxent._lm_probe(obs.with_record(noisy), 1e-9) is None
+            assert maxent._lm_probe(obs.with_record(noisy), 1e-9, 20000) is None
 
 
 @pytest.fixture(scope="module")
@@ -679,9 +654,10 @@ def cat_level(trap, space16):
 def test_relation_bound_certifies_exact_data_only(acceptance_level, cat_level, trap, space16):
     """The bound from the means' linear relations: at rounding level on
     exact data, above the deviation floor once noise of 1e-6 breaks the
-    relations, and inf on levels with no relation (the number operator
-    alone; 11 bins per rotation, fewer than the 31 dimensions one rotation
-    spans at dimension 16)."""
+    relations, and at rounding level whatever the means on levels with no
+    relation (the number operator alone; 11 bins per rotation, fewer than
+    the 31 dimensions one rotation spans at dimension 16), where it bounds
+    nothing and the probe must run."""
     from maxent_tomo import maxent
 
     for obs, ideal in (acceptance_level, cat_level):
@@ -690,11 +666,33 @@ def test_relation_bound_certifies_exact_data_only(acceptance_level, cat_level, t
         assert maxent._relation_bound(obs.with_record(noisy)) > maxent.CONVERGED_DF
     number = ObservableSet(operators=[ladder_operators(space16).n], labels=[("nbar",)],
                            means=np.array([0.5]))
-    assert maxent._relation_bound(number) == math.inf
+    assert maxent._relation_bound(number) < 1e-20
     grid = default_bin_grid(trap, nbar=0.5, half_count=5)
     small = build_observation_level(trap, grid, (0.0, 0.9), 0.5, space16)
-    small = small.with_record(simulate_ideal(superposition(space16, [1.0, 1.0]), small))
-    assert maxent._relation_bound(small) == math.inf
+    ideal = simulate_ideal(superposition(space16, [1.0, 1.0]), small)
+    assert maxent._relation_bound(small.with_record(ideal)) < 1e-20
+    noisy = add_noise(ideal, NoiseSpec(eta=0.1, seed=0))
+    assert maxent._relation_bound(small.with_record(noisy)) < 1e-20
+
+
+def test_exact_fit_on_a_level_with_no_relation_ends_in_the_first_probe(monkeypatch, trap,
+                                                                        space16):
+    """|0> + |1> on four rotations of 11 bins, fewer than one rotation spans:
+    the means bound nothing, so the probe runs first and ends the fit at
+    the floor after 37 steps, with L-BFGS never started (a fit that probed
+    after 45 L-BFGS iterations took 82; one that never probed stopped on
+    the gradient test after 190, delta rho 5e-5)."""
+    from maxent_tomo import maxent
+
+    pair = superposition(space16, [1.0, 1.0])
+    grid = default_bin_grid(trap, nbar=0.5, half_count=5)
+    obs = build_observation_level(trap, grid, rotations(trap), 0.5, space16)
+    obs = obs.with_record(simulate_ideal(pair, obs))
+    monkeypatch.setattr(maxent, "minimize", None)  # L-BFGS would raise
+    state, report = fit(obs)
+    assert report.converged and report.message.startswith("lm: deviation floor")
+    assert report.iterations <= 40
+    assert delta_rho(pair.density(), state.rho) < 1e-7
 
 
 def test_relation_bound_is_the_weighted_distance_to_the_consistent_means():
@@ -767,9 +765,8 @@ def test_exact_fits_skip_l_bfgs_and_keep_the_probe_answer(monkeypatch, acceptanc
     """Acceptance 1 and acceptance 3's ideal cat at grad_tol 1e-13, and the
     eight 1-ulp draws of acceptance 1's means: the bound certifies each, so
     the fit runs the probe first and never enters L-BFGS.  Multipliers, rho,
-    dF, message and every other report field are those of a twin whose
-    bound is inf (L-BFGS, then the probe at a mid-run trigger), bit for
-    bit; only ``iterations`` falls, to the probe's own steps."""
+    dF, gradient, message and iterations are those of the probe called
+    alone, bit for bit."""
     from maxent_tomo import maxent
 
     obs, ideal = acceptance_level
@@ -780,27 +777,42 @@ def test_exact_fits_skip_l_bfgs_and_keep_the_probe_answer(monkeypatch, acceptanc
         up = rng.random(obs.n_ops) < 0.5
         cases.append(obs.with_means(np.nextafter(obs.with_record(ideal).means,
                                                  np.where(up, np.inf, -np.inf))))
-    real_probe, real_minimize = maxent._lm_probe, maxent.minimize
+    real_probe = maxent._lm_probe
     for case in cases:
-        answers, runs = [], []
+        answers = []
         monkeypatch.setattr(maxent, "_lm_probe",
                             lambda *args: answers.append(real_probe(*args)) or answers[-1])
-        monkeypatch.setattr(maxent, "minimize",
-                            lambda *args, **kwargs: runs.append(1) or real_minimize(*args, **kwargs))
+        monkeypatch.setattr(maxent, "minimize", None)  # L-BFGS would raise
         state, report = fit(case, grad_tol=1e-13)
-        assert runs == [] and len(answers) == 1
-        assert report.iterations == answers[0][3] <= 30
-        monkeypatch.setattr(maxent, "_relation_bound", lambda observables: math.inf)
-        twin, twin_report = fit(case, grad_tol=1e-13)
         monkeypatch.undo()
-        assert runs == [1] and len(answers) == 2
-        assert np.array_equal(state.lambdas.flat(), twin.lambdas.flat())
-        assert np.array_equal(state.rho.matrix, twin.rho.matrix)
-        assert report.message.startswith("lm: ") and report.message == twin_report.message
-        assert report.delta_f == twin_report.delta_f
-        assert ({**report.to_dict(), "iterations": 0}
-                == {**twin_report.to_dict(), "iterations": 0})
-        assert report.iterations < twin_report.iterations
+        assert len(answers) == 1
+        x, f, grad, steps, message = real_probe(case, 1e-13, 20000)
+        assert report.iterations == steps <= 30
+        assert np.array_equal(state.lambdas.flat(), x)
+        assert np.array_equal(state.rho.matrix, canonical_state(x, case).rho.matrix)
+        assert report.message.startswith("lm: ") and report.message == message
+        assert report.delta_f == f and report.grad_inf_norm == np.max(np.abs(grad))
+
+
+def test_nearly_exact_fits_end_in_the_first_probe(monkeypatch, acceptance_level):
+    """Acceptance-1 data at eta 1e-6, noise seeds 0-2, at the default
+    grad_tol: the relation bound (1.3e-12 to 1.5e-12) sits above the floor, but
+    REL_GRAD_TOL times it lies below grad_tol, so the probe runs first and
+    ends each fit on the gradient test within 30 steps (21-26; a fit that
+    probes only after 60 L-BFGS iterations takes 81-86).  L-BFGS never
+    starts, and the multipliers are the probe's alone."""
+    from maxent_tomo import maxent
+
+    obs, ideal = acceptance_level
+    real_probe = maxent._lm_probe
+    for seed in range(3):
+        case = obs.with_record(add_noise(ideal, NoiseSpec(eta=1e-6, seed=seed)))
+        monkeypatch.setattr(maxent, "minimize", None)  # L-BFGS would raise
+        state, report = fit(case)
+        monkeypatch.undo()
+        assert report.converged and report.message == "lm: gradient: |grad dF|inf < 1e-09"
+        assert report.iterations <= 30
+        assert np.array_equal(state.lambdas.flat(), real_probe(case, 1e-9, 20000)[0])
 
 
 def test_exact_fits_at_the_default_tolerance_reach_the_state(trap, space16, cat_level):
@@ -929,7 +941,7 @@ def test_maxent_state_has_no_feasible_entropy_ascent():
 def _scripted_minimize(monkeypatch, x, f, jac):
     """Replace the fit's minimizer: each call records the objective it was
     given and returns the scripted (x, f, jac) as the run's end, after one
-    iteration."""
+    iteration.  The probe declines, so every fit reaches the minimizer."""
     from maxent_tomo import maxent
 
     seen = []
@@ -939,6 +951,7 @@ def _scripted_minimize(monkeypatch, x, f, jac):
         return np.array(x), f, np.array(jac), 1
 
     monkeypatch.setattr(maxent, "minimize", fake)
+    monkeypatch.setattr(maxent, "_lm_probe", lambda *args: None)
     return seen
 
 
@@ -1016,12 +1029,14 @@ def test_unconverged_attempts_name_their_stop_in_the_package_words(monkeypatch, 
     """fit's own on_iterate decides the caps: the iteration cap at iterate
     max_iter and the evaluation cap once more than 3 max_iter evaluations
     were made; a run that ends past neither, short of the gradient test, is
-    a stall.  Each stop is named in the package's words."""
+    a stall.  Each stop is named in the package's words.  The probe
+    declines, so the stand-in runs."""
     from maxent_tomo import maxent
 
     obs = ObservableSet(operators=[ladder_operators(FockSpace(8)).n], labels=[("nbar",)],
                         means=np.array([0.5]))
     monkeypatch.setattr(maxent, "minimize", _stand_in_minimize(per_iterate, nit))
+    monkeypatch.setattr(maxent, "_lm_probe", lambda *args: None)
     _, report = fit(obs, max_iter=10, grad_tol=1e-9)
     assert not report.converged and report.message == message
     assert report.iterations == nit
