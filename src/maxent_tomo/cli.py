@@ -46,7 +46,7 @@ def _cmd_simulate(args) -> int:
     state = config.build_state()
     nbar_true = expectation(state, ladder_operators(config.space()).n)
     grid = config.grid(nbar_hint=nbar_true)
-    observables = config.observation_level(grid, config.rotations(config.taus_us), None)
+    observables = config.observation_level(grid, config.rotations(config.taus_us))
     record = simulate_ideal(state, observables)
     if config.eta > 0:
         record = add_noise(
@@ -81,8 +81,7 @@ def _cmd_reconstruct(args) -> int:
         record = config.cut_record([tio.read_cut_file(p) for p in args.cut])
     else:
         raise ValueError("reconstruct needs --record or at least one --cut")
-    observables = config.observation_level(
-        record.grid, record.rotations, record.nbar).with_record(record)
+    observables = config.observation_level(record.grid, record.rotations).with_record(record)
     state, report = fit(
         observables, max_iter=config.max_iter, grad_tol=config.grad_tol,
     )

@@ -7,8 +7,8 @@ Formats:
                        is bit identical.
   density matrix       JSON {"dim": N, "real": [...], "imag": [...]} with
                        row-major flattened arrays.
-  image cut            CSV rows (z_m, od) for a single rotation, metadata
-                       tau_us, pixel_width_m, optionally center_m.
+  image cut            CSV rows (z_m, od) for a single rotation, one pixel
+                       apart, metadata tau_us, pixel_width_m.
   run config           key = value lines, '#' comments; keys carry unit
                        suffixes (omega_z_hz, be_time_s, ...).
 """
@@ -59,6 +59,11 @@ class EmptyAfterClamp(ValueError):
     """Background subtraction and clamping removed all signal."""
 
 
+# the largest offset, relative to the pixel or bin width, of a cut's pixel
+# spacing and of a record row's z_m
+_PITCH_TOL = 1e-6
+
+
 def _names_its_file(read):
     """``read(path)``, each ValueError it raises re-raised naming the file:
     a JSON syntax error or non-UTF-8 bytes name none of their own."""
@@ -75,18 +80,16 @@ def _names_its_file(read):
 class CutFile:
     """A single absorption-image cut: one rotation's histogram along z.
 
-    positions are bin centers in meters (strictly increasing, typically one
-    per camera pixel), values are optical densities in arbitrary units.
-    center_m, when present, is an externally known cloud center.  The hold
-    time is kept in microseconds, the unit of the file, so a read-write
-    cycle is bit-exact.
+    positions are pixel centers in meters, strictly increasing and one
+    pixel_width apart; values are optical densities in arbitrary units.
+    The hold time is kept in microseconds, the unit of the file, so a
+    read-write cycle is bit-exact.
     """
 
     tau_us: float
     positions: np.ndarray
     values: np.ndarray
     pixel_width: float
-    center_m: float | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -95,7 +98,8 @@ class CutFile:
             raise ValueError("positions and values must be equal-length vectors")
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        if pos.size < 2 or np.any(np.diff(pos) <= 0):
+        step = np.diff(pos)
+        if pos.size < 2 or np.any(step <= 0):
             raise ValueError("positions must be strictly increasing")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must be finite")
@@ -103,8 +107,11 @@ class CutFile:
             raise ValueError(f"tau_us must be finite, got {self.tau_us!r}")
         if not (math.isfinite(self.pixel_width) and self.pixel_width > 0):
             raise ValueError(f"pixel_width must be finite and positive, got {self.pixel_width!r}")
-        if self.center_m is not None and not math.isfinite(self.center_m):
-            raise ValueError(f"center_m must be finite, got {self.center_m!r}")
+        bad = np.flatnonzero(~(np.abs(step - self.pixel_width) <= _PITCH_TOL * self.pixel_width))
+        if bad.size:  # a missing row, or a pixel_width that is not the pitch
+            i = bad[0]
+            raise ValueError(f"positions must be one pixel_width {self.pixel_width!r} apart: "
+                             f"row {i + 1} lies {float(step[i])!r} past row {i}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "values", vals)
 
@@ -112,15 +119,14 @@ class CutFile:
 @_names_its_file
 def read_cut_file(path) -> CutFile:
     meta, rows = _read_csv_with_meta(path, ("tau_us", "pixel_width_m"), ("z_m", "od"))
-    pos = np.array([float(r[0]) for r in rows])
-    vals = np.array([float(r[1]) for r in rows])
-    center = meta.get("center_m")
+    if "center_m" in meta:
+        raise ValueError("metadata key 'center_m' is not read: pass the cloud center "
+                         "as --fixed-center (fixed_center_m in the config)")
     return CutFile(
         tau_us=float(meta["tau_us"]),
-        positions=pos,
-        values=vals,
+        positions=np.array([float(r[0]) for r in rows]),
+        values=np.array([float(r[1]) for r in rows]),
         pixel_width=float(meta["pixel_width_m"]),
-        center_m=float(center) if center is not None else None,
     )
 
 
@@ -128,8 +134,6 @@ def write_cut_file(cut: CutFile, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"# tau_us={float(cut.tau_us)!r}\n")
         fh.write(f"# pixel_width_m={float(cut.pixel_width)!r}\n")
-        if cut.center_m is not None:
-            fh.write(f"# center_m={float(cut.center_m)!r}\n")
         fh.write("z_m,od\n")
         for z, v in zip(cut.positions, cut.values):
             fh.write(f"{float(z)!r},{float(v)!r}\n")
@@ -320,6 +324,7 @@ def read_record(path) -> MeasurementRecord:
     rotations = tuple(float(t) for t in meta["rotations_rad"].split(","))
     values = np.zeros((len(rotations), grid.n_bins))
     seen = np.zeros(values.shape, dtype=bool)
+    centers = grid.centers()
     for row in rows:
         j, k = int(row[0]), int(row[2])
         if not (0 <= j < len(rotations) and abs(k) <= grid.half_count):
@@ -330,6 +335,9 @@ def read_record(path) -> MeasurementRecord:
         if float(row[1]) != rotations[j]:
             raise ValueError(f"record row (rotation {j}, bin {k}) has theta_rad "
                              f"{row[1]}, metadata says {rotations[j]!r}")
+        if not abs(float(row[3]) - centers[k + grid.half_count]) <= _PITCH_TOL * grid.width:
+            raise ValueError(f"record row (rotation {j}, bin {k}) has z_m {row[3]}, the "
+                             f"grid's bin {k} is centered at {centers[k + grid.half_count]!r}")
         seen[j, k + grid.half_count] = True
         values[j, k + grid.half_count] = float(row[4])
     if not seen.all():
@@ -433,9 +441,6 @@ class RunConfig:
     dim: int = 16
     taus_us: tuple = (0.0, 1.6, 3.2, 4.8)
     bin_half_count: int = 25
-    bin_width_m: float | None = None
-    grid_center_m: float = 0.0
-    grid_margin: float = 3.5
     nbar: float | None = None
     weight_nbar: float = 1.0
     eta: float = 0.0
@@ -461,7 +466,7 @@ class RunConfig:
         rules = [
             (key, getattr(self, key) is None or getattr(self, key) > 0, "positive")
             for key in ("omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s",
-                        "bin_width_m", "weight_nbar", "grad_tol")
+                        "weight_nbar", "grad_tol")
         ] + [
             (key, getattr(self, key) is None or getattr(self, key) >= 0, "non-negative")
             for key in ("nbar", "noisy_nbar", "eta", "seed")
@@ -516,27 +521,15 @@ class RunConfig:
         return tuple(self.omega_z * tau * 1e-6 for tau in taus_us)
 
     def grid(self, nbar_hint: float | None = None) -> BinGrid:
-        if self.bin_width_m is not None:
-            return BinGrid(
-                center=self.grid_center_m,
-                width=self.bin_width_m,
-                half_count=self.bin_half_count,
-            )
+        """The bin grid sized for the config's nbar, else for ``nbar_hint``."""
         nbar = self.nbar if self.nbar is not None else nbar_hint
         if nbar is None:
-            raise ValueError(
-                "cannot size the bin grid: set bin_width_m or nbar in the config"
-            )
-        return default_bin_grid(
-            self.trap_config(), nbar,
-            half_count=self.bin_half_count,
-            margin=self.grid_margin,
-            center=self.grid_center_m,
-        )
+            raise ValueError("cannot size the bin grid: set nbar in the config")
+        return default_bin_grid(self.trap_config(), nbar, half_count=self.bin_half_count)
 
-    def observation_level(self, grid: BinGrid, rotations, nbar: float | None) -> ObservableSet:
+    def observation_level(self, grid: BinGrid, rotations) -> ObservableSet:
         return build_observation_level(
-            self.trap_config(), grid, rotations, nbar, self.space(),
+            self.trap_config(), grid, rotations, None, self.space(),
             weight_nbar=self.weight_nbar, gh_nodes=self.gh_nodes, gl_nodes=self.gl_nodes,
         )
 

@@ -139,7 +139,6 @@ def default_bin_grid(
     nbar: float,
     half_count: int = 25,
     margin: float = 3.5,
-    center: float = 0.0,
 ) -> BinGrid:
     """Grid covering the velocity spread of a state with mean occupation nbar.
 
@@ -148,7 +147,7 @@ def default_bin_grid(
     """
     span_u = math.sqrt(2.0 * max(nbar, 0.0) + 1.0) + margin
     width = 2.0 * span_u * cfg.drop_scale / (2 * half_count + 1)
-    return BinGrid(center=center, width=width, half_count=half_count)
+    return BinGrid(center=0.0, width=width, half_count=half_count)
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +208,11 @@ class ObservableSet:
     D B_k D^dagger with D = diag(conj(v_j)), in row-major (j, k) order.
     :func:`build_observation_level` makes a bin group (phases per rotation,
     a real symmetric basis per bin), then a diagonal group for the number
-    operator; an array-like ``operators`` is one group with unit phases.
-    ``operators`` is the read-only dense (n_ops, N, N) complex array; only
-    ``expectations`` and ``combine`` contract it.  ``means`` holds NaN for
-    entries not yet measured; attach data with ``with_means`` or
-    ``with_record``, which share the operators.
+    operator; an array-like ``operators``, passed instead of ``groups``, is
+    one group with unit phases.  Built, ``operators`` is the read-only dense
+    (n_ops, N, N) complex array; only ``expectations`` and ``combine``
+    contract it.  ``means`` holds NaN for entries not yet measured; attach
+    data with ``with_means`` or ``with_record``, which share the operators.
     """
 
     operators: np.ndarray | None
@@ -225,6 +224,9 @@ class ObservableSet:
     groups: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.operators is not None and self.groups is not None:
+            raise ValueError("pass operators or groups, not both: the groups would "
+                             "replace the operators")
         if self.groups is None:
             ops = np.asarray(self.operators, dtype=np.complex128)
             if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:

@@ -139,8 +139,8 @@ def test_reconstruct_from_cuts_recovers_the_state(cut_files, tmp_path, capsys):
 
 
 def test_reconstruct_from_cuts_without_nbar_exits_one(cut_files, tmp_path, capsys):
-    """With neither nbar nor bin_width_m in the config, the missing mean
-    excitation number is what the command names, not the grid it sizes."""
+    """With no nbar in the config, the missing mean excitation number is
+    what the command names, not the grid it sizes."""
     _, paths = cut_files
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CUT_CONFIG)

@@ -57,15 +57,32 @@ def _gaussian_cut(tau_us=0.0, center=2e-5, sigma=1.2e-4, amp=0.8, background=0.0
 
 
 def test_cut_file_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         CutFile(tau_us=0.0, positions=np.array([0.0, 0.0, 1.0]),
-                values=np.zeros(3), pixel_width=1e-6)
-    with pytest.raises(ValueError):
+                values=np.zeros(3), pixel_width=1.0)
+    with pytest.raises(ValueError, match="values must be finite"):
         CutFile(tau_us=0.0, positions=np.array([0.0, 1.0]),
-                values=np.array([1.0, np.inf]), pixel_width=1e-6)
-    with pytest.raises(ValueError):
+                values=np.array([1.0, np.inf]), pixel_width=1.0)
+    with pytest.raises(ValueError, match="pixel_width must be finite and positive"):
         CutFile(tau_us=0.0, positions=np.array([0.0, 1.0]),
                 values=np.zeros(2), pixel_width=0.0)
+
+
+def test_cut_file_positions_lie_one_pixel_apart():
+    """A missing row would rebin its neighbours' signal over two pixels; it
+    and a pixel width that is not the spacing are refused, the first bad
+    row named.  Spacing off by rounding alone passes."""
+    cut = _gaussian_cut()
+    width = cut.pixel_width
+    for positions, pixel_width, row in (
+            (np.delete(cut.positions, 100), width, 100),
+            (cut.positions, 1.01 * width, 1),
+            (np.concatenate([cut.positions[:3], cut.positions[3:] + 1e-3 * width]), width, 3)):
+        with pytest.raises(ValueError, match=rf"row {row} lies .* past row {row - 1}$"):
+            CutFile(tau_us=0.0, positions=positions, values=np.ones(positions.size),
+                    pixel_width=pixel_width)
+    CutFile(tau_us=0.0, positions=cut.positions, values=cut.values,
+            pixel_width=width * (1.0 + 1e-9))
 
 
 def test_cut_file_round_trip(tmp_path):
@@ -80,12 +97,6 @@ def test_cut_file_round_trip(tmp_path):
     assert back.pixel_width == cut.pixel_width
     assert np.array_equal(back.positions, cut.positions)
     assert np.array_equal(back.values, cut.values)
-    assert back.center_m is None
-
-    cut2 = CutFile(tau_us=0.0, positions=cut.positions, values=cut.values,
-                   pixel_width=cut.pixel_width, center_m=3.3e-6)
-    write_cut_file(cut2, path)
-    assert read_cut_file(path).center_m == 3.3e-6
 
 
 def test_cut_file_hold_times_survive_a_cycle_bit_for_bit(tmp_path):
@@ -147,12 +158,12 @@ def test_gaussian_fit_matches_curve_fit_bit_for_bit():
 
 
 def test_gaussian_fit_rejects_flat_and_short_cuts():
-    flat = CutFile(tau_us=0.0, positions=np.linspace(-1e-4, 1e-4, 50),
+    flat = CutFile(tau_us=0.0, positions=4e-6 * np.arange(-25, 25),
                    values=np.full(50, 0.3), pixel_width=4e-6)
-    with pytest.raises(FitDivergence):
+    with pytest.raises(FitDivergence, match="flat profile"):
         gaussian_fit_center(flat)
-    with pytest.raises(ValueError):
-        gaussian_fit_center(CutFile(tau_us=0.0, positions=np.linspace(0, 1, 4),
+    with pytest.raises(ValueError, match="at least 5 points"):
+        gaussian_fit_center(CutFile(tau_us=0.0, positions=0.25 * np.arange(4),
                                     values=np.ones(4), pixel_width=0.25))
 
 
@@ -326,6 +337,13 @@ def _broken_files(trap, space16, tmp_path):
     record_header = next(n for n, ln in enumerate(lines) if ln.startswith("rotation_index"))
     cut_header = next(n for n, ln in enumerate(cut_lines) if ln.startswith("z_m"))
     nbar_line = next(n for n, ln in enumerate(lines) if ln.startswith("# nbar="))
+    first_row = lines[record_header + 1].split(",")
+    half_bin = repr(float(first_row[3]) + 0.5 * read_record(path).grid.width)
+
+    def with_first_z(z):
+        return (lines[:record_header + 1] + [_edit_row(lines[record_header + 1], 3, z)]
+                + lines[record_header + 2:])
+
     files = {
         "truncated-record": ("--record", lines[:-1] + [lines[-1].rsplit(",", 2)[0]],
                              rf"line {len(lines)}: 3 columns, the format has 5"),
@@ -357,6 +375,17 @@ def _broken_files(trap, space16, tmp_path):
         "repeated-nbar": ("--record", lines[:record_header] + ["# nbar=7.0\n"]
                           + lines[record_header:],
                           f"line {record_header + 1}: key 'nbar' repeats line {nbar_line + 1}"),
+        # a z_m off its bin's center, or not a number, would read as if right
+        "nan-z": ("--record", with_first_z("nan"), "has z_m nan, the grid's bin -3 is centered"),
+        "text-z": ("--record", with_first_z("banana"), "could not convert string to float"),
+        "half-bin-z": ("--record", with_first_z(half_bin),
+                       f"has z_m {half_bin}, the grid's bin -3 is centered"),
+        # the peak row lost: its signal would be rebinned over two pixels
+        "cut-missing-row": ("--cut", cut_lines[:cut_header + 101] + cut_lines[cut_header + 102:],
+                            "apart: row 100 lies"),
+        # no code reads a cut's cloud center; --fixed-center sets one
+        "cut-with-center": ("--cut", ["# center_m=0.0\n"] + cut_lines,
+                            "'center_m' is not read: pass the cloud center as --fixed-center"),
     }
     out = []
     for name, (option, text, message) in files.items():
@@ -492,9 +521,6 @@ CONFIG_SAMPLES = {
     "dim": ("12", 12),
     "taus_us": ("0, 1.5, 3", (0.0, 1.5, 3.0)),
     "bin_half_count": ("9", 9),
-    "bin_width_m": ("1e-5", 1e-5),
-    "grid_center_m": ("-2e-6", -2e-6),
-    "grid_margin": ("4", 4.0),
     "nbar": ("0.25", 0.25),
     "weight_nbar": ("3", 3.0),
     "eta": ("0.1", 0.1),
@@ -524,7 +550,7 @@ def test_every_config_field_parses_to_its_declared_type():
     # the None-able floats stay None when absent
     assert RunConfig.from_dict({}).nbar is None
     assert RunConfig.from_dict({"subtract_background": "1"}).subtract_background is True
-    for bad, match in (({"grid_margin_m": "1"}, "^unknown config key 'grid_margin_m'$"),
+    for bad, match in (({"grid_margin": "1"}, "^unknown config key 'grid_margin'$"),
                        ({"recenter": "maybe"}, "^config key 'recenter': not a boolean"),
                        ({"dim": "2.5"}, "^config key 'dim': "),
                        ({"nbar": "half"}, "^config key 'nbar': "),
@@ -562,15 +588,14 @@ def test_config_rejects_non_finite_values(key):
 
 
 def test_config_grid_requires_a_size(tmp_path):
+    """One grid rule: default_bin_grid at the config's nbar, else at the
+    hint, with the config's half count."""
     cfg = RunConfig()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="set nbar in the config"):
         cfg.grid()
-    grid = cfg.grid(nbar_hint=0.5)
-    assert grid.n_bins == 51
-    explicit = RunConfig(bin_width_m=1e-5, bin_half_count=7)
-    g2 = explicit.grid()
-    assert g2.width == 1e-5
-    assert g2.n_bins == 15
+    assert cfg.grid(nbar_hint=0.5) == default_bin_grid(cfg.trap_config(), 0.5, half_count=25)
+    sized = RunConfig(nbar=2.0, bin_half_count=7)
+    assert sized.grid(nbar_hint=0.5) == default_bin_grid(sized.trap_config(), 2.0, half_count=7)
 
     path = tmp_path / "run.cfg"
     path.write_text("dim = 12\nnbar = 0.25\n")
@@ -707,8 +732,7 @@ def test_cli_simulate_reconstruct_wigner_report(tmp_path, capsys):
 
 def test_cli_reconstruct_from_cuts_needs_nbar(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("dim = 8\nbin_width_m = 2e-5\nbin_half_count = 10\n"
-                   "taus_us = 0\n")
+    cfg.write_text("dim = 8\nbin_half_count = 10\ntaus_us = 0\n")
     cut = _gaussian_cut(tau_us=0.0, center=0.0, sigma=1.1e-4)
     cut_path = tmp_path / "cut0.csv"
     write_cut_file(cut, cut_path)
@@ -718,6 +742,17 @@ def test_cli_reconstruct_from_cuts_needs_nbar(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mean excitation" in err
     assert "--nbar" in err
+
+
+@pytest.mark.parametrize("line", ["bin_width_m = 2e-5", "grid_margin = 3.5", "grid_center_m = 0"])
+def test_cli_refuses_a_grid_size_or_center_in_the_config(tmp_path, capsys, line):
+    """The grid is sized from nbar alone and centered on the cloud: a config
+    that still sets a bin width, a margin or a grid center exits 1."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dim = 8\nnbar = 0.5\n{line}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert f"unknown config key '{line.split()[0]}'" in capsys.readouterr().err
+    assert not (tmp_path / "record.csv").exists()
 
 
 def test_cli_reconstruct_reports_non_convergence(tmp_path):

@@ -1312,7 +1312,7 @@ def test_fit_without_a_bundled_openblas_gives_the_same_result(monkeypatch, trap,
 
 
 FIRST_SCIPY_FIT = """
-import json, os, sys, threading
+import json, os, sys, threading, time
 import numpy as np
 from maxent_tomo import (FockSpace, TrapConfig, build_observation_level, default_bin_grid,
                          even_cat, fit, maxent, simulate_ideal, superposition)
@@ -1345,6 +1345,11 @@ for t in threads:
     t.start()
 for t in threads:
     t.join()
+# join returns as a thread ends its Python code, before the system drops its
+# task; a BLAS worker never ends, so waiting still fails on one
+deadline = time.monotonic() + 5.0
+while tasks() > counts[0] and time.monotonic() < deadline:
+    time.sleep(0.01)
 counts.append(tasks())
 lib = maxent._SCIPY_BLAS._locate()
 assert lib is not None, "the cap found no OpenBLAS"

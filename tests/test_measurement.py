@@ -127,7 +127,6 @@ def _record(rotations=(0.0,), value=0.2):
     (lambda: _cut(positions=[0.0, np.nan, 1.0]), None),
     (lambda: _cut(pixel_width=np.nan), None),
     (lambda: _cut(pixel_width=np.inf), None),
-    (lambda: _cut(center_m=np.nan), None),
     (lambda: _record(value=np.nan), None),
     (lambda: _record(value=np.inf), None),
     (lambda: _record(rotations=(np.nan,)), None),
@@ -141,7 +140,7 @@ def _record(rotations=(0.0,), value=0.2):
 ], ids=["pure-state", "density-operator", "trap-omega",
         "grid-width-nan", "grid-width-inf", "noise-eta", "set-weights",
         "set-operators", "cut-tau", "cut-positions", "cut-pixel-width-nan",
-        "cut-pixel-width-inf", "cut-center", "record-value-nan", "record-value-inf",
+        "cut-pixel-width-inf", "record-value-nan", "record-value-inf",
         "record-rotation-nan", "record-rotation-inf", "even-cat-nan", "even-cat-inf",
         "thermal-nan", "thermal-inf", "free-expansion-nan", "free-expansion-inf"])
 def test_constructors_reject_non_finite_input(build, name):
@@ -160,17 +159,15 @@ VALID_ARGUMENTS = {
     BinGrid: (dict(center=0.0, width=1e-5, half_count=3), {"width", "half_count"}),
     NoiseSpec: (dict(eta=0.1, seed=0), set()),
     CutFile: (dict(tau_us=0.0, positions=[0.0, 1e-6, 2e-6], values=[1.0, 1.0, 1.0],
-                   pixel_width=1e-6, center_m=0.0), {"pixel_width"}),
+                   pixel_width=1e-6), {"pixel_width"}),
     MeasurementRecord: (dict(rotations=(0.0,), grid=BinGrid(center=0.0, width=1e-5, half_count=1),
                              values=np.full((1, 3), 0.2), nbar=0.5), set()),
     WignerGrid: (dict(q_axis=[-1.0, 0.0, 1.0], p_axis=[-1.0, 1.0], values=np.zeros((3, 2)),
                       imag_residual=0.0), set()),
     RunConfig: (
-        dataclasses.asdict(RunConfig(bin_width_m=1e-5, nbar=0.5, noisy_nbar=0.5,
-                                     fixed_center_m=0.0)),
-        {"omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s", "bin_width_m",
-         "weight_nbar", "grad_tol", "dim", "bin_half_count", "max_iter", "gh_nodes",
-         "gl_nodes"},
+        dataclasses.asdict(RunConfig(nbar=0.5, noisy_nbar=0.5, fixed_center_m=0.0)),
+        {"omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s", "weight_nbar",
+         "grad_tol", "dim", "bin_half_count", "max_iter", "gh_nodes", "gl_nodes"},
     ),
 }
 
@@ -554,6 +551,14 @@ def test_validate_checks_each_phase_for_unit_modulus():
         with pytest.raises(ValueError, match=r"operator \('bin', 1, 0\) phase modulus off"):
             ObservableSet(operators=None, labels=[("bin", j, k) for j in (0, 1) for k in (0, 1)],
                           groups=((np.array(phases), bases),))
+
+
+def test_set_refuses_operators_and_groups_together():
+    """The groups used to win and the operators went unread: this pair
+    built the identity, not diag(1, 0)."""
+    with pytest.raises(ValueError, match="operators or groups, not both"):
+        ObservableSet(operators=[np.diag([1.0, 0.0])], labels=[("op", 0)],
+                      groups=((np.ones((1, 2)), np.eye(2)[None]),))
 
 
 # ---------------------------------------------------------------------------
