@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -118,14 +119,15 @@ class CutFile:
 
 @_names_its_file
 def read_cut_file(path) -> CutFile:
-    meta, rows = _read_csv_with_meta(path, ("tau_us", "pixel_width_m"), ("z_m", "od"))
+    meta, rows = _read_csv_with_meta(path, ("tau_us", "pixel_width_m"),
+                                     {"z_m": float, "od": float})
     if "center_m" in meta:
         raise ValueError("metadata key 'center_m' is not read: pass the cloud center "
                          "as --fixed-center (fixed_center_m in the config)")
     return CutFile(
         tau_us=float(meta["tau_us"]),
-        positions=np.array([float(r[0]) for r in rows]),
-        values=np.array([float(r[1]) for r in rows]),
+        positions=np.array([z for z, _ in rows]),
+        values=np.array([od for _, od in rows]),
         pixel_width=float(meta["pixel_width_m"]),
     )
 
@@ -257,35 +259,50 @@ def preprocess(
 
 
 def _read_csv_with_meta(path, required, columns):
-    """'#' key=value metadata and the rows after the header line; the
-    header must name the format's ``columns``, every row must have as many,
-    every ``required`` key must be present and no key may repeat; '#'
-    lines without '=' are free text."""
-    meta, rows, first_line = {}, [], {}
+    """'#' key=value metadata and the rows after the header line, each cell
+    parsed by its column's type in ``columns`` (name: int or float); the
+    header must name the columns, every row must have as many, the last line
+    must end in a newline, every ``required`` key must be present and no key
+    may repeat; '#' lines without '=' are free text."""
+    meta, rows, first_line, header, line = {}, [], {}, False, ""
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            text = line.strip()
+            if not text:
                 continue
-            if line.startswith("#"):
-                key, eq, value = (part.strip() for part in line[1:].partition("="))
+            if text.startswith("#"):
+                key, eq, value = (part.strip() for part in text[1:].partition("="))
                 if eq and key in first_line:
                     raise ValueError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
                 if eq:
                     meta[key], first_line[key] = value, lineno
                 continue
-            tokens = [tok.strip() for tok in line.split(",")]
+            tokens = [tok.strip() for tok in text.split(",")]
             if len(tokens) != len(columns):
                 raise ValueError(f"line {lineno}: {len(tokens)} columns, "
                                  f"the format has {len(columns)}")
-            if not rows and tuple(tokens) != columns:
-                raise ValueError(f"line {lineno}: header {line!r}, the format's is "
-                                 f"{','.join(columns)!r}")
-            rows.append(tokens)
+            if not header:
+                if tuple(tokens) != tuple(columns):
+                    raise ValueError(f"line {lineno}: header {text!r}, the format's is "
+                                     f"{','.join(columns)!r}")
+                header = True
+                continue
+            row = []
+            for (name, parse), cell in zip(columns.items(), tokens):
+                try:
+                    row.append(parse(cell))
+                except ValueError:
+                    kind = "an integer" if parse is int else "a number"
+                    raise ValueError(f"line {lineno}, column {name!r}: {cell!r} is not "
+                                     f"{kind}") from None
+            rows.append(row)
+    if not line.endswith("\n") and line.strip():  # 0.002 cut short reads as 0.0
+        raise ValueError(f"line {lineno}: the file ends without a newline, as a file "
+                         "cut short does")
     for key in required:
         if key not in meta:
             raise ValueError(f"metadata key {key!r} is missing")
-    return meta, rows[1:]  # the first names the columns
+    return meta, rows
 
 
 def write_record(record: MeasurementRecord, path) -> None:
@@ -315,7 +332,8 @@ def write_record(record: MeasurementRecord, path) -> None:
 def read_record(path) -> MeasurementRecord:
     meta, rows = _read_csv_with_meta(
         path, ("nbar", "grid_center_m", "grid_width_m", "grid_half_count", "rotations_rad"),
-        ("rotation_index", "theta_rad", "bin_index", "z_m", "value"))
+        {"rotation_index": int, "theta_rad": float, "bin_index": int, "z_m": float,
+         "value": float})
     grid = BinGrid(
         center=float(meta["grid_center_m"]),
         width=float(meta["grid_width_m"]),
@@ -325,21 +343,20 @@ def read_record(path) -> MeasurementRecord:
     values = np.zeros((len(rotations), grid.n_bins))
     seen = np.zeros(values.shape, dtype=bool)
     centers = grid.centers()
-    for row in rows:
-        j, k = int(row[0]), int(row[2])
+    for j, theta, k, z, value in rows:
         if not (0 <= j < len(rotations) and abs(k) <= grid.half_count):
             raise ValueError(f"record row (rotation {j}, bin {k}) is outside "
                              f"{len(rotations)} rotations x bins +-{grid.half_count}")
         if seen[j, k + grid.half_count]:
             raise ValueError(f"record repeats the row (rotation {j}, bin {k})")
-        if float(row[1]) != rotations[j]:
+        if theta != rotations[j]:
             raise ValueError(f"record row (rotation {j}, bin {k}) has theta_rad "
-                             f"{row[1]}, metadata says {rotations[j]!r}")
-        if not abs(float(row[3]) - centers[k + grid.half_count]) <= _PITCH_TOL * grid.width:
-            raise ValueError(f"record row (rotation {j}, bin {k}) has z_m {row[3]}, the "
+                             f"{theta!r}, metadata says {rotations[j]!r}")
+        if not abs(z - centers[k + grid.half_count]) <= _PITCH_TOL * grid.width:
+            raise ValueError(f"record row (rotation {j}, bin {k}) has z_m {z!r}, the "
                              f"grid's bin {k} is centered at {centers[k + grid.half_count]!r}")
         seen[j, k + grid.half_count] = True
-        values[j, k + grid.half_count] = float(row[4])
+        values[j, k + grid.half_count] = value
     if not seen.all():
         j, i = np.argwhere(~seen)[0]
         raise ValueError(f"record misses {int((~seen).sum())} rows, first "
@@ -370,14 +387,16 @@ def write_density_matrix(rho: DensityOperator, path) -> None:
         fh.write("\n")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value) -> bool:
+    """A JSON int or float that converts to a finite float (int and float compare exactly)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @_names_its_file
 def read_density_matrix(path) -> DensityOperator:
     """Read the JSON object ``write_density_matrix`` writes: a positive
-    integer ``dim`` and ``real``/``imag`` lists of dim**2 numbers."""
+    integer ``dim`` and ``real``/``imag`` lists of dim**2 finite numbers."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -389,8 +408,8 @@ def read_density_matrix(path) -> DensityOperator:
     for key in ("real", "imag"):
         values = payload.get(key)
         if not (isinstance(values, list) and len(values) == dim * dim
-                and all(map(_is_number, values))):
-            raise ValueError(f"'{key}' must be a list of dim**2 = {dim * dim} numbers")
+                and all(map(_is_finite_number, values))):
+            raise ValueError(f"'{key}' must be a list of dim**2 = {dim * dim} finite numbers")
         parts.append(np.asarray(values))
     return DensityOperator((parts[0] + 1j * parts[1]).reshape(dim, dim))
 

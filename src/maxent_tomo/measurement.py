@@ -191,7 +191,12 @@ def _bin_base_matrices(
     psi = hermite_functions(nmax, u.reshape(-1))
     psi = psi.reshape(space.dim, bin_centers.size, -1)
     wq = (w_cloud[:, None] * (0.5 * bin_width * wl)[None, :] / scale).reshape(-1)
-    return np.einsum("q,mkq,nkq->kmn", wq, psi, psi, optimize=True)
+    # 1 MiB of bins at a time: each bin's sums are the same, and einsum's
+    # weighted copy fits in freed heap instead of faulting in fresh pages
+    step = max(1, 2**20 // psi[:, 0].nbytes)
+    return np.concatenate([np.einsum("q,mkq,nkq->kmn", wq, psi[:, lo:lo + step],
+                                     psi[:, lo:lo + step], optimize=True)
+                           for lo in range(0, bin_centers.size, step)])
 
 
 def _rotation_phases(dim: int, theta: float) -> np.ndarray:

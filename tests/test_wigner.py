@@ -15,6 +15,7 @@ import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
 from maxent_tomo import (
+    DensityOperator,
     FockSpace,
     NoiseSpec,
     add_noise,
@@ -33,7 +34,7 @@ from maxent_tomo import (
     write_wigner_csv,
     write_wigner_json,
 )
-from maxent_tomo.wigner import WignerGrid, _fock_kernel, _rotation_rows
+from maxent_tomo.wigner import WignerGrid, _fock_kernel, _rotation_rows, _rotation_table
 
 from conftest import ideal_quadrature_distribution, wigner_marginal
 
@@ -268,6 +269,47 @@ def test_exactly_hermitian_state_has_no_imaginary_part():
     assert np.array_equal(rho, rho.conj().T)
     axis = np.linspace(-6.0, 6.0, 257)
     assert not np.any(_fock_kernel(rho, axis, axis).imag)
+
+
+def test_a_warm_rotation_table_gives_the_cold_grid_bit_for_bit():
+    rho = _random_density(16, 21)
+    _rotation_table.cache_clear()
+    cold = wigner_eval(rho, span=8.0, points=65)
+    warm = wigner_eval(rho, span=8.0, points=65)
+    assert _rotation_table.cache_info().hits == 1
+    assert np.array_equal(warm.values, cold.values)
+    assert warm.imag_residual == cold.imag_residual
+
+
+def test_interleaved_dimensions_each_get_their_own_answer():
+    """The table is kept for one dimension: 16, 48, 16 rebuilds it each time."""
+    rhos = {dim: _random_density(dim, dim) for dim in (16, 48)}
+    cold = {}
+    for dim, rho in rhos.items():
+        _rotation_table.cache_clear()
+        cold[dim] = wigner_eval(rho, span=10.0, points=33).values
+    for dim in (16, 48, 16):
+        assert np.array_equal(wigner_eval(rhos[dim], span=10.0, points=33).values, cold[dim])
+
+
+def test_the_cached_rotation_table_is_read_only():
+    arrays = _rotation_table(8)
+    assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        arrays[0][0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8])
+def test_imag_residual_is_the_closed_form_imaginary_part(seed):
+    """Off-Hermitian rho: wigner_eval reports the largest imaginary part of the
+    pairwise closed form; exactly Hermitian, it reports exactly 0.0."""
+    axis = np.linspace(-8.0, 8.0, 41)
+    rho = _off_hermitian(16, seed)
+    ref = np.max(np.abs(_pairwise_kernel(rho, axis, axis).imag))
+    assert ref > 1e-8
+    assert wigner_eval(rho, span=8.0, points=41).imag_residual == pytest.approx(ref, abs=1e-13)
+    hermitian = DensityOperator((rho + rho.conj().T) / 2 / np.trace(rho).real)
+    assert wigner_eval(hermitian, span=8.0, points=41).imag_residual == 0.0
 
 
 @pytest.mark.parametrize("kwargs, name", [
