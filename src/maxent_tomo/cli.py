@@ -22,12 +22,10 @@ __all__ = ["main"]
 def _apply_overrides(config, args):
     """The RunConfig with command-line values in place, checked like one
     read from a file."""
-    flags = {"nbar": "nbar", "weight_nbar": "wnbar", "eta": "eta", "seed": "seed",
-             "dim": "dim", "fixed_center_m": "fixed_center"}
+    flags = {"nbar": "nbar", "eta": "eta", "seed": "seed", "dim": "dim",
+             "fixed_center_m": "fixed_center"}
     changes = {key: getattr(args, flag, None) for key, flag in flags.items()}
     changes = {key: value for key, value in changes.items() if value is not None}
-    if getattr(args, "no_background_subtraction", False):
-        changes["subtract_background"] = False
     return dataclasses.replace(config, **changes)
 
 
@@ -49,10 +47,7 @@ def _cmd_simulate(args) -> int:
     observables = config.observation_level(grid, config.rotations(config.taus_us))
     record = simulate_ideal(state, observables)
     if config.eta > 0:
-        record = add_noise(
-            record, NoiseSpec(eta=config.eta, seed=config.seed),
-            nbar_noisy=config.noisy_nbar,
-        )
+        record = add_noise(record, NoiseSpec(eta=config.eta, seed=config.seed))
     out = _outdir(args)
     record_path = os.path.join(out, "record.csv")
     tio.write_record(record, record_path)
@@ -163,7 +158,6 @@ def _parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic record")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", default=None)
-    sim.add_argument("--nbar", type=float, default=None)
     sim.add_argument("--eta", type=float, default=None)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--dim", type=int, default=None)
@@ -175,10 +169,8 @@ def _parser() -> argparse.ArgumentParser:
     rec.add_argument("--cut", action="append", default=None,
                      help="image-cut CSV, one per rotation (repeatable)")
     rec.add_argument("--nbar", type=float, default=None)
-    rec.add_argument("--wnbar", type=float, default=None)
     rec.add_argument("--dim", type=int, default=None)
     rec.add_argument("--out", default=None)
-    rec.add_argument("--no-background-subtraction", action="store_true")
     rec.add_argument("--fixed-center", type=float, default=None,
                      help="use this cloud center (m) for every cut instead of "
                           "per-image Gaussian fits")

@@ -27,7 +27,6 @@ __all__ = [
     "DensityOperator",
     "LadderOperators",
     "TruncationError",
-    "EigError",
     "ladder_operators",
     "fock_state",
     "superposition",
@@ -49,10 +48,6 @@ LEAKAGE_TOL = 1e-6
 
 class TruncationError(ValueError):
     """A requested state leaks too much probability above level N-1."""
-
-
-class EigError(RuntimeError):
-    """Hermitian eigendecomposition did not converge."""
 
 
 _SCIPY_LOAD = threading.Lock()
@@ -273,17 +268,6 @@ def thermal_state(space: FockSpace, nbar: float) -> DensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigendecomposition
-
-
-def _eigh(matrix: np.ndarray):
-    try:
-        return np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigError(str(exc)) from exc
-
-
-# ---------------------------------------------------------------------------
 # oscillator eigenfunctions
 
 
@@ -327,7 +311,7 @@ def delta_rho(a, b) -> float:
 def fidelity(a, b) -> float:
     """Uhlmann fidelity; reduces to <psi|rho_b|psi> when a is pure."""
     ma, mb = _density_matrix(a), _density_matrix(b)
-    evals, vecs = _eigh(ma)
+    evals, vecs = np.linalg.eigh(ma)
     if evals[-1] >= 1.0 - 1e-10:
         psi = vecs[:, -1]
         return float(np.real(psi.conj() @ mb @ psi))

@@ -331,7 +331,8 @@ def write_record(record: MeasurementRecord, path) -> None:
 @_names_its_file
 def read_record(path) -> MeasurementRecord:
     meta, rows = _read_csv_with_meta(
-        path, ("nbar", "grid_center_m", "grid_width_m", "grid_half_count", "rotations_rad"),
+        path, ("kind", "nbar", "grid_center_m", "grid_width_m", "grid_half_count",
+               "rotations_rad"),
         {"rotation_index": int, "theta_rad": float, "bin_index": int, "z_m": float,
          "value": float})
     grid = BinGrid(
@@ -361,11 +362,21 @@ def read_record(path) -> MeasurementRecord:
         j, i = np.argwhere(~seen)[0]
         raise ValueError(f"record misses {int((~seen).sum())} rows, first "
                          f"(rotation {j}, bin {i - grid.half_count})")
-    provenance = {"kind": meta.get("kind", "ideal")}
-    if "eta" in meta:
-        provenance["eta"] = float(meta["eta"])
-    if "seed" in meta:
-        provenance["seed"] = int(meta["seed"])
+    if meta["kind"] not in ("ideal", "noisy", "cuts"):  # the kinds the package writes
+        raise ValueError(f"metadata key 'kind' must be ideal, noisy or cuts, "
+                         f"got {meta['kind']!r}")
+    provenance = {"kind": meta["kind"]}
+    # as NoiseSpec would take them: a finite eta >= 0 and an integer seed >= 0
+    for key, parse, rule in (("eta", float, "a finite non-negative number"),
+                             ("seed", int, "a non-negative integer")):
+        if key in meta:
+            try:
+                value = parse(meta[key])
+            except ValueError:
+                value = math.nan
+            if not 0 <= value < math.inf:
+                raise ValueError(f"metadata key {key!r} must be {rule}, got {meta[key]!r}")
+            provenance[key] = value
     return MeasurementRecord(
         rotations=rotations,
         grid=grid,
@@ -464,7 +475,6 @@ class RunConfig:
     weight_nbar: float = 1.0
     eta: float = 0.0
     seed: int = 0
-    noisy_nbar: float | None = None
     state: str = "superposition:1,1"
     subtract_background: bool = True
     recenter: bool = True
@@ -488,7 +498,7 @@ class RunConfig:
                         "weight_nbar", "grad_tol")
         ] + [
             (key, getattr(self, key) is None or getattr(self, key) >= 0, "non-negative")
-            for key in ("nbar", "noisy_nbar", "eta", "seed")
+            for key in ("nbar", "eta", "seed")
         ]
         rules += [
             ("dim", self.dim >= 2, "at least 2"),

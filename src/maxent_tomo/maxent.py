@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .hilbert import DensityOperator, _eigh, _one_thread_load, entropy
+from .hilbert import DensityOperator, _one_thread_load, entropy
 from .measurement import ObservableSet
 
 __all__ = [
@@ -115,7 +115,7 @@ class CanonicalState:
 def _spectrum(vec: np.ndarray, observables: ObservableSet):
     """Ascending eigenpairs of the exponent A = sum_nu vec_nu G_nu."""
     a = observables.combine(vec)
-    return _eigh(0.5 * (a + a.conj().T))
+    return np.linalg.eigh(0.5 * (a + a.conj().T))
 
 
 def _gibbs(d: np.ndarray, v: np.ndarray):

@@ -174,7 +174,6 @@ def test_no_background_subtraction_fits_the_unsubtracted_rows(cut_files, tmp_pat
                                                               monkeypatch):
     _, paths = cut_files
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CUT_CONFIG)
     seen = []
 
     def stand_in(observables, **kwargs):
@@ -185,9 +184,10 @@ def test_no_background_subtraction_fits_the_unsubtracted_rows(cut_files, tmp_pat
     argv = (["reconstruct", "--config", str(cfg)]
             + [arg for p in paths for arg in ("--cut", p)]
             + ["--nbar", "0.5", "--fixed-center", "0", "--out", str(tmp_path)])
-    for extra in (["--no-background-subtraction"], []):
+    for extra in ("subtract_background = false\n", ""):
+        cfg.write_text(CUT_CONFIG + extra)
         with pytest.raises(_FitCalled):
-            main(argv + extra)
+            main(argv)
     plain, subtracted = (obs.means[:-1].reshape(obs.bin_shape) for obs in seen)
     rows = [preprocess(read_cut_file(p), seen[0].grid, subtract_background=False,
                        fixed_center=0.0) for p in paths]
@@ -230,7 +230,11 @@ def test_unknown_state_kind_exits_one(tmp_path, capsys):
     ["bogus"],
     [],
     ["simulate", "--config", "run.cfg", "--wnbar", "1"],
-], ids=["float-flag", "int-flag", "command", "no-command", "simulate-wnbar"])
+    ["simulate", "--config", "run.cfg", "--nbar", "0.5"],
+    ["reconstruct", "--config", "run.cfg", "--wnbar", "1"],
+    ["reconstruct", "--config", "run.cfg", "--no-background-subtraction"],
+], ids=["float-flag", "int-flag", "command", "no-command", "simulate-wnbar", "simulate-nbar",
+        "reconstruct-wnbar", "reconstruct-no-background-subtraction"])
 def test_usage_errors_exit_one_not_the_non_convergence_code(capsys, argv):
     """argparse exits 2 on a usage error, the code reserved for a fit that
     did not converge; main returns 1, bad input, and keeps the usage text."""

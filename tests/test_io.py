@@ -330,8 +330,9 @@ def test_read_record_keeps_repeated_free_text_comments(trap, space16, tmp_path):
 
 def _broken_files(trap, space16, tmp_path):
     """(option, path, message) for record and cut files cut short, stripped
-    of a metadata line or of their header, with a wrong header or a repeated
-    metadata key, and the message their readers must raise."""
+    of a metadata line or of their header, with a wrong header, a repeated
+    metadata key or a bad provenance value, and the message their readers
+    must raise."""
     path, lines = _record_lines(trap, space16, tmp_path)
     cut_path = tmp_path / "cut.csv"
     write_cut_file(_gaussian_cut(), cut_path)
@@ -341,6 +342,9 @@ def _broken_files(trap, space16, tmp_path):
     nbar_line = next(n for n, ln in enumerate(lines) if ln.startswith("# nbar="))
     first_row = lines[record_header + 1].split(",")
     half_bin = repr(float(first_row[3]) + 0.5 * read_record(path).grid.width)
+
+    def with_meta(line):
+        return lines[:record_header] + [line] + lines[record_header:]
 
     def with_first_z(z):
         return (lines[:record_header + 1] + [_edit_row(lines[record_header + 1], 3, z)]
@@ -403,6 +407,18 @@ def _broken_files(trap, space16, tmp_path):
         # no code reads a cut's cloud center; --fixed-center sets one
         "cut-with-center": ("--cut", ["# center_m=0.0\n"] + cut_lines,
                             "'center_m' is not read: pass the cloud center as --fixed-center"),
+        # provenance NoiseSpec would refuse; a record without its kind would read as
+        # ideal, and add_noise would noise it a second time
+        "nan-eta": ("--record", with_meta("# eta=nan\n"),
+                    "metadata key 'eta' must be a finite non-negative number, got 'nan'"),
+        "negative-eta": ("--record", with_meta("# eta=-3\n"),
+                         "metadata key 'eta' must be a finite non-negative number, got '-3'"),
+        "negative-seed": ("--record", with_meta("# seed=-7\n"),
+                          "metadata key 'seed' must be a non-negative integer, got '-7'"),
+        "unknown-kind": ("--record", ["# kind=banana\n"] + lines[1:],
+                         "metadata key 'kind' must be ideal, noisy or cuts, got 'banana'"),
+        "record-without-kind": ("--record", [ln for ln in lines if not ln.startswith("# kind=")],
+                                "'kind' is missing"),
     }
     out = []
     for name, (option, text, message) in files.items():
@@ -544,7 +560,6 @@ CONFIG_SAMPLES = {
     "weight_nbar": ("3", 3.0),
     "eta": ("0.1", 0.1),
     "seed": ("42", 42),
-    "noisy_nbar": ("0.3", 0.3),
     "state": ("fock:2", "fock:2"),
     "subtract_background": ("off", False),
     "recenter": ("YES", True),
@@ -582,8 +597,6 @@ def test_every_config_field_parses_to_its_declared_type():
     ("dim", "1"),
     ("nbar", "-1"),
     ("nbar", "nan"),
-    ("noisy_nbar", "-0.5"),
-    ("noisy_nbar", "inf"),
     ("eta", "-0.1"),
     ("seed", "-1"),
     ("bin_half_count", "0"),
@@ -671,10 +684,9 @@ def _mutate(data, text):
 
 
 def _same_record(lines, written, read, kind, touched):
-    """The fit's inputs bit for bit; the provenance lines (kind, eta, seed) are
-    optional, a record without them reads as ideal, so a touched one may go or
-    change."""
-    optional = any(lines[i].startswith(("# kind=", "# eta=", "# seed=")) for i in touched)
+    """The fit's inputs bit for bit and the kind as written; the provenance
+    lines eta and seed are optional, so a touched one may go or change."""
+    optional = any(lines[i].startswith(("# eta=", "# seed=")) for i in touched)
     return (read.rotations == written.rotations and read.grid == written.grid
             and np.array_equal(read.values, written.values) and read.nbar == written.nbar
             and (optional or read.provenance == written.provenance))
@@ -903,10 +915,12 @@ def test_cli_reconstruct_from_cuts_needs_nbar(tmp_path, capsys):
     assert "--nbar" in err
 
 
-@pytest.mark.parametrize("line", ["bin_width_m = 2e-5", "grid_margin = 3.5", "grid_center_m = 0"])
+@pytest.mark.parametrize("line", ["bin_width_m = 2e-5", "grid_margin = 3.5", "grid_center_m = 0",
+                                  "noisy_nbar = 0.9"])
 def test_cli_refuses_a_grid_size_or_center_in_the_config(tmp_path, capsys, line):
-    """The grid is sized from nbar alone and centered on the cloud: a config
-    that still sets a bin width, a margin or a grid center exits 1."""
+    """The grid is sized from nbar alone and centered on the cloud, and a fit
+    reads its nbar from reconstruct --nbar or the config's nbar: a config that
+    still sets a bin width, a margin, a grid center or noisy_nbar exits 1."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"dim = 8\nnbar = 0.5\n{line}\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1

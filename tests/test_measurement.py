@@ -165,7 +165,7 @@ VALID_ARGUMENTS = {
     WignerGrid: (dict(q_axis=[-1.0, 0.0, 1.0], p_axis=[-1.0, 1.0], values=np.zeros((3, 2)),
                       imag_residual=0.0), set()),
     RunConfig: (
-        dataclasses.asdict(RunConfig(nbar=0.5, noisy_nbar=0.5, fixed_center_m=0.0)),
+        dataclasses.asdict(RunConfig(nbar=0.5, fixed_center_m=0.0)),
         {"omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s", "weight_nbar",
          "grad_tol", "dim", "bin_half_count", "max_iter", "gh_nodes", "gl_nodes"},
     ),
