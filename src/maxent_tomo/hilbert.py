@@ -275,15 +275,22 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
     """Table psi_0..psi_n_max of normalized Hermite functions at x.
 
     Upward recurrence psi_{n+1} = sqrt(2/(n+1)) x psi_n - sqrt(n/(n+1)) psi_{n-1},
-    within 1e-12 of scipy's eval_hermite for n <= 158 and |x| <= 25.
+    within 1e-12 of scipy's eval_hermite for n <= 158 and |x| <= 25.  It runs
+    in place in the table with one scratch row, rounding as the expression
+    (sqrt(2/(n+1)) x) psi_n - sqrt(n/(n+1)) psi_{n-1} does.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros((n_max + 1,) + x.shape, dtype=np.float64)
+    out = np.empty((n_max + 1,) + x.shape, dtype=np.float64)
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
     if n_max >= 1:
         out[1] = math.sqrt(2.0) * x * out[0]
+    row = np.empty_like(x)
     for n in range(1, n_max):
-        out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
+        new = out[n + 1, ...]  # a view even where x is a scalar
+        np.multiply(math.sqrt(2.0 / (n + 1)), x, out=row)
+        np.multiply(row, out[n], out=new)
+        np.multiply(math.sqrt(n / (n + 1.0)), out[n - 1], out=row)
+        np.subtract(new, row, out=new)
     return out
 
 

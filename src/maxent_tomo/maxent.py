@@ -225,7 +225,7 @@ def _stop(f: float, grad: np.ndarray, grad_tol: float) -> str | None:
     return GRADIENT_STOP.format(grad_tol) if ginf <= grad_tol else None
 
 
-def _relation_bound(observables: ObservableSet) -> float:
+def _relation_bound(observables: ObservableSet, c: np.ndarray) -> float:
     """A lower bound on dF over all multipliers, from the means alone: the
     model means C^T <H>, (C, groups) = ``observables.span()``, lie in the
     range of C^T, so dF >= min(w) |g - C^T C g|^2.  Exact data give it at
@@ -234,12 +234,11 @@ def _relation_bound(observables: ObservableSet) -> float:
     the means obey no relation); noise breaks the relations.  A span that
     misses part of the range only overstates the bound, and the fit then
     takes the L-BFGS path."""
-    c, _ = observables.span()
     g = observables.means
     return float(np.min(observables.weights)) * float(np.sum((g - c.T @ (c @ g)) ** 2))
 
 
-def _lm_probe(observables: ObservableSet, grad_tol: float, max_steps: int):
+def _lm_probe(observables: ObservableSet, grad_tol: float, max_steps: int, span: tuple):
     """Levenberg-Marquardt from lambda = 0 (Madsen, Nielsen & Tingleff 2004,
     sec. 3.2), every trial point one iteration evaluated by ``deviation``:
     (x, dF, gradient, iterations, stop) once ``_stop`` names the floor or
@@ -253,8 +252,9 @@ def _lm_probe(observables: ObservableSet, grad_tol: float, max_steps: int):
     end in 21-24 steps, where Nielsen's gain-ratio rule took 53-80.  Steps
     are solved in the span of the bases (``_lm_step``: 125 unknowns, not
     205, at dimension 16), equal to the full-space ones in exact
-    arithmetic; an accepted point's eigh is reused."""
-    c, groups = observables.span()
+    arithmetic; an accepted point's eigh is reused.  ``span`` is
+    ``observables.span()``, which ``fit`` makes once for the bound and this."""
+    c, groups = span
     root = np.linalg.cholesky((c * observables.weights) @ c.T)
     x = np.zeros(observables.n_ops)
     spectrum = _spectrum(x, observables)
@@ -511,9 +511,10 @@ def fit(
         return bool(_stop(f, grad, grad_tol) or iterations >= max_iter or evals > 3 * max_iter)
 
     lm = None  # the probe's answer, if it runs and accepts
-    bound = _relation_bound(observables)
+    span = observables.span()
+    bound = _relation_bound(observables, span[0])
     if bound < CONVERGED_DF or REL_GRAD_TOL * bound < grad_tol:  # else the probe must decline
-        lm = _lm_probe(observables, grad_tol, max_iter)
+        lm = _lm_probe(observables, grad_tol, max_iter, span)
     if lm is None:
         with _SCIPY_BLAS:
             x, f_res, jac, nit = minimize(objective, np.zeros(observables.n_ops),

@@ -19,6 +19,7 @@ position (velocity) rms.  After a flight time T one velocity unit maps to
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .hilbert import FockSpace, _readonly, hermite_functions, ladder_operators
+from .hilbert import FockSpace, _readonly, hermite_functions
 
 __all__ = [
     "TrapConfig",
@@ -40,8 +41,15 @@ __all__ = [
     "build_observation_level",
 ]
 
+# A bin basis B is accepted when Cholesky factors of B + SPECTRUM_TOL I and
+# (1 + SPECTRUM_TOL) I - B exist: a Hermitian matrix has one if and only if it
+# is positive definite, to a backward error of about N eps |B|, far below the
+# tolerance.  Where either factor fails, eigvalsh decides and words the verdict.
 SPECTRUM_TOL = 1e-10
 SET_HERMITICITY_TOL = 1e-12
+# Rotations this close modulo pi are refused: a half turn only mirrors the bins,
+# and the operators of the two differ by about (N - 1) times the distance.
+ROTATION_TOL = 1e-9
 
 
 class QuadratureError(ValueError):
@@ -49,7 +57,7 @@ class QuadratureError(ValueError):
 
 
 class DegenerateRotationError(ValueError):
-    """Two requested rotations coincide and carry no new information."""
+    """Two requested rotations coincide modulo pi and carry no new information."""
 
 
 @dataclass(frozen=True)
@@ -191,12 +199,11 @@ def _bin_base_matrices(
     psi = hermite_functions(nmax, u.reshape(-1))
     psi = psi.reshape(space.dim, bin_centers.size, -1)
     wq = (w_cloud[:, None] * (0.5 * bin_width * wl)[None, :] / scale).reshape(-1)
-    # 1 MiB of bins at a time: each bin's sums are the same, and einsum's
-    # weighted copy fits in freed heap instead of faulting in fresh pages
+    # per bin k, (psi_k * wq) psi_k^T: one batched product per 1 MiB of bins,
+    # so the weighted copy fits in freed heap instead of faulting in fresh pages
     step = max(1, 2**20 // psi[:, 0].nbytes)
-    return np.concatenate([np.einsum("q,mkq,nkq->kmn", wq, psi[:, lo:lo + step],
-                                     psi[:, lo:lo + step], optimize=True)
-                           for lo in range(0, bin_centers.size, step)])
+    chunks = (psi[:, lo:lo + step].transpose(1, 0, 2) for lo in range(0, bin_centers.size, step))
+    return np.concatenate([np.matmul(pk * wq, pk.transpose(0, 2, 1)) for pk in chunks])
 
 
 def _rotation_phases(dim: int, theta: float) -> np.ndarray:
@@ -364,7 +371,10 @@ class ObservableSet:
         """Unit phases, Hermitian bases and bin spectra within [0, 1], checked
         on each group's J phases and K bases, not on its J*K operators: D B
         D^dagger with D unitary has the hermiticity and the spectrum of B.
-        Errors name the first bad operator."""
+        The bases that carry a bin operator pass the spectrum check when the
+        Cholesky factors of B + SPECTRUM_TOL I and (1 + SPECTRUM_TOL) I - B
+        exist; only where one fails do all spectra come from eigvalsh, which
+        alone rejects.  Errors name the first bad operator."""
 
         def per_op(values):  # per group: (J, 1) per-phase or (K,) per-basis values
             return np.concatenate([np.broadcast_to(x, (len(v), len(b))).ravel()
@@ -384,6 +394,18 @@ class ObservableSet:
         is_bin = np.array([lab[0] == "bin" for lab in self.labels])
         if not is_bin.any():
             return
+        edges = np.cumsum([len(v) * len(b) for v, b in self.groups])[:-1]
+        eye = np.eye(self.dim)
+        try:  # both factors exist: every carried spectrum lies inside the tolerance
+            for m, (v, b) in zip(np.split(is_bin, edges), self.groups):
+                carries = m.reshape(len(v), len(b)).any(axis=0)
+                for start in range(0, len(b), 64):  # blocks, as above
+                    blk = b[start:start + 64][carries[start:start + 64]]
+                    np.linalg.cholesky(blk + SPECTRUM_TOL * eye)
+                    np.linalg.cholesky((1.0 + SPECTRUM_TOL) * eye - blk)
+            return
+        except np.linalg.LinAlgError:
+            pass  # eigvalsh alone decides and words a rejection
         ev = [np.linalg.eigvalsh(b) for _, b in self.groups]
         lo, hi = per_op([e[:, 0] for e in ev]), per_op([e[:, -1] for e in ev])
         bad = np.flatnonzero(is_bin & ~((lo >= -SPECTRUM_TOL) & (hi <= 1.0 + SPECTRUM_TOL)))
@@ -417,10 +439,12 @@ def build_observation_level(
         raise ValueError("need at least one rotation")
     if not all(map(math.isfinite, rotations)):
         raise ValueError(f"rotations must be finite, got {rotations}")
-    for i, ti in enumerate(rotations):
-        for tj in rotations[i + 1:]:
-            if ti == tj:
-                raise DegenerateRotationError(f"rotation {ti} appears twice")
+    folded = [math.remainder(t, math.pi) for t in rotations]  # exact, and no overflow below
+    for (ti, fi), (tj, fj) in itertools.combinations(zip(rotations, folded), 2):
+        if abs(math.remainder(fi - fj, math.pi)) <= ROTATION_TOL:
+            raise DegenerateRotationError(
+                f"rotations {ti} and {tj} coincide modulo pi (within {ROTATION_TOL:g} rad): "
+                "a half turn only mirrors the bins")
     if nbar is not None and not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be finite and non-negative, got {nbar}")
 
@@ -441,5 +465,6 @@ def build_observation_level(
         operators=None, labels=labels, means=means, weights=weights,
         rotations=rotations, grid=grid,
         groups=((phases, _readonly(base)),
-                (np.ones((1, space.dim)), ladder_operators(space).n.real[None])),
+                (np.ones((1, space.dim)),
+                 _readonly(np.diag(np.arange(space.dim, dtype=np.float64)))[None])),
     )

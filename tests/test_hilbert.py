@@ -273,6 +273,25 @@ def test_hermite_functions_match_scipy_recurrence(n):
     assert np.max(np.abs(ours - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("n_max, x", [
+    (0, np.linspace(-3.0, 3.0, 7)), (1, 0.7), (15, np.linspace(-8.0, 8.0, 257)),
+    (47, np.linspace(-12.0, 12.0, 64).reshape(8, 8)), (158, np.linspace(-25.0, 25.0, 141)),
+], ids=["n0", "n1-scalar", "n15", "n47-2d", "n158"])
+def test_hermite_functions_round_as_the_expression_form(n_max, x):
+    """The in-place recurrence rounds each step as the expression
+    (sqrt(2/(n+1)) x) psi_n - sqrt(n/(n+1)) psi_{n-1} does: the same IEEE
+    products and difference in the same order, so the tables are equal."""
+    x = np.asarray(x, dtype=np.float64)
+    ref = np.zeros((n_max + 1,) + x.shape)
+    ref[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if n_max >= 1:
+        ref[1] = math.sqrt(2.0) * x * ref[0]
+    for n in range(1, n_max):
+        ref[n + 1] = math.sqrt(2.0 / (n + 1)) * x * ref[n] - math.sqrt(n / (n + 1.0)) * ref[n - 1]
+    table = hermite_functions(n_max, x)
+    assert table.shape == ref.shape and table.tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -548,7 +548,7 @@ def test_noisy_fits_keep_their_bits_when_the_probe_declines(monkeypatch, accepta
 
     monkeypatch.setattr(maxent, "_lm_probe", counting)
     state, report = fit(obs)
-    assert calls == [] and real_probe(obs, 1e-9, 20000) is None
+    assert calls == [] and real_probe(obs, 1e-9, 20000, obs.span()) is None
     monkeypatch.setattr(maxent, "_lm_probe", lambda *args: None)
     state_off, report_off = fit(obs)
     assert np.array_equal(state.lambdas.flat(), state_off.lambdas.flat())
@@ -576,7 +576,7 @@ def test_noisy_cat_fits_run_no_probe_and_keep_their_bits(monkeypatch, trap, spac
         monkeypatch.setattr(maxent, "_lm_probe",
                             lambda *args: calls.append(args) or real_probe(*args))
         state, report = fit(noisy)
-        assert calls == [] and real_probe(noisy, 1e-9, 20000) is None
+        assert calls == [] and real_probe(noisy, 1e-9, 20000, noisy.span()) is None
         monkeypatch.setattr(maxent, "_lm_probe", lambda *args: None)
         state_off, report_off = fit(noisy)
         assert np.array_equal(state.lambdas.flat(), state_off.lambdas.flat())
@@ -631,13 +631,15 @@ def test_probe_ends_exact_fits_within_30_steps_and_declines_noisy_ones(trap, spa
     for (obs, ideal), grad_tol in ((four_pair, 1e-13), (four_cat, 1e-13),
                                    (level(point, pair, 0.5, three, 50), 1e-11),
                                    (level(point, cat, nbar_cat, three, 50), 1e-11)):
-        answer = maxent._lm_probe(obs.with_record(ideal), grad_tol, 20000)
+        exact = obs.with_record(ideal)
+        answer = maxent._lm_probe(exact, grad_tol, 20000, exact.span())
         assert answer is not None and answer[4].startswith("lm: ")
         assert answer[3] <= 30
     for (obs, ideal), nbar_noisy in ((four_pair, 0.6), (four_cat, 2.09)):
         for seed in range(10):
-            noisy = add_noise(ideal, NoiseSpec(eta=0.1, seed=seed), nbar_noisy=nbar_noisy)
-            assert maxent._lm_probe(obs.with_record(noisy), 1e-9, 20000) is None
+            noisy = obs.with_record(add_noise(ideal, NoiseSpec(eta=0.1, seed=seed),
+                                              nbar_noisy=nbar_noisy))
+            assert maxent._lm_probe(noisy, 1e-9, 20000, noisy.span()) is None
 
 
 @pytest.fixture(scope="module")
@@ -651,6 +653,13 @@ def cat_level(trap, space16):
     return obs, simulate_ideal(cat, obs)
 
 
+def _bound(obs):
+    """The relation bound on the set's own span, as ``fit`` computes it."""
+    from maxent_tomo import maxent
+
+    return maxent._relation_bound(obs, obs.span()[0])
+
+
 def test_relation_bound_certifies_exact_data_only(acceptance_level, cat_level, trap, space16):
     """The bound from the means' linear relations: at rounding level on
     exact data, above the deviation floor once noise of 1e-6 breaks the
@@ -661,18 +670,18 @@ def test_relation_bound_certifies_exact_data_only(acceptance_level, cat_level, t
     from maxent_tomo import maxent
 
     for obs, ideal in (acceptance_level, cat_level):
-        assert maxent._relation_bound(obs.with_record(ideal)) < 1e-20
+        assert _bound(obs.with_record(ideal)) < 1e-20
         noisy = add_noise(ideal, NoiseSpec(eta=1e-6, seed=0))
-        assert maxent._relation_bound(obs.with_record(noisy)) > maxent.CONVERGED_DF
+        assert _bound(obs.with_record(noisy)) > maxent.CONVERGED_DF
     number = ObservableSet(operators=[ladder_operators(space16).n], labels=[("nbar",)],
                            means=np.array([0.5]))
-    assert maxent._relation_bound(number) < 1e-20
+    assert _bound(number) < 1e-20
     grid = default_bin_grid(trap, nbar=0.5, half_count=5)
     small = build_observation_level(trap, grid, (0.0, 0.9), 0.5, space16)
     ideal = simulate_ideal(superposition(space16, [1.0, 1.0]), small)
-    assert maxent._relation_bound(small.with_record(ideal)) < 1e-20
+    assert _bound(small.with_record(ideal)) < 1e-20
     noisy = add_noise(ideal, NoiseSpec(eta=0.1, seed=0))
-    assert maxent._relation_bound(small.with_record(noisy)) < 1e-20
+    assert _bound(small.with_record(noisy)) < 1e-20
 
 
 def test_exact_fit_on_a_level_with_no_relation_ends_in_the_first_probe(monkeypatch, trap,
@@ -712,7 +721,7 @@ def test_relation_bound_is_the_weighted_distance_to_the_consistent_means():
     rows = ops.reshape(3, -1).view(np.float64)  # Re and Im interleaved
     fitted = rows @ np.linalg.lstsq(rows, means, rcond=None)[0]
     dense = 0.5 * np.sum((means - fitted) ** 2)
-    bound = maxent._relation_bound(obs)
+    bound = _bound(obs)
     assert bound == pytest.approx(dense, rel=1e-9)
     assert bound == pytest.approx(0.5 * 1e-6 / 3.0, rel=1e-9)
 
@@ -744,7 +753,7 @@ def test_relation_bound_projects_on_the_rows_of_the_span():
     g = obs.means
     projected = np.min(obs.weights) * np.sum((g - c.T @ (c @ g)) ** 2)
     assert projected > maxent.CONVERGED_DF
-    assert maxent._relation_bound(obs) == pytest.approx(projected, rel=1e-12)
+    assert _bound(obs) == pytest.approx(projected, rel=1e-12)
     assert len(groups[0][1]) < 2 * obs.dim - 1
 
 
@@ -786,7 +795,7 @@ def test_exact_fits_skip_l_bfgs_and_keep_the_probe_answer(monkeypatch, acceptanc
         state, report = fit(case, grad_tol=1e-13)
         monkeypatch.undo()
         assert len(answers) == 1
-        x, f, grad, steps, message = real_probe(case, 1e-13, 20000)
+        x, f, grad, steps, message = real_probe(case, 1e-13, 20000, case.span())
         assert report.iterations == steps <= 30
         assert np.array_equal(state.lambdas.flat(), x)
         assert np.array_equal(state.rho.matrix, canonical_state(x, case).rho.matrix)
@@ -812,7 +821,7 @@ def test_nearly_exact_fits_end_in_the_first_probe(monkeypatch, acceptance_level)
         monkeypatch.undo()
         assert report.converged and report.message == "lm: gradient: |grad dF|inf < 1e-09"
         assert report.iterations <= 30
-        assert np.array_equal(state.lambdas.flat(), real_probe(case, 1e-9, 20000)[0])
+        assert np.array_equal(state.lambdas.flat(), real_probe(case, 1e-9, 20000, case.span())[0])
 
 
 def test_exact_fits_at_the_default_tolerance_reach_the_state(trap, space16, cat_level):

@@ -12,6 +12,8 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 from scipy.special import erf
 
 from maxent_tomo import (
@@ -33,6 +35,7 @@ from maxent_tomo import (
     even_cat,
     expectation,
     fock_state,
+    hermite_functions,
     prepare_free_expansion,
     superposition,
     thermal_state,
@@ -354,6 +357,24 @@ def test_observation_level_weights_and_errors(trap, space16):
         build_observation_level(trap, grid, (0.0,), -0.5, space16)
 
 
+@pytest.mark.parametrize("first, second", [(0.3, 0.3 + 2.0 * math.pi), (0.3, 0.3 + math.pi),
+                                            (-1.0, -1.0 + 1e-10)],
+                         ids=["two-pi", "pi", "within-tolerance"])
+def test_rotations_equal_modulo_pi_are_refused_naming_both(trap, space16, first, second):
+    """A half turn mirrors the bins and a full turn repeats them: built alone,
+    the second rotation's operators are the first's, bin k at bin +-k, to
+    1e-10, so the pair is refused by name; 1e-6 rad apart it is kept."""
+    grid = default_bin_grid(trap, nbar=0.5, half_count=3)
+    one, two = (build_observation_level(trap, grid, (t,), 0.5, space16).operators[:-1]
+                for t in (first, second))
+    mirror = two if round((second - first) / math.pi) % 2 == 0 else two[::-1]
+    assert np.max(np.abs(one - mirror)) < 1e-10
+    with pytest.raises(DegenerateRotationError,
+                       match=re.escape(f"rotations {first} and {second} coincide modulo pi")):
+        build_observation_level(trap, grid, (first, 1.0, second), 0.5, space16)
+    build_observation_level(trap, grid, (first, 1.0, second + 1e-6), 0.5, space16)
+
+
 @pytest.mark.parametrize("rotations, nbar, name", [
     ((math.nan,), 0.5, "rotations"),
     ((0.0, math.inf), 0.5, "rotations"),
@@ -383,7 +404,38 @@ def test_observation_level_matches_single_bin_builds(trap, space16):
         assert np.max(np.abs(obs.operators[i] - single)) < 1e-15
 
 
-def test_validate_names_the_operator_it_rejects():
+def _einsum_bases(trap, space, grid, gh_nodes, gl_nodes):
+    """The bases as one weighted einsum over all bins, the reference form."""
+    t, v = hermgauss(gh_nodes)
+    tl, wl = leggauss(gl_nodes)
+    xi0 = math.sqrt(2.0) * trap.cloud_rms * t
+    z = grid.centers()[:, None] + 0.5 * grid.width * tl[None, :]
+    u = (z[:, None, :] - grid.center - xi0[None, :, None]) / trap.drop_scale
+    psi = hermite_functions(space.dim - 1, u.reshape(-1)).reshape(space.dim, grid.n_bins, -1)
+    wq = (v[:, None] / math.sqrt(math.pi) * (0.5 * grid.width * wl)[None, :]
+          / trap.drop_scale).reshape(-1)
+    return np.einsum("q,mkq,nkq->kmn", wq, psi, psi, optimize=True)
+
+
+@pytest.mark.parametrize("dim, half_count", [(2, 600), (16, 75), (48, 50), (80, 50)])
+@pytest.mark.parametrize("gh_nodes, gl_nodes", [(32, 8), (16, 4), (48, 12)])
+def test_bin_bases_match_the_einsum_form(trap, dim, half_count, gh_nodes, gl_nodes):
+    """The bases, one batched product per 1 MiB of bins (a partial last
+    chunk at every size here), are the one-einsum reference to 16 ulp of
+    their largest entry: einsum's own path may differ between numpy builds."""
+    space = FockSpace(dim)
+    grid = default_bin_grid(trap, nbar=dim / 8, half_count=half_count)
+    bases = _bin_base_matrices(trap, space, grid.centers(), grid.width, grid.center,
+                               gh_nodes, gl_nodes)
+    reference = _einsum_bases(trap, space, grid, gh_nodes, gl_nodes)
+    assert bases.shape == reference.shape == (grid.n_bins, dim, dim)
+    step = 2**20 // (dim * gh_nodes * gl_nodes * 8)
+    assert 0 < step < grid.n_bins and grid.n_bins % step
+    scale = 16 * np.finfo(float).eps * np.max(np.abs(reference))
+    assert np.max(np.abs(bases - reference)) <= scale
+
+
+def test_validate_names_the_operator_it_rejects(monkeypatch):
     half = np.diag([0.5, 0.0]).astype(complex)
     skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # finite, not Hermitian
     with pytest.raises(ValueError, match=r"operator \('bin', 0, 1\) hermiticity off"):
@@ -395,6 +447,17 @@ def test_validate_names_the_operator_it_rejects():
             ObservableSet(operators=ops, labels=[("bin", 2, -4), ("bin", 2, -3)])
         # the [0, 1] bound holds for bin operators only
         ObservableSet(operators=ops, labels=[("bin", 2, -4), ("nbar",)])
+    # one group of bin and nbar labels: the Cholesky test takes the bin bases
+    # alone, so the number operator's spectrum [0, 2] leaves eigvalsh unrun
+    eigvalsh, spectra = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a) or eigvalsh(a))
+    number = np.diag([0.0, 2.0]).astype(complex)
+    labels = [("bin", 0, 0), ("nbar",), ("bin", 0, 1)]
+    ObservableSet(operators=np.stack([half, number, half]), labels=labels)
+    assert spectra == []
+    with pytest.raises(ValueError, match=r"bin operator \('bin', 0, 1\) spectrum \[0.000e\+00, "
+                                          r"1.500e\+00\] outside \[0, 1\]"):
+        ObservableSet(operators=np.stack([half, number, 3.0 * half]), labels=labels)
 
 
 def _dense_validation_error(ops: np.ndarray, labels: list) -> str | None:
@@ -418,11 +481,13 @@ def _verdict(message: str | None) -> str | None:
     return message and re.match(r".*?operator \(.*?\) (hermiticity|spectrum)", message)[0]
 
 
-def _push_top_eigenvalue(b):
-    w, u = np.linalg.eigh(b)
-    w[-1] = 1.0 + 1e-9
-    b[:] = (u * w) @ u.T
-    b[:] = 0.5 * (b + b.T)
+def _set_eigenvalue(which, value):
+    def perturb(b):
+        w, u = np.linalg.eigh(b)
+        w[which] = value
+        b[:] = (u * w) @ u.T
+        b[:] = 0.5 * (b + b.T)
+    return perturb
 
 
 def _nan_entry(b):
@@ -433,12 +498,18 @@ def _asymmetric(b):
     b[0, 1] += 1e-11
 
 
-@pytest.mark.parametrize("perturb", [None, _asymmetric, _push_top_eigenvalue, _nan_entry],
-                         ids=["good", "asymmetric-1e-11", "top-eigenvalue-1+1e-9", "nan-entry"])
-def test_group_validation_agrees_with_dense_validation(monkeypatch, trap, perturb):
+@pytest.mark.parametrize("perturb, accepted", [
+    (None, True), (_asymmetric, False), (_set_eigenvalue(-1, 1.0 + 1e-9), False),
+    (_nan_entry, False), (_set_eigenvalue(0, -1e-9), False),
+    (_set_eigenvalue(0, -5e-11), True), (_set_eigenvalue(-1, 1.0 + 5e-11), True),
+], ids=["good", "asymmetric-1e-11", "top-eigenvalue-1+1e-9", "nan-entry",
+        "lowest-eigenvalue--1e-9", "lowest-eigenvalue--5e-11", "top-eigenvalue-1+5e-11"])
+def test_group_validation_agrees_with_dense_validation(monkeypatch, trap, perturb, accepted):
     """On a level shaped like perfbench's noisy-dim48 one (8 rotations x 101
     bins at dim 48), with one bin basis spoiled, the group checks give the
-    dense checks' verdict and name the same operator."""
+    dense checks' verdict and name the same operator.  Spectra pushed out by
+    1e-9 are rejected; pushed out by 5e-11, inside SPECTRUM_TOL, they are
+    accepted, on the Cholesky test alone."""
     from maxent_tomo import measurement
 
     made = []
@@ -451,6 +522,9 @@ def test_group_validation_agrees_with_dense_validation(monkeypatch, trap, pertur
         return base
 
     monkeypatch.setattr(measurement, "_bin_base_matrices", bases)
+    eigvalsh, spectra = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",  # stacks: validate's, not a Gauss rule's
+                        lambda a: (a.ndim == 3 and spectra.append(a)) or eigvalsh(a))
     space = FockSpace(48)
     thetas = tuple(math.pi * j / 8 for j in range(8))
     grid = default_bin_grid(trap, nbar=6.0, half_count=50)
@@ -459,6 +533,7 @@ def test_group_validation_agrees_with_dense_validation(monkeypatch, trap, pertur
         error = None
     except ValueError as exc:
         obs, error = None, str(exc)
+    monkeypatch.undo()
 
     v = np.stack([_rotation_phases(space.dim, t) for t in thetas])
     phases = np.conj(v)[:, :, None] * v[:, None, :]
@@ -470,8 +545,10 @@ def test_group_validation_agrees_with_dense_validation(monkeypatch, trap, pertur
     labels.append(("nbar",))
     expected = _dense_validation_error(ops, labels)
     assert _verdict(error) == _verdict(expected)
-    if perturb is None:
+    assert (expected is None) == accepted
+    if accepted:
         assert error is None and obs.operators.tobytes() == ops.tobytes()
+        assert spectra == []  # the Cholesky test accepted
     else:
         assert re.match(r".*operator \('bin', 0, -13\) ", error)
 
