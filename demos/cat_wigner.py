@@ -24,7 +24,7 @@ from maxent_tomo import (
     expectation,
     fidelity,
     fit,
-    ladder_operators,
+    number_operator,
     simulate_ideal,
     wigner_eval,
     write_wigner_csv,
@@ -36,7 +36,7 @@ space = FockSpace(16)
 thetas = tuple(trap.omega_z * t for t in (0.0, 1.6e-6, 3.2e-6, 4.8e-6))
 
 cat = even_cat(space, math.sqrt(2.0))
-nbar = expectation(cat, ladder_operators(space).n)
+nbar = expectation(cat, number_operator(space))
 print(f"even cat, alpha = sqrt(2): <n> = {nbar:.6f} "
       f"(alpha^2 tanh alpha^2 = {2 * math.tanh(2.0):.6f})")
 

@@ -25,7 +25,7 @@ from maxent_tomo import (
     expectation,
     fidelity,
     fit,
-    ladder_operators,
+    number_operator,
     simulate_ideal,
     superposition,
 )
@@ -53,7 +53,7 @@ for name, thetas in angle_sets.items():
 
 # the cat needs the same three angles but a grid wide enough for nbar ~ 1.9
 cat = even_cat(space, math.sqrt(2.0))
-nbar_cat = expectation(cat, ladder_operators(space).n)
+nbar_cat = expectation(cat, number_operator(space))
 grid_cat = default_bin_grid(trap, nbar=nbar_cat, half_count=50)
 thetas = (0.0, math.pi / 4, math.pi / 2)
 obs = build_observation_level(trap, grid_cat, thetas, nbar=nbar_cat,

@@ -10,7 +10,7 @@ import importlib
 _EXPORTS = {name: module for module, names in {
     "hilbert": "DensityOperator FockSpace PureState TruncationError delta_rho "
                "entropy even_cat expectation fidelity fock_state hermite_functions "
-               "ladder_operators superposition thermal_state",
+               "number_operator superposition thermal_state",
     "io": "CutFile EmptyAfterClamp FitDivergence GaussianFit RunConfig gaussian_fit_center "
           "parse_config_text preprocess read_config read_cut_file read_density_matrix "
           "read_record write_cut_file write_density_matrix write_record",

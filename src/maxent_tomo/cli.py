@@ -37,12 +37,12 @@ def _outdir(args) -> str:
 
 def _cmd_simulate(args) -> int:
     from . import io as tio
-    from .hilbert import PureState, expectation, ladder_operators
+    from .hilbert import PureState, expectation, number_operator
     from .simulate import NoiseSpec, add_noise, simulate_ideal
 
     config = _apply_overrides(tio.read_config(args.config), args)
     state = config.build_state()
-    nbar_true = expectation(state, ladder_operators(config.space()).n)
+    nbar_true = expectation(state, number_operator(config.space()))
     grid = config.grid(nbar_hint=nbar_true)
     observables = config.observation_level(grid, config.rotations(config.taus_us))
     record = simulate_ideal(state, observables)
@@ -117,11 +117,10 @@ def _cmd_wigner(args) -> int:
 
 def _cmd_report(args) -> int:
     from . import io as tio
-    from .hilbert import FockSpace, entropy, expectation, fidelity, ladder_operators
+    from .hilbert import FockSpace, entropy, expectation, fidelity, number_operator
 
     rho = tio.read_density_matrix(args.rho)
-    space = FockSpace(rho.dim)
-    nbar = expectation(rho, ladder_operators(space).n)
+    nbar = expectation(rho, number_operator(FockSpace(rho.dim)))
     print(f"dim = {rho.dim}")
     print(f"entropy = {entropy(rho):.6g}")
     print(f"nbar = {nbar:.6g}")

@@ -1,10 +1,12 @@
 """Truncated Fock-space algebra for a single harmonic-oscillator mode.
 
 Everything here is parameter free: dimensionless oscillator units with
-z = (a + a†)/√2 and p = -i(a - a†)/√2, so the vacuum has rms 1/√2 in both
-quadratures and [z, p] = i on the untruncated space.  Conversion to and
-from laboratory units (meters, seconds) is the business of
-:mod:`maxent_tomo.measurement`.
+a|n> = √n |n-1>, z = (a + a†)/√2 and p = -i(a - a†)/√2, so the vacuum has
+rms 1/√2 in both quadratures and [z, p] = i on the untruncated space (on
+the truncated one only on the upper-left (N-1) x (N-1) block).  The one
+operator built here is ``number_operator``, n = a†a = (z² + p² - 1)/2.
+Conversion to and from laboratory units (meters, seconds) is the business
+of :mod:`maxent_tomo.measurement`.
 
 The truncation dimension N is an explicit parameter (``FockSpace``).  State
 factories refuse to build a state whose untruncated population above level
@@ -25,9 +27,8 @@ __all__ = [
     "FockSpace",
     "PureState",
     "DensityOperator",
-    "LadderOperators",
     "TruncationError",
-    "ladder_operators",
+    "number_operator",
     "fock_state",
     "superposition",
     "even_cat",
@@ -154,33 +155,9 @@ def _density_matrix(state) -> np.ndarray:
     return _matrix_of(state)
 
 
-@dataclass(frozen=True)
-class LadderOperators:
-    """Annihilation/creation matrices plus the derived z, p, n operators."""
-
-    a: np.ndarray
-    adag: np.ndarray
-    z: np.ndarray
-    p: np.ndarray
-    n: np.ndarray
-
-
-def ladder_operators(space: FockSpace) -> LadderOperators:
-    """Truncated a|n> = sqrt(n)|n-1>, z = (a+a†)/√2, p = -i(a-a†)/√2, n = a†a.
-
-    On the truncated space [z, p] equals i times the identity only on the
-    upper-left (N-1) x (N-1) block; the corner element is polluted by the
-    cutoff.
-    """
-    dim = space.dim
-    root = np.sqrt(np.arange(1.0, dim))
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    a[np.arange(dim - 1), np.arange(1, dim)] = root
-    adag = a.conj().T.copy()
-    z = (a + adag) / math.sqrt(2.0)
-    p = -1j * (a - adag) / math.sqrt(2.0)
-    n = np.diag(np.arange(dim, dtype=np.float64)).astype(np.complex128)
-    return LadderOperators(*(_readonly(m) for m in (a, adag, z, p, n)))
+def number_operator(space: FockSpace) -> np.ndarray:
+    """The real diagonal n = a†a = diag(0, 1, ..., dim-1)."""
+    return _readonly(np.diag(np.arange(space.dim, dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------

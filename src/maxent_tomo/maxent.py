@@ -183,8 +183,7 @@ def _phi_kernel(e: np.ndarray, q: np.ndarray) -> np.ndarray:
     small = np.abs(de) < 0.1
     with np.errstate(divide="ignore", invalid="ignore"):
         wide = (q[:, None] - q[None, :]) / (-de)
-        ratio = np.expm1(np.clip(de, -0.5, 0.5))
-        np.divide(ratio, de, out=ratio, where=~np.eye(len(e), dtype=bool))
+        ratio = np.expm1(np.clip(de, -0.5, 0.5)) / de
         narrow = q[:, None] * np.where(de == 0.0, 1.0, ratio)
     return np.where(small, narrow, wide)
 

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .hilbert import FockSpace, _readonly, hermite_functions
+from .hilbert import FockSpace, _readonly, hermite_functions, number_operator
 
 __all__ = [
     "TrapConfig",
@@ -439,6 +439,9 @@ def build_observation_level(
         raise ValueError("need at least one rotation")
     if not all(map(math.isfinite, rotations)):
         raise ValueError(f"rotations must be finite, got {rotations}")
+    for t in rotations:  # _rotation_phases multiplies the raw angle by up to dim - 1
+        if not math.isfinite((abs(t) + 0.5 * math.pi) * (space.dim - 1)):
+            raise ValueError(f"rotation {t} is too large: its phases overflow at dim {space.dim}")
     folded = [math.remainder(t, math.pi) for t in rotations]  # exact, and no overflow below
     for (ti, fi), (tj, fj) in itertools.combinations(zip(rotations, folded), 2):
         if abs(math.remainder(fi - fj, math.pi)) <= ROTATION_TOL:
@@ -465,6 +468,5 @@ def build_observation_level(
         operators=None, labels=labels, means=means, weights=weights,
         rotations=rotations, grid=grid,
         groups=((phases, _readonly(base)),
-                (np.ones((1, space.dim)),
-                 _readonly(np.diag(np.arange(space.dim, dtype=np.float64)))[None])),
+                (np.ones((1, space.dim)), number_operator(space)[None])),
     )

@@ -55,6 +55,14 @@ def space16() -> FockSpace:
 # export are checked against
 
 
+def quadratures(dim: int):
+    """Reference z = (a + a†)/√2 and p = -i(a - a†)/√2 on dim levels, with
+    √1, ..., √(dim-1) on the first superdiagonal of a: a|n> = √n |n-1>."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(np.complex128)
+    adag = a.conj().T
+    return (a + adag) / math.sqrt(2.0), -1j * (a - adag) / math.sqrt(2.0)
+
+
 def harmonic_evolve(state, theta: float):
     """Free evolution in the well by phase theta = omega_z * t.
 

@@ -24,7 +24,7 @@ from maxent_tomo import (
     even_cat,
     fidelity,
     fit,
-    ladder_operators,
+    number_operator,
     simulate_ideal,
     superposition,
     thermal_state,
@@ -143,7 +143,7 @@ def test_acceptance_3_even_cat(capsys, space16, obs_cat):
 def test_acceptance_4_number_operator_gives_thermal(capsys):
     space = FockSpace(32)
     obs = ObservableSet(
-        operators=[ladder_operators(space).n],
+        operators=[number_operator(space)],
         labels=[("nbar",)],
         means=np.array([0.5]),
     )

@@ -1,5 +1,6 @@
 """The maxent-tomo command line, called in process: exit codes and outputs."""
 
+import dataclasses
 import json
 import math
 
@@ -12,15 +13,19 @@ from maxent_tomo import (
     TrapConfig,
     build_observation_level,
     default_bin_grid,
+    even_cat,
     fidelity,
     fock_state,
     preprocess,
+    read_config,
     read_cut_file,
     read_density_matrix,
+    read_record,
     simulate_ideal,
     superposition,
     write_cut_file,
     write_density_matrix,
+    write_record,
 )
 from maxent_tomo.cli import main
 
@@ -285,6 +290,29 @@ def test_command_line_values_are_checked_like_config_values(simulated, tmp_path,
                  "--fixed-center", "nan", "--out", str(tmp_path)])
     assert code == 1
     assert "config key 'fixed_center_m' must be finite" in capsys.readouterr().err
+
+
+def test_record_with_overflowing_rotation_exits_one_naming_it(simulated, tmp_path, capsys):
+    cfg, record = simulated
+    huge = tmp_path / "record.csv"
+    write_record(dataclasses.replace(read_record(record), rotations=(1e308, -1e308)), huge)
+    code = main(["reconstruct", "--config", str(cfg), "--record", str(huge),
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "rotation 1e+308 is too large" in capsys.readouterr().err
+    assert not (tmp_path / "rho.json").exists()
+
+
+def test_simulate_without_nbar_sizes_the_grid_from_the_state(tmp_path):
+    """With no nbar in the config, the grid is sized for the simulated
+    state's exact mean occupation <n>, here an even cat's."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CUT_CONFIG.replace("superposition:1,1", "even_cat:1.414"))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    amp = even_cat(FockSpace(16), 1.414).amplitudes
+    nbar = float(np.real((amp.conj() * np.arange(16)) @ amp))
+    grid = default_bin_grid(read_config(cfg).trap_config(), nbar, half_count=25)
+    assert read_record(tmp_path / "record.csv").grid.width == grid.width
 
 
 @pytest.mark.parametrize("payload", ['{"converged": true}', '{"delta_f": null}', '[]',

@@ -19,14 +19,14 @@ from maxent_tomo import (
     fidelity,
     fock_state,
     hermite_functions,
-    ladder_operators,
+    number_operator,
     read_density_matrix,
     superposition,
     thermal_state,
     write_density_matrix,
 )
 
-from conftest import harmonic_evolve
+from conftest import harmonic_evolve, quadratures
 
 LN3 = 1.0986122886681098
 PI_QUARTER = 0.7511255444649425  # pi**-0.25
@@ -64,22 +64,25 @@ def test_density_operator_validation():
 
 
 # ---------------------------------------------------------------------------
-# ladder algebra
+# oscillator algebra
 
 
-def test_ladder_matrix_elements():
-    ops = ladder_operators(FockSpace(6))
-    # a|n> = sqrt(n)|n-1>: nonzero on the first superdiagonal only
-    assert ops.a[2, 3] == pytest.approx(math.sqrt(3.0))
-    assert np.count_nonzero(ops.a) == 5
-    assert np.allclose(ops.adag, ops.a.conj().T)
-    assert np.allclose(ops.n, ops.adag @ ops.a)
+def test_number_operator_matrix_elements():
+    """Real float64, exactly diag(0..dim-1), and (z^2 + p^2 - 1)/2 on the
+    block the truncation leaves alone."""
+    dim = 6
+    n = number_operator(FockSpace(dim))
+    assert n.dtype == np.float64
+    assert np.array_equal(n, np.diag(np.arange(dim, dtype=np.float64)))
+    z, p = quadratures(dim)
+    interior = ((z @ z + p @ p - np.eye(dim)) / 2.0)[: dim - 1, : dim - 1]
+    assert np.max(np.abs(interior - n[: dim - 1, : dim - 1])) < 1e-14
 
 
 def test_commutator_is_canonical_on_interior_block():
     dim = 9
-    ops = ladder_operators(FockSpace(dim))
-    comm = ops.z @ ops.p - ops.p @ ops.z
+    z, p = quadratures(dim)
+    comm = z @ p - p @ z
     interior = comm[: dim - 1, : dim - 1]
     assert np.max(np.abs(interior - 1j * np.eye(dim - 1))) < 1e-13
     # the commutator is traceless, so the corner absorbs -(dim-1) i
@@ -89,10 +92,10 @@ def test_commutator_is_canonical_on_interior_block():
 def test_vacuum_quadrature_variances():
     space = FockSpace(8)
     vac = fock_state(space, 0)
-    ops = ladder_operators(space)
-    assert expectation(vac, ops.z @ ops.z) == pytest.approx(0.5, abs=1e-14)
-    assert expectation(vac, ops.p @ ops.p) == pytest.approx(0.5, abs=1e-14)
-    assert expectation(vac, ops.z) == pytest.approx(0.0, abs=1e-15)
+    z, p = quadratures(space.dim)
+    assert expectation(vac, z @ z) == pytest.approx(0.5, abs=1e-14)
+    assert expectation(vac, p @ p) == pytest.approx(0.5, abs=1e-14)
+    assert expectation(vac, z) == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +112,7 @@ def test_fock_state_bounds():
 def test_superposition_normalizes_and_guards_truncation():
     space = FockSpace(16)
     psi = superposition(space, [1.0, 1.0])
-    assert expectation(psi, ladder_operators(space).n) == pytest.approx(0.5)
+    assert expectation(psi, number_operator(space)) == pytest.approx(0.5)
 
     # a tiny tail beyond the cutoff is dropped and renormalized
     long_coeffs = np.zeros(20)
@@ -134,7 +137,7 @@ def test_even_cat_populations_and_energy():
     pops = np.abs(cat.amplitudes) ** 2
     assert np.all(pops[1::2] == 0.0)
     # <n> = alpha^2 tanh(alpha^2) for the untruncated state
-    nbar = expectation(cat, ladder_operators(space).n)
+    nbar = expectation(cat, number_operator(space))
     assert nbar == pytest.approx(2.0 * math.tanh(2.0), abs=1e-6)
     with pytest.raises(TruncationError):
         even_cat(FockSpace(8), 2.5)
@@ -361,7 +364,7 @@ def test_thermal_maximizes_entropy_at_fixed_nbar():
     space = FockSpace(6)
     rng = np.random.default_rng(11)
     s_thermal = entropy(thermal_state(FockSpace(64), 0.5))
-    n_op = ladder_operators(space).n
+    n_op = number_operator(space)
     for _ in range(25):
         raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         rho = raw @ raw.conj().T
@@ -385,5 +388,5 @@ def test_evolution_is_unitary_for_any_angle(dim, theta):
     psi = PureState(amps)
     evolved = harmonic_evolve(psi, theta)
     assert abs(np.linalg.norm(evolved.amplitudes) - 1.0) < 1e-12
-    assert abs(expectation(evolved, ladder_operators(FockSpace(dim)).n)
-               - expectation(psi, ladder_operators(FockSpace(dim)).n)) < 1e-10
+    assert abs(expectation(evolved, number_operator(FockSpace(dim)))
+               - expectation(psi, number_operator(FockSpace(dim)))) < 1e-10

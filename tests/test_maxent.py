@@ -25,7 +25,7 @@ from maxent_tomo import (
     fidelity,
     fit,
     fock_state,
-    ladder_operators,
+    number_operator,
     simulate_ideal,
     superposition,
     thermal_state,
@@ -101,7 +101,7 @@ def test_number_operator_multiplier_reproduces_thermal():
     state; nbar = 0.5 needs lambda = ln 3."""
     space = FockSpace(32)
     obs = ObservableSet(
-        operators=[ladder_operators(space).n],
+        operators=[number_operator(space)],
         labels=[("nbar",)],
     )
     lam = LagrangeVector(lambda_n=LN3, lambda_bins=np.zeros((0, 0)))
@@ -222,7 +222,7 @@ def test_gradient_matches_finite_differences():
 def test_fit_thermal_from_number_operator_alone():
     space = FockSpace(32)
     obs = ObservableSet(
-        operators=[ladder_operators(space).n],
+        operators=[number_operator(space)],
         labels=[("nbar",)],
         means=np.array([0.5]),
     )
@@ -262,7 +262,7 @@ def test_fit_is_deterministic(trap, space16):
 def test_fit_report_serializes():
     space = FockSpace(8)
     obs = ObservableSet(
-        operators=[ladder_operators(space).n],
+        operators=[number_operator(space)],
         labels=[("nbar",)],
         means=np.array([1.0]),
     )
@@ -292,7 +292,7 @@ def test_fit_rejects_bad_arguments_naming_them(kwargs, name):
     after 0 iterations, and max_iter=0 ran four empty attempts."""
     space = FockSpace(8)
     obs = ObservableSet(
-        operators=[ladder_operators(space).n],
+        operators=[number_operator(space)],
         labels=[("nbar",)],
         means=np.array([1.0]),
     )
@@ -309,7 +309,7 @@ def test_fit_stops_at_the_deviation_floor(monkeypatch):
 
     space = FockSpace(32)
     obs = ObservableSet(
-        operators=[ladder_operators(space).n],
+        operators=[number_operator(space)],
         labels=[("nbar",)],
         means=np.array([0.5]),
     )
@@ -673,7 +673,7 @@ def test_relation_bound_certifies_exact_data_only(acceptance_level, cat_level, t
         assert _bound(obs.with_record(ideal)) < 1e-20
         noisy = add_noise(ideal, NoiseSpec(eta=1e-6, seed=0))
         assert _bound(obs.with_record(noisy)) > maxent.CONVERGED_DF
-    number = ObservableSet(operators=[ladder_operators(space16).n], labels=[("nbar",)],
+    number = ObservableSet(operators=[number_operator(space16)], labels=[("nbar",)],
                            means=np.array([0.5]))
     assert _bound(number) < 1e-20
     grid = default_bin_grid(trap, nbar=0.5, half_count=5)
@@ -993,7 +993,7 @@ def test_unconverged_fit_reports_its_one_run(monkeypatch):
 
     space = FockSpace(8)
     obs = ObservableSet(
-        operators=[ladder_operators(space).n],
+        operators=[number_operator(space)],
         labels=[("nbar",)],
         means=np.array([0.5]),
     )
@@ -1042,7 +1042,7 @@ def test_unconverged_attempts_name_their_stop_in_the_package_words(monkeypatch, 
     declines, so the stand-in runs."""
     from maxent_tomo import maxent
 
-    obs = ObservableSet(operators=[ladder_operators(FockSpace(8)).n], labels=[("nbar",)],
+    obs = ObservableSet(operators=[number_operator(FockSpace(8))], labels=[("nbar",)],
                         means=np.array([0.5]))
     monkeypatch.setattr(maxent, "minimize", _stand_in_minimize(per_iterate, nit))
     monkeypatch.setattr(maxent, "_lm_probe", lambda *args: None)

@@ -391,6 +391,19 @@ def test_observation_level_rejects_non_finite_input_naming_the_argument(
         build_observation_level(trap, grid, rotations, nbar, space16)
 
 
+def test_rotation_whose_phases_overflow_is_refused_by_name(trap):
+    """A finite angle times dim - 1 can overflow the phase vector to NaN:
+    the rotation is named before any phase is built.  The largest angle
+    whose phases stay finite builds a level with unit-modulus phases."""
+    grid = default_bin_grid(trap, nbar=0.5, half_count=3)
+    with pytest.raises(ValueError, match=re.escape("rotation 1e+308 is too large")):
+        build_observation_level(trap, grid, (1e308, -1e308), 0.5, FockSpace(4))
+    with pytest.raises(ValueError, match=re.escape("rotation -6e+307 is too large")):
+        build_observation_level(trap, grid, (0.0, -6e307), 0.5, FockSpace(4))
+    obs = build_observation_level(trap, grid, (0.0, 5e307), 0.5, FockSpace(4))
+    assert np.allclose(np.abs(obs.groups[0][0]), 1.0)
+
+
 def test_observation_level_matches_single_bin_builds(trap, space16):
     grid = default_bin_grid(trap, nbar=0.5, half_count=4)
     thetas = (0.0, 0.7)

@@ -16,13 +16,13 @@ from maxent_tomo import (
     default_bin_grid,
     expectation,
     fock_state,
-    ladder_operators,
+    number_operator,
     prepare_free_expansion,
     simulate_ideal,
     superposition,
 )
 
-from conftest import TAUS, ideal_quadrature_distribution, make_trap, rotations
+from conftest import TAUS, ideal_quadrature_distribution, make_trap, quadratures, rotations
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +175,7 @@ def test_free_expansion_nbar_is_kappa_squared(trap):
         kappa = 0.5 * trap.omega_z * t1
         space = FockSpace(dim)
         psi = prepare_free_expansion(trap, t1, space)
-        nbar = expectation(psi, ladder_operators(space).n)
+        nbar = expectation(psi, number_operator(space))
         # the residual is the basis truncation tail, not the physics
         assert nbar == pytest.approx(kappa**2, rel=1e-5)
         pops = np.abs(psi.amplitudes) ** 2
@@ -185,14 +185,14 @@ def test_free_expansion_nbar_is_kappa_squared(trap):
 def test_free_expansion_preserves_momentum_spread(trap):
     space = FockSpace(60)
     psi = prepare_free_expansion(trap, 5e-6, space)
-    p = ladder_operators(space).p
+    _, p = quadratures(space.dim)
     assert expectation(psi, p @ p) == pytest.approx(0.5, abs=1e-9)
 
 
 def _dense_free_flight(kappa: float, dim: int) -> np.ndarray:
     """exp(-i kappa p^2)|0> by eigendecomposing p^2 in a space four times
     larger, where the truncation no longer reaches the state."""
-    p = ladder_operators(FockSpace(4 * dim)).p
+    _, p = quadratures(4 * dim)
     d, v = np.linalg.eigh(p @ p)
     return v @ (np.exp(-1j * kappa * d) * v[0].conj())
 

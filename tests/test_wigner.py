@@ -26,7 +26,6 @@ from maxent_tomo import (
     fit,
     fock_state,
     hermite_functions,
-    ladder_operators,
     simulate_ideal,
     superposition,
     thermal_state,
@@ -36,7 +35,7 @@ from maxent_tomo import (
 )
 from maxent_tomo.wigner import WignerGrid, _fock_kernel, _rotation_rows, _rotation_table
 
-from conftest import ideal_quadrature_distribution, wigner_marginal
+from conftest import ideal_quadrature_distribution, quadratures, wigner_marginal
 
 
 def _wigner_direct(rho: np.ndarray, q: float, p: float) -> float:
@@ -150,7 +149,7 @@ def test_wigner_is_linear_in_the_state():
 def test_wigner_centroids_reproduce_operator_means():
     """First moments of W match <z> and <p> whatever the sign conventions."""
     space = FockSpace(12)
-    ops = ladder_operators(space)
+    z, p = quadratures(space.dim)
     for coeffs in ([1.0, 1.0], [1.0, 1.0j], [1.0, -0.7 + 0.2j]):
         psi = superposition(space, coeffs)
         grid = wigner_eval(psi, span=6.0, points=257)
@@ -159,8 +158,8 @@ def test_wigner_centroids_reproduce_operator_means():
         norm = w.sum() * dq * dp
         q_cent = (w.sum(axis=1) @ grid.q_axis) * dq * dp / norm
         p_cent = (w.sum(axis=0) @ grid.p_axis) * dq * dp / norm
-        assert q_cent == pytest.approx(expectation(psi, ops.z), abs=1e-6)
-        assert p_cent == pytest.approx(expectation(psi, ops.p), abs=1e-6)
+        assert q_cent == pytest.approx(expectation(psi, z), abs=1e-6)
+        assert p_cent == pytest.approx(expectation(psi, p), abs=1e-6)
 
 
 def test_purity_from_squared_wigner():
