@@ -231,8 +231,6 @@ def thermal_state(space: FockSpace, nbar: float) -> DensityOperator:
     """Geometric (thermal) mixture with untruncated mean occupation nbar."""
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be finite and non-negative, got {nbar!r}")
-    if nbar == 0.0:
-        return fock_state(space, 0).density()
     q = nbar / (1.0 + nbar)
     leak = q ** space.dim  # exact geometric tail
     if leak > LEAKAGE_TOL:

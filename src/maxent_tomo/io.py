@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -222,11 +223,14 @@ def preprocess(
     background, clamp negatives to zero, shift positions so the cloud center
     lands on grid.center, rebin by overlap, normalize to unit sum.  With the
     background already at zero the chain is idempotent apart from the clamp.
-    A ``fixed_center`` with ``recenter`` off is refused, not ignored.
+    A ``fixed_center`` with ``recenter`` off is refused, not ignored, and so
+    is a non-finite one.
     """
     if not recenter and fixed_center is not None:
         raise ValueError(f"fixed_center={fixed_center!r} has no effect with recenter "
                          "off: turn recenter on or drop the fixed center")
+    if fixed_center is not None and not math.isfinite(fixed_center):
+        raise ValueError(f"fixed_center must be finite, got {fixed_center!r}")
     profile = None
     if subtract_background or (recenter and fixed_center is None):
         profile = gaussian_fit_center(cut)
@@ -247,7 +251,11 @@ def preprocess(
     src_edges = np.concatenate([
         shifted - 0.5 * cut.pixel_width, [shifted[-1] + 0.5 * cut.pixel_width]
     ])
-    row = _overlap_rebin(src_edges, vals, grid.edges())
+    dst_edges = grid.edges()
+    # far off, the shifted pixel edges collapse and the rebin would divide 0/0
+    if not (src_edges[0] < dst_edges[-1] and src_edges[-1] > dst_edges[0]):
+        raise EmptyAfterClamp("signal fell entirely outside the grid")
+    row = _overlap_rebin(src_edges, vals, dst_edges)
     total = row.sum()
     if total <= 0:
         raise EmptyAfterClamp("signal fell entirely outside the grid")
@@ -429,24 +437,10 @@ def read_density_matrix(path) -> DensityOperator:
 # run configuration
 
 
-_TRUE_STRINGS = {"1", "true", "yes", "on"}
-_FALSE_STRINGS = {"0", "false", "no", "off"}
-
-
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in _TRUE_STRINGS:
-        return True
-    if low in _FALSE_STRINGS:
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # config value parsers by declared field type; the one tuple is taus_us
 _PARSERS = {
     "float": float,
     "int": int,
-    "bool": _parse_bool,
     "str": str,
     "tuple": lambda text: tuple(float(t) for t in text.split(",")),
 }
@@ -454,13 +448,19 @@ _PARSERS = {
 
 @dataclass
 class RunConfig:
-    """Everything one run needs, resolvable from a key=value file.
+    """Everything one run sets, resolvable from a key=value file.
 
     Unit-suffixed keys: omega_z_hz is the trap frequency omega_z/2pi in Hz;
     lengths are meters, times seconds unless the suffix says otherwise
-    (taus_us, free_flight_t1_us).  ``state`` uses kind:args strings, e.g.
+    (taus_us).  ``state`` uses kind:args strings, e.g.
     superposition:1,1  fock:2  even_cat:1.414  thermal:0.5  free_expansion:4
     (free-expansion argument in microseconds).
+
+    The class constants after the keys are every run's, not keys: the nbar
+    row's weight, the quadrature nodes per bin, the fit's iteration cap and
+    the cut preprocessing (subtract each cut's fitted background, recenter
+    it; a fixed center at the grid's 0 is recentering off).
+    ``build_observation_level``, ``preprocess`` and ``fit`` take others.
     """
 
     omega_z_hz: float = 80e3
@@ -472,17 +472,18 @@ class RunConfig:
     taus_us: tuple = (0.0, 1.6, 3.2, 4.8)
     bin_half_count: int = 25
     nbar: float | None = None
-    weight_nbar: float = 1.0
     eta: float = 0.0
     seed: int = 0
     state: str = "superposition:1,1"
-    subtract_background: bool = True
-    recenter: bool = True
     fixed_center_m: float | None = None
-    gh_nodes: int = 32
-    gl_nodes: int = 8
-    max_iter: int = 20000
     grad_tol: float = 1e-9
+
+    weight_nbar: ClassVar[float] = 1.0
+    gh_nodes: ClassVar[int] = 32
+    gl_nodes: ClassVar[int] = 8
+    max_iter: ClassVar[int] = 20000
+    subtract_background: ClassVar[bool] = True
+    recenter: ClassVar[bool] = True
 
     def __post_init__(self):
         # by declared type: every float and int, and each entry of the tuple taus_us
@@ -494,18 +495,13 @@ class RunConfig:
                 raise ValueError(f"config key {f.name!r} must be finite, got {value!r}")
         rules = [
             (key, getattr(self, key) is None or getattr(self, key) > 0, "positive")
-            for key in ("omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s",
-                        "weight_nbar", "grad_tol")
+            for key in ("omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s", "grad_tol")
         ] + [
             (key, getattr(self, key) is None or getattr(self, key) >= 0, "non-negative")
             for key in ("nbar", "eta", "seed")
-        ]
-        rules += [
+        ] + [
             ("dim", self.dim >= 2, "at least 2"),
             ("bin_half_count", self.bin_half_count >= 1, "at least 1"),
-            ("max_iter", self.max_iter >= 1, "at least 1"),
-            ("gh_nodes", self.gh_nodes >= 2, "at least 2"),
-            ("gl_nodes", self.gl_nodes >= 2, "at least 2"),
         ]
         for key, ok, rule in rules:
             if not ok:

@@ -10,6 +10,7 @@ import pytest
 from maxent_tomo import (
     CutFile,
     FockSpace,
+    RunConfig,
     TrapConfig,
     build_observation_level,
     default_bin_grid,
@@ -157,17 +158,17 @@ def test_reconstruct_from_cuts_without_nbar_exits_one(cut_files, tmp_path, capsy
     assert not (tmp_path / "rho.json").exists()
 
 
-def test_fixed_center_with_recentering_off_exits_one(cut_files, tmp_path, capsys):
-    """recenter = false would drop --fixed-center silently; it is refused."""
+def test_a_fixed_center_far_off_the_grid_exits_one(cut_files, tmp_path, capsys):
+    """At 1e300 m the shifted pixel edges collapse: the command names the
+    miss, not the NaN rows a rebin of zero-width pixels would give."""
     _, paths = cut_files
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CUT_CONFIG + "recenter = false\n")
+    cfg.write_text(CUT_CONFIG)
     code = main(["reconstruct", "--config", str(cfg)]
                 + [arg for p in paths for arg in ("--cut", p)]
-                + ["--nbar", "0.5", "--fixed-center", "2e-5", "--out", str(tmp_path)])
+                + ["--nbar", "0.5", "--fixed-center", "1e300", "--out", str(tmp_path)])
     assert code == 1
-    err = capsys.readouterr().err
-    assert "fixed_center=2e-05" in err and "recenter" in err
+    assert "signal fell entirely outside the grid" in capsys.readouterr().err
     assert not (tmp_path / "rho.json").exists()
 
 
@@ -175,10 +176,13 @@ class _FitCalled(Exception):
     """Raised by a stand-in fit once it has seen the observation level."""
 
 
-def test_no_background_subtraction_fits_the_unsubtracted_rows(cut_files, tmp_path,
-                                                              monkeypatch):
+def test_cut_reconstruct_fits_the_preprocessed_rows(cut_files, tmp_path, monkeypatch):
+    """The cut rows reach the fit as preprocess makes them, background
+    subtracted and pinned at the fixed center, bit for bit; on the config's
+    grid, centered at 0, --fixed-center 0 is recentering off."""
     _, paths = cut_files
     cfg = tmp_path / "run.cfg"
+    cfg.write_text(CUT_CONFIG)
     seen = []
 
     def stand_in(observables, **kwargs):
@@ -186,18 +190,15 @@ def test_no_background_subtraction_fits_the_unsubtracted_rows(cut_files, tmp_pat
         raise _FitCalled
 
     monkeypatch.setattr("maxent_tomo.maxent.fit", stand_in)
-    argv = (["reconstruct", "--config", str(cfg)]
-            + [arg for p in paths for arg in ("--cut", p)]
-            + ["--nbar", "0.5", "--fixed-center", "0", "--out", str(tmp_path)])
-    for extra in ("subtract_background = false\n", ""):
-        cfg.write_text(CUT_CONFIG + extra)
-        with pytest.raises(_FitCalled):
-            main(argv)
-    plain, subtracted = (obs.means[:-1].reshape(obs.bin_shape) for obs in seen)
-    rows = [preprocess(read_cut_file(p), seen[0].grid, subtract_background=False,
-                       fixed_center=0.0) for p in paths]
-    assert np.array_equal(plain, rows)
-    assert not np.array_equal(subtracted, rows)
+    with pytest.raises(_FitCalled):
+        main(["reconstruct", "--config", str(cfg)]
+             + [arg for p in paths for arg in ("--cut", p)]
+             + ["--nbar", "0.5", "--fixed-center", "0", "--out", str(tmp_path)])
+    obs, = seen
+    rows = [preprocess(read_cut_file(p), obs.grid, fixed_center=0.0) for p in paths]
+    assert np.array_equal(obs.means[:-1].reshape(obs.bin_shape), rows)
+    assert np.array_equal([preprocess(read_cut_file(p), obs.grid, recenter=False)
+                           for p in paths], rows)
 
 
 def test_reconstruct_without_record_or_cut_exits_one(simulated, tmp_path, capsys):
@@ -260,11 +261,10 @@ def test_record_and_cut_together_exit_one(simulated, tmp_path, capsys):
     assert "either --record or --cut" in capsys.readouterr().err
 
 
-def test_iteration_cap_exits_two_and_keeps_the_partial_fit(simulated, tmp_path):
+def test_iteration_cap_exits_two_and_keeps_the_partial_fit(simulated, tmp_path, monkeypatch):
     cfg, record = simulated
-    capped = tmp_path / "capped.cfg"
-    capped.write_text(cfg.read_text() + "max_iter = 1\n")
-    code = main(["reconstruct", "--config", str(capped), "--record", str(record),
+    monkeypatch.setattr(RunConfig, "max_iter", 1)
+    code = main(["reconstruct", "--config", str(cfg), "--record", str(record),
                  "--out", str(tmp_path)])
     assert code == 2
     assert (tmp_path / "rho.json").exists()

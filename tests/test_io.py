@@ -239,6 +239,14 @@ def test_preprocess_raises_when_signal_misses_the_grid(trap):
                       values=far.values, pixel_width=far.pixel_width)
     with pytest.raises(EmptyAfterClamp):
         preprocess(shifted, grid, recenter=False)
+    # a center this far off collapses the shifted pixel edges: refused before
+    # the rebin, whose 0/0 would warn and return NaN rows
+    for center in (1e300, -1e300):
+        with pytest.raises(EmptyAfterClamp, match="outside the grid"):
+            preprocess(far, grid, fixed_center=center)
+    for center in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"fixed_center must be finite"):
+            preprocess(far, grid, fixed_center=center)
 
 
 def test_preprocess_refuses_a_fixed_center_it_would_ignore(trap):
@@ -499,13 +507,13 @@ def test_parse_config_text_and_defaults():
         omega_z_hz = 80e3
         dim = 8            # trailing comment
         taus_us = 0, 1.6, 3.2
-        subtract_background = no
+        fixed_center_m = 0
         """
     )
     cfg = RunConfig.from_dict(raw)
     assert cfg.dim == 8
     assert cfg.taus_us == (0.0, 1.6, 3.2)
-    assert cfg.subtract_background is False
+    assert cfg.fixed_center_m == 0.0
     assert cfg.omega_z == pytest.approx(2.0 * math.pi * 80e3)
     assert len(cfg.rotations(cfg.taus_us)) == 3
     assert cfg.rotations(cfg.taus_us)[1] == pytest.approx(cfg.omega_z * 1.6e-6)
@@ -517,7 +525,7 @@ def test_parse_config_text_and_defaults():
     with pytest.raises(ValueError):
         parse_config_text("dim 8")
     with pytest.raises(ValueError):
-        RunConfig.from_dict({"recenter": "maybe"})
+        RunConfig.from_dict({"dim": "eight"})
 
 
 # the README's state specs and the factory calls they stand for
@@ -557,16 +565,10 @@ CONFIG_SAMPLES = {
     "taus_us": ("0, 1.5, 3", (0.0, 1.5, 3.0)),
     "bin_half_count": ("9", 9),
     "nbar": ("0.25", 0.25),
-    "weight_nbar": ("3", 3.0),
     "eta": ("0.1", 0.1),
     "seed": ("42", 42),
     "state": ("fock:2", "fock:2"),
-    "subtract_background": ("off", False),
-    "recenter": ("YES", True),
     "fixed_center_m": ("0", 0.0),
-    "gh_nodes": ("40", 40),
-    "gl_nodes": ("6", 6),
-    "max_iter": ("500", 500),
     "grad_tol": ("1e-10", 1e-10),
 }
 
@@ -583,9 +585,8 @@ def test_every_config_field_parses_to_its_declared_type():
         assert type(getattr(cfg, key)).__name__ == declared[key]
     # the None-able floats stay None when absent
     assert RunConfig.from_dict({}).nbar is None
-    assert RunConfig.from_dict({"subtract_background": "1"}).subtract_background is True
     for bad, match in (({"grid_margin": "1"}, "^unknown config key 'grid_margin'$"),
-                       ({"recenter": "maybe"}, "^config key 'recenter': not a boolean"),
+                       ({"recenter": "false"}, "^unknown config key 'recenter'$"),
                        ({"dim": "2.5"}, "^config key 'dim': "),
                        ({"nbar": "half"}, "^config key 'nbar': "),
                        ({"taus_us": "0, , 3"}, "^config key 'taus_us': ")):
@@ -600,7 +601,6 @@ def test_every_config_field_parses_to_its_declared_type():
     ("eta", "-0.1"),
     ("seed", "-1"),
     ("bin_half_count", "0"),
-    ("max_iter", "0"),
     ("grad_tol", "0"),
     ("grad_tol", "nan"),
 ])
@@ -916,11 +916,15 @@ def test_cli_reconstruct_from_cuts_needs_nbar(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["bin_width_m = 2e-5", "grid_margin = 3.5", "grid_center_m = 0",
-                                  "noisy_nbar = 0.9"])
+                                  "noisy_nbar = 0.9", "weight_nbar = 3", "gh_nodes = 40",
+                                  "gl_nodes = 6", "max_iter = 500", "subtract_background = false",
+                                  "recenter = false"])
 def test_cli_refuses_a_grid_size_or_center_in_the_config(tmp_path, capsys, line):
-    """The grid is sized from nbar alone and centered on the cloud, and a fit
-    reads its nbar from reconstruct --nbar or the config's nbar: a config that
-    still sets a bin width, a margin, a grid center or noisy_nbar exits 1."""
+    """The grid is sized from nbar alone and centered on the cloud, a fit
+    reads its nbar from reconstruct --nbar or the config's nbar, and the nbar
+    weight, quadrature, iteration cap and cut preprocessing are every run's:
+    a config that still sets a bin width, a margin, a grid center, noisy_nbar
+    or one of the RunConfig constants exits 1."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"dim = 8\nnbar = 0.5\n{line}\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
@@ -928,10 +932,10 @@ def test_cli_refuses_a_grid_size_or_center_in_the_config(tmp_path, capsys, line)
     assert not (tmp_path / "record.csv").exists()
 
 
-def test_cli_reconstruct_reports_non_convergence(tmp_path):
+def test_cli_reconstruct_reports_non_convergence(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CHAIN_CONFIG.replace("grad_tol = 1e-12", "grad_tol = 1e-30")
-                   + "max_iter = 2\n")
+    cfg.write_text(CHAIN_CONFIG.replace("grad_tol = 1e-12", "grad_tol = 1e-30"))
+    monkeypatch.setattr(RunConfig, "max_iter", 2)
     out = str(tmp_path)
     assert main(["simulate", "--config", str(cfg), "--out", out]) == 0
     code = main(["reconstruct", "--config", str(cfg),

@@ -169,8 +169,8 @@ VALID_ARGUMENTS = {
                       imag_residual=0.0), set()),
     RunConfig: (
         dataclasses.asdict(RunConfig(nbar=0.5, fixed_center_m=0.0)),
-        {"omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s", "weight_nbar",
-         "grad_tol", "dim", "bin_half_count", "max_iter", "gh_nodes", "gl_nodes"},
+        {"omega_z_hz", "dz0_m", "dv0_mps", "cloud_rms_m", "be_time_s", "grad_tol", "dim",
+         "bin_half_count"},
     ),
 }
 
