@@ -12,8 +12,8 @@ sqrt(4 pi) i^j psi_j(sqrt(2) p), give
     psi_m(q - z/2) psi_n(q + z/2) = sum_k B^N[m, k] psi_k(sqrt(2) q) psi_{N-k}(z/sqrt(2)),
     W = Psi(sqrt(2) q)^T C Psi(sqrt(2) p), C_kj = sqrt(4 pi) i^j sum_{m+n=k+j} rho_mn B^{k+j}[m, k],
 
-two matrix products over orders 0 .. 2 dim - 2.  Risbo's symmetric recursion
-(J. Geodesy 70, 383 (1996)) builds the orthogonal blocks B^N from B^0 = 1,
+two matrix products over orders 0 .. 2 dim - 2 (one Psi table when p is q).  Risbo's
+symmetric recursion (J. Geodesy 70, 383 (1996)) builds the orthogonal blocks B^N from B^0 = 1,
 
     sqrt(2) N B^N[m, k] = sqrt(m k) B^{N-1}[m-1, k-1] - sqrt(m (N-k)) B^{N-1}[m-1, k]
                         + sqrt((N-m) k) B^{N-1}[m, k-1] + sqrt((N-m)(N-k)) B^{N-1}[m, k],
@@ -21,8 +21,8 @@ two matrix products over orders 0 .. 2 dim - 2.  Risbo's symmetric recursion
 a convex mix of adding a quantum to either mode that stays orthonormal to
 rounding (either step alone divides by sqrt(m) and drifts).  W is the
 transform of (rho + rho^dagger)/2, so the diagonal gives Re rho_mm only; the
-imaginary residual is that of the anti-Hermitian part off the diagonal,
-exactly 0 for an exactly Hermitian rho, whose zero half is skipped.
+imaginary residual is that of the anti-Hermitian part off the diagonal: an
+exactly Hermitian rho skips that zero half, and its grid is real.
 
 The blocks depend on dim alone.  They are built once per dimension into one
 table of (2 dim - 1)^2 dim doubles, kept for one dimension at a time (0.12 MiB
@@ -128,7 +128,8 @@ def _rotation_table(dim: int) -> tuple:
 
 def _fock_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """W + i (imaginary residual) on the meshgrid of q (rows) and p (columns): Psi^T C Psi of
-    the Hermitian part and, unless exactly 0, the off-diagonal anti-Hermitian part, side by side."""
+    the Hermitian part and, unless exactly 0 (a real grid), the off-diagonal anti-Hermitian
+    part, side by side.  p is q builds one Psi table, with the bits of two (it is pointwise)."""
     dim = rho.shape[0]
     size = 2 * dim - 1
     table, diag_n, diag_m, pair_n, pair_k = _rotation_table(dim)
@@ -141,21 +142,23 @@ def _fock_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     coeff[:, pair_k, pair_n - pair_k] = (
         table @ diagonals.view(np.float64)).view(np.complex128)[pair_n, pair_k].T
     coeff *= math.sqrt(4.0 * math.pi) * np.array([1, 1j, -1, -1j])[np.arange(size) % 4]
-    psi = hermite_functions(size - 1, math.sqrt(2.0) * np.concatenate([q, p]))
-    left = psi[:, :q.size].T @ np.concatenate([coeff[0].real, *coeff[1:].imag], axis=1)
-    grid = np.concatenate(np.split(left, len(parts), axis=1)) @ psi[:, q.size:]
+    psi_q = hermite_functions(size - 1, math.sqrt(2.0) * q)
+    psi_p = psi_q if p is q else hermite_functions(size - 1, math.sqrt(2.0) * p)
+    left = psi_q.T @ np.concatenate([coeff[0].real, *coeff[1:].imag], axis=1)
+    grid = np.concatenate(np.split(left, len(parts), axis=1)) @ psi_p
     return grid[:q.size] + 1j * grid[q.size:] if len(parts) == 2 else grid
 
 
 def wigner_eval(state, *, span: float = 6.0, points: int = 257) -> WignerGrid:
     """Evaluate W on the square grid of ``points`` per axis over [-span, span].
 
-    ``points`` is an integer of at least 2 (ValueError otherwise).  Warns
+    ``points`` is an integer of at least 2, ``span`` positive with its largest
+    cell 4 span^2 finite (ValueError naming the argument otherwise).  Warns
     when the grid looks too small for the state's energy: the bulk of a
     state with mean occupation nbar lives within radius sqrt(2 nbar) + 3.
     """
-    if not (math.isfinite(span) and span > 0):
-        raise ValueError(f"span must be finite and positive, got {span}")
+    if not (span > 0 and math.isfinite(4.0 * float(span) * float(span))):  # else axes overflow
+        raise ValueError(f"span must be positive with 4 span^2 finite, got {span}")
     if isinstance(points, bool) or not (isinstance(points, (int, np.integer)) and points >= 2):
         raise ValueError(f"points must be an integer >= 2, got {points!r}")
     rho = _density_matrix(state)
@@ -170,8 +173,8 @@ def wigner_eval(state, *, span: float = 6.0, points: int = 257) -> WignerGrid:
             stacklevel=2,
         )
     acc = _fock_kernel(rho, axis, axis)
-    return WignerGrid(q_axis=axis, p_axis=axis.copy(), values=acc.real,
-                      imag_residual=float(np.max(np.abs(acc.imag))))
+    residual = float(np.max(np.abs(acc.imag))) if np.iscomplexobj(acc) else 0.0
+    return WignerGrid(q_axis=axis, p_axis=axis.copy(), values=acc.real, imag_residual=residual)
 
 
 def write_wigner_csv(grid: WignerGrid, path) -> None:

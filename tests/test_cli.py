@@ -366,8 +366,10 @@ def test_unparsable_json_exits_one_naming_the_file(simulated, tmp_path, capsys, 
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
-@pytest.mark.parametrize("span", ["nan", "inf"])
+@pytest.mark.parametrize("span", ["nan", "inf", "1e308", "1e160"])
 def test_non_finite_wigner_span_exits_one_naming_it(simulated, tmp_path, capsys, span):
+    """At 1e308 the axis overflows, at 1e160 its squares: both are refused by
+    name before any RuntimeWarning, which the test run (like CI) makes an error."""
     _, record = simulated
     rho = str(record.parent / "state_true.json")
     assert main(["wigner", "--rho", rho, "--span", span, "--out", str(tmp_path)]) == 1

@@ -239,6 +239,19 @@ def test_diagonal_recurrence_matches_the_pairwise_closed_form(rho, axes):
     assert np.max(np.abs(got.imag)) == pytest.approx(np.max(np.abs(ref.imag)), abs=1e-13)
 
 
+@pytest.mark.parametrize("rho", [
+    _random_density(16, 16), _random_density(48, 48), _top_fock(48),
+    _off_hermitian(16, 5), _off_hermitian(16, 6),
+], ids=["dense-dim16", "dense-dim48", "top-fock-dim48", "off-hermitian-5", "off-hermitian-6"])
+def test_a_square_grid_shares_one_table_bit_for_bit(rho):
+    """p is q builds one Psi table; an equal copy of q builds two.  Real for
+    an exactly Hermitian rho, complex otherwise, and the same bits either way."""
+    axis = np.linspace(-9.0, 9.0, 65)
+    shared, separate = _fock_kernel(rho, axis, axis), _fock_kernel(rho, axis, axis.copy())
+    assert np.iscomplexobj(shared) == np.iscomplexobj(separate) == bool(np.any(rho != rho.conj().T))
+    assert shared.dtype == separate.dtype and np.array_equal(shared, separate)
+
+
 def test_rotation_blocks_are_orthonormal_through_order_158():
     """Risbo's symmetric recursion keeps every B^N orthogonal to rounding.
     Adding one quantum to one mode at a time, dividing by sqrt(m), drifts
@@ -315,17 +328,30 @@ def test_imag_residual_is_the_closed_form_imaginary_part(seed):
     (dict(span=math.nan), "span"),
     (dict(span=math.inf), "span"),
     (dict(span=0.0), "span"),
+    # the axis (2 span) and the squared coordinates (2 span^2) overflow
+    (dict(span=1e308), "span"),
+    (dict(span=1e160), "span"),
     (dict(points=1), "points"),
     (dict(points=3.0), "points"),
     (dict(points=3.5), "points"),
     (dict(points=math.nan), "points"),
     (dict(points="257"), "points"),
     (dict(points=True), "points"),
-], ids=["span-nan", "span-inf", "span-zero", "points-one", "points-float", "points-fraction",
-        "points-nan", "points-string", "points-bool"])
+], ids=["span-nan", "span-inf", "span-zero", "span-1e308", "span-1e160", "points-one",
+        "points-float", "points-fraction", "points-nan", "points-string", "points-bool"])
 def test_wigner_eval_rejects_bad_grids_naming_the_argument(kwargs, name):
     with pytest.raises(ValueError, match=name):
         wigner_eval(fock_state(FockSpace(4), 0), **kwargs)
+
+
+def test_the_largest_span_with_a_finite_cell_runs_without_warnings():
+    """6.7e153 is about the largest span with 4 span^2 finite: the axis, the
+    squared coordinates and the plane integral stay finite, warning-free."""
+    for points in (2, 3, 257):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = wigner_eval(fock_state(FockSpace(4), 0), span=6.7e153, points=points)
+        assert math.isfinite(grid.integral())
 
 
 def test_wigner_eval_takes_python_and_numpy_integer_points():
