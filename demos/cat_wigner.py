@@ -44,7 +44,7 @@ grid = default_bin_grid(trap, nbar=nbar, half_count=25)
 obs = build_observation_level(trap, grid, thetas, nbar=nbar, space=space)
 state, report = fit(obs.with_record(simulate_ideal(cat, obs)), grad_tol=1e-13)
 print(f"delta_f = {report.delta_f:.2e}, entropy = {report.entropy:.2e}, "
-      f"fidelity = {fidelity(cat.density(), state.rho):.6f}")
+      f"fidelity = {fidelity(cat, state.rho):.6f}")
 
 w_true = wigner_eval(cat, span=6.0, points=201)
 w_fit = wigner_eval(state.rho, span=6.0, points=201)

@@ -79,14 +79,13 @@ def reconstruct(center):
 state_fixed, rep_fixed = reconstruct(0.0)
 state_auto, rep_auto = reconstruct(None)       # per-image Gaussian centers
 
-rho_true = psi.density()
 print()
 print("preprocessing with a common fixed center (the trap axis):")
 print(f"  delta_f = {rep_fixed.delta_f:.2e}  "
-      f"fidelity = {fidelity(rho_true, state_fixed.rho):.4f}")
+      f"fidelity = {fidelity(psi, state_fixed.rho):.4f}")
 print("preprocessing with per-image recentering:")
 print(f"  delta_f = {rep_auto.delta_f:.2e}  "
-      f"fidelity = {fidelity(rho_true, state_auto.rho):.4f}")
+      f"fidelity = {fidelity(psi, state_auto.rho):.4f}")
 print()
 print("per-image recentering pinned every marginal at zero mean, so the")
 print("oscillating displacement that distinguishes (|0> + |1>)/sqrt(2)")

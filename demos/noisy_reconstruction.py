@@ -39,7 +39,7 @@ for eta in (0.02, 0.05, 0.1, 0.2):
     for seed in range(10):
         rec = add_noise(ideal, NoiseSpec(eta=eta, seed=seed), nbar_noisy=0.6)
         state, report = fit(obs.with_record(rec))
-        fids.append(fidelity(psi.density(), state.rho))
+        fids.append(fidelity(psi, state.rho))
         dfs.append(report.delta_f)
     print(f"{eta:4.2f}    {np.median(fids):.4f}      {min(fids):.4f}    "
           f"{max(fids):.4f}    {np.median(dfs):.4f}")

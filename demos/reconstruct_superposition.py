@@ -52,11 +52,11 @@ state, report = fit(obs.with_record(record), grad_tol=1e-13)
 print(f"converged = {report.converged} after {report.iterations} iterations")
 print(f"deviation delta_f = {report.delta_f:.3e}")
 print(f"entropy           = {report.entropy:.3e}  (true state is pure: 0)")
-print(f"fidelity          = {fidelity(state.rho, psi.density()):.7f}")
-print(f"delta_rho         = {delta_rho(state.rho, psi.density()):.3e}")
+print(f"fidelity          = {fidelity(state.rho, psi):.7f}")
+print(f"delta_rho         = {delta_rho(state.rho, psi):.3e}")
 print()
 print("populations (true vs reconstructed):")
-true_pops = np.abs(psi.amplitudes) ** 2
+true_pops = psi.populations()
 fit_pops = state.rho.populations()
 for n in range(4):
     print(f"  |{n}>  {true_pops[n]:.6f}   {fit_pops[n]:.6f}")

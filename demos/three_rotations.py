@@ -47,7 +47,7 @@ for name, thetas in angle_sets.items():
     obs = build_observation_level(trap, grid, thetas, nbar=0.5, space=space)
     state, report = fit(obs.with_record(simulate_ideal(psi, obs)),
                         grad_tol=1e-11)
-    fid = fidelity(psi.density(), state.rho)
+    fid = fidelity(psi, state.rho)
     print(f"  {name:34s} delta_f = {report.delta_f:.1e}  "
           f"entropy = {report.entropy:.3f}  fidelity = {fid:.5f}")
 
@@ -62,4 +62,4 @@ state, report = fit(obs.with_record(simulate_ideal(cat, obs)), grad_tol=1e-11)
 print()
 print("even cat, alpha = sqrt(2), three rotations:")
 print(f"  delta_f = {report.delta_f:.1e}  entropy = {report.entropy:.3f}  "
-      f"fidelity = {fidelity(cat.density(), state.rho):.5f}")
+      f"fidelity = {fidelity(cat, state.rho):.5f}")

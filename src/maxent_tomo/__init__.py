@@ -8,7 +8,7 @@ import importlib
 
 # each exported name, mapped to the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "hilbert": "DensityOperator FockSpace PureState TruncationError delta_rho "
+    "hilbert": "DensityOperator FockSpace TruncationError delta_rho "
                "entropy even_cat expectation fidelity fock_state hermite_functions "
                "number_operator superposition thermal_state",
     "io": "CutFile EmptyAfterClamp FitDivergence GaussianFit RunConfig gaussian_fit_center "

@@ -37,7 +37,7 @@ def _outdir(args) -> str:
 
 def _cmd_simulate(args) -> int:
     from . import io as tio
-    from .hilbert import PureState, expectation, number_operator
+    from .hilbert import expectation, number_operator
     from .simulate import NoiseSpec, add_noise, simulate_ideal
 
     config = _apply_overrides(tio.read_config(args.config), args)
@@ -51,9 +51,8 @@ def _cmd_simulate(args) -> int:
     out = _outdir(args)
     record_path = os.path.join(out, "record.csv")
     tio.write_record(record, record_path)
-    rho = state.density() if isinstance(state, PureState) else state
     state_path = os.path.join(out, "state_true.json")
-    tio.write_density_matrix(rho, state_path)
+    tio.write_density_matrix(state, state_path)
     print(f"simulated {record.values.shape[0]} rotations x "
           f"{record.values.shape[1]} bins, nbar={record.nbar:.6g}")
     print(f"wrote {record_path}")

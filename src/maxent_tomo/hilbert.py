@@ -8,9 +8,11 @@ operator built here is ``number_operator``, n = a†a = (z² + p² - 1)/2.
 Conversion to and from laboratory units (meters, seconds) is the business
 of :mod:`maxent_tomo.measurement`.
 
-The truncation dimension N is an explicit parameter (``FockSpace``).  State
-factories refuse to build a state whose untruncated population above level
-N-1 exceeds ``LEAKAGE_TOL``; raising N is always the right fix.
+Every state is a ``DensityOperator``; a pure one is |psi><psi| of normalized
+Fock amplitudes.  The truncation dimension N is an explicit parameter
+(``FockSpace``).  State factories refuse to build a state whose untruncated
+population above level N-1 exceeds ``LEAKAGE_TOL``; raising N is always the
+right fix.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "FockSpace",
-    "PureState",
     "DensityOperator",
     "TruncationError",
     "number_operator",
@@ -43,7 +44,6 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
-STATE_NORM_TOL = 1e-12
 LEAKAGE_TOL = 1e-6
 
 
@@ -88,31 +88,6 @@ class FockSpace:
 
 
 @dataclass(frozen=True)
-class PureState:
-    """Fock-basis amplitude vector of a normalized pure state."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=np.complex128)
-        if amp.ndim != 1 or amp.size < 2:
-            raise ValueError("amplitudes must be a 1-D vector of length >= 2")
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amp)
-        if not abs(norm - 1.0) <= STATE_NORM_TOL:
-            raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
-        object.__setattr__(self, "amplitudes", _readonly(amp))
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def density(self) -> "DensityOperator":
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite matrix."""
 
@@ -149,10 +124,10 @@ def _matrix_of(operator) -> np.ndarray:
     return np.asarray(operator, dtype=np.complex128)
 
 
-def _density_matrix(state) -> np.ndarray:
-    if isinstance(state, PureState):
-        return np.outer(state.amplitudes, state.amplitudes.conj())
-    return _matrix_of(state)
+def _pure(amp) -> DensityOperator:
+    """|psi><psi| of the Fock amplitudes amp, normalized."""
+    psi = amp / np.linalg.norm(amp)
+    return DensityOperator(np.outer(psi, psi.conj()))
 
 
 def number_operator(space: FockSpace) -> np.ndarray:
@@ -164,24 +139,24 @@ def number_operator(space: FockSpace) -> np.ndarray:
 # state factories
 
 
-def fock_state(space: FockSpace, k: int) -> PureState:
+def fock_state(space: FockSpace, k: int) -> DensityOperator:
     if not 0 <= k < space.dim:
         raise TruncationError(f"|{k}> does not fit in dim={space.dim}")
     amp = np.zeros(space.dim, dtype=np.complex128)
     amp[k] = 1.0
-    return PureState(amp)
+    return _pure(amp)
 
 
-def superposition(space: FockSpace, coeffs) -> PureState:
-    """Normalized superposition from raw Fock coefficients.
+def superposition(space: FockSpace, coeffs) -> DensityOperator:
+    """Pure state of the normalized superposition of raw Fock coefficients.
 
     Coefficients beyond the truncation are only dropped when they carry less
     than ``LEAKAGE_TOL`` of the total weight.
     """
     c = np.asarray(coeffs, dtype=np.complex128).ravel()
     total = float(np.sum(np.abs(c) ** 2))
-    if total == 0.0:
-        raise ValueError("all coefficients vanish")
+    if not 0.0 < total < math.inf:  # nan fails too
+        raise ValueError(f"coeffs must be finite and not all zero, got total weight {total}")
     if c.size > space.dim:
         leak = float(np.sum(np.abs(c[space.dim:]) ** 2)) / total
         if leak > LEAKAGE_TOL:
@@ -191,10 +166,10 @@ def superposition(space: FockSpace, coeffs) -> PureState:
         c = c[: space.dim]
     amp = np.zeros(space.dim, dtype=np.complex128)
     amp[: c.size] = c
-    return PureState(amp / np.linalg.norm(amp))
+    return _pure(amp)
 
 
-def even_cat(space: FockSpace, alpha: float) -> PureState:
+def even_cat(space: FockSpace, alpha: float) -> DensityOperator:
     """Even coherent superposition |alpha> + |-alpha>, alpha real.
 
     Populated on even levels only, p_2k proportional to alpha^4k/(2k)!.
@@ -224,7 +199,7 @@ def even_cat(space: FockSpace, alpha: float) -> PureState:
         )
     amp = np.zeros(space.dim, dtype=np.complex128)
     amp[even] = np.exp((log_w - log_w.max()) / 2.0)
-    return PureState(amp / np.linalg.norm(amp))
+    return _pure(amp)
 
 
 def thermal_state(space: FockSpace, nbar: float) -> DensityOperator:
@@ -278,7 +253,7 @@ def entropy(state) -> float:
     (a pure state sums to -0.0, or below it by rounding).  Eigenvalues
     within dim * eps of 0 or 1 are rounding and add nothing, so a pure
     state gives exactly 0."""
-    evals = np.linalg.eigvalsh(_density_matrix(state))
+    evals = np.linalg.eigvalsh(_matrix_of(state))
     tol = evals.size * np.finfo(np.float64).eps
     p = evals[(evals > tol) & (evals < 1.0 - tol)]
     s = float(-(p * np.log(p)).sum())
@@ -287,12 +262,13 @@ def entropy(state) -> float:
 
 def delta_rho(a, b) -> float:
     """Summed squared moduli of the element-wise density-matrix difference."""
-    return float(np.sum(np.abs(_density_matrix(a) - _density_matrix(b)) ** 2))
+    return float(np.sum(np.abs(_matrix_of(a) - _matrix_of(b)) ** 2))
 
 
 def fidelity(a, b) -> float:
-    """Uhlmann fidelity; reduces to <psi|rho_b|psi> when a is pure."""
-    ma, mb = _density_matrix(a), _density_matrix(b)
+    """Uhlmann fidelity of two density matrices; <psi|rho_b|psi> when rho_a
+    is pure, psi its top eigenvector (eigenvalue within 1e-10 of 1)."""
+    ma, mb = _matrix_of(a), _matrix_of(b)
     evals, vecs = np.linalg.eigh(ma)
     if evals[-1] >= 1.0 - 1e-10:
         psi = vecs[:, -1]
@@ -303,9 +279,5 @@ def fidelity(a, b) -> float:
 
 
 def expectation(state, operator) -> float:
-    """Real expectation value of a Hermitian operator."""
-    m = _matrix_of(operator)
-    if isinstance(state, PureState):
-        return float(np.real(state.amplitudes.conj() @ m @ state.amplitudes))
-    rho = _density_matrix(state)
-    return float(np.real(np.sum(rho.T * m)))
+    """Real expectation value Tr rho O of a Hermitian operator."""
+    return float(np.real(np.sum(_matrix_of(state).T * _matrix_of(operator))))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import LEAKAGE_TOL, DensityOperator, FockSpace, PureState, TruncationError
+from .hilbert import LEAKAGE_TOL, DensityOperator, FockSpace, TruncationError, _pure
 from .measurement import BinGrid, ObservableSet, TrapConfig
 
 __all__ = [
@@ -84,16 +84,16 @@ class MeasurementRecord:
 
 
 def simulate_ideal(state, observables: ObservableSet) -> MeasurementRecord:
-    """Noise-free record: exact means of every observable in the set."""
+    """Noise-free record of a DensityOperator: exact means of every observable."""
     if observables.bin_shape is None:
         raise ValueError("observables carry no (rotation, bin) layout to record")
-    dim = state.dim if isinstance(state, (PureState, DensityOperator)) else None
-    if dim != observables.dim:
+    if not isinstance(state, DensityOperator):
+        raise TypeError(f"state must be a DensityOperator, got {type(state).__name__}")
+    if state.dim != observables.dim:
         raise DimensionMismatch(
-            f"state dim {dim} vs observables dim {observables.dim}"
+            f"state dim {state.dim} vs observables dim {observables.dim}"
         )
-    rho = state.density().matrix if isinstance(state, PureState) else state.matrix
-    vals = observables.expectations(rho)
+    vals = observables.expectations(state.matrix)
     bins = np.clip(vals[:-1].reshape(observables.bin_shape), 0.0, None)
     return MeasurementRecord(
         rotations=observables.rotations,
@@ -135,13 +135,14 @@ def add_noise(
 # free-flight preparation
 
 
-def prepare_free_expansion(cfg: TrapConfig, t1: float, space: FockSpace) -> PureState:
-    """Ground state after the trap is off for t1 seconds: exp(-i kappa p^2)|0>
-    with kappa = omega_z t1 / 2, a squeezed vacuum with sinh r = kappa and mean
-    occupation kappa^2.  Its exact amplitudes are c_0 = (1 + i kappa)^(-1/2) and
-    c_{n+2} = c_n xi sqrt((n+1)/(n+2)), xi = i kappa / (1 + i kappa), |xi| = tanh r,
-    so the population above level dim-1 is 1 - sum |c_n|^2.  Past LEAKAGE_TOL
-    that raises TruncationError; otherwise the head is renormalized.
+def prepare_free_expansion(cfg: TrapConfig, t1: float, space: FockSpace) -> DensityOperator:
+    """Ground state after the trap is off for t1 seconds, the density operator
+    of the pure state exp(-i kappa p^2)|0> with kappa = omega_z t1 / 2, a
+    squeezed vacuum with sinh r = kappa and mean occupation kappa^2.  Its exact
+    amplitudes are c_0 = (1 + i kappa)^(-1/2) and c_{n+2} = c_n xi
+    sqrt((n+1)/(n+2)), xi = i kappa / (1 + i kappa), |xi| = tanh r, so the
+    population above level dim-1 is 1 - sum |c_n|^2.  Past LEAKAGE_TOL that
+    raises TruncationError; otherwise the head is renormalized into |psi><psi|.
     """
     if not (math.isfinite(t1) and t1 >= 0):
         raise ValueError(f"t1 must be finite and non-negative, got {t1!r}")
@@ -157,4 +158,4 @@ def prepare_free_expansion(cfg: TrapConfig, t1: float, space: FockSpace) -> Pure
             f"free flight t1={t1:.3e} s (kappa={kappa:.3f}) leaks {leak:.3e} "
             f"above level {space.dim - 1}; raise the Fock dimension"
         )
-    return PureState(amps / np.linalg.norm(amps))
+    return _pure(amps)

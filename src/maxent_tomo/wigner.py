@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .hilbert import _density_matrix, _readonly, hermite_functions
+from .hilbert import _matrix_of, _readonly, hermite_functions
 
 __all__ = [
     "WignerGrid",
@@ -157,11 +158,12 @@ def wigner_eval(state, *, span: float = 6.0, points: int = 257) -> WignerGrid:
     when the grid looks too small for the state's energy: the bulk of a
     state with mean occupation nbar lives within radius sqrt(2 nbar) + 3.
     """
-    if not (span > 0 and math.isfinite(4.0 * float(span) * float(span))):  # else axes overflow
+    # else axes overflow; a huge int fails the bound before float() could overflow
+    if not (0 < span <= sys.float_info.max and math.isfinite(4.0 * float(span) * float(span))):
         raise ValueError(f"span must be positive with 4 span^2 finite, got {span}")
     if isinstance(points, bool) or not (isinstance(points, (int, np.integer)) and points >= 2):
         raise ValueError(f"points must be an integer >= 2, got {points!r}")
-    rho = _density_matrix(state)
+    rho = _matrix_of(state)
     axis = np.linspace(-span, span, points)
 
     nbar = float(np.real(np.diag(rho) @ np.arange(rho.shape[0])))

@@ -7,7 +7,6 @@ from hypothesis import settings
 from maxent_tomo import (
     DensityOperator,
     FockSpace,
-    PureState,
     TrapConfig,
     WignerGrid,
     hermite_functions,
@@ -66,16 +65,12 @@ def quadratures(dim: int):
 def harmonic_evolve(state, theta: float):
     """Free evolution in the well by phase theta = omega_z * t.
 
-    Fock amplitudes pick up e^{-i n theta}; the zero-point global phase is
-    dropped.  Number populations are untouched.
+    rho_mn picks up e^{-i (m - n) theta}, as Fock amplitudes pick up
+    e^{-i n theta}; the zero-point global phase drops out.  Number
+    populations are untouched.
     """
-    if isinstance(state, PureState):
-        ph = np.exp(-1j * theta * np.arange(state.dim))
-        return PureState(ph * state.amplitudes)
-    if isinstance(state, DensityOperator):
-        ph = np.exp(-1j * theta * np.arange(state.dim))
-        return DensityOperator(ph[:, None] * state.matrix * ph.conj()[None, :])
-    raise TypeError("state must be a PureState or DensityOperator")
+    ph = np.exp(-1j * theta * np.arange(state.dim))
+    return DensityOperator(ph[:, None] * state.matrix * ph.conj()[None, :])
 
 
 def ideal_quadrature_distribution(state, theta: float, x) -> np.ndarray:
@@ -87,14 +82,8 @@ def ideal_quadrature_distribution(state, theta: float, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     evolved = harmonic_evolve(state, theta)
-    if isinstance(evolved, PureState):
-        psi = hermite_functions(evolved.dim - 1, x)
-        amp = evolved.amplitudes @ psi
-        return np.abs(amp) ** 2
-    if isinstance(evolved, DensityOperator):
-        psi = hermite_functions(evolved.dim - 1, x)
-        return np.real(np.einsum("mn,mx,nx->x", evolved.matrix, psi, psi, optimize=True))
-    raise TypeError("state must be a PureState or DensityOperator")
+    psi = hermite_functions(evolved.dim - 1, x)
+    return np.real(np.einsum("mn,mx,nx->x", evolved.matrix, psi, psi, optimize=True))
 
 
 def wigner_marginal(grid: WignerGrid, theta: float):

@@ -51,7 +51,7 @@ def obs_superposition(trap, space16):
 @pytest.fixture(scope="module")
 def obs_cat(trap, space16):
     cat = even_cat(space16, math.sqrt(2.0))
-    nbar = float(np.abs(cat.amplitudes) ** 2 @ np.arange(16))
+    nbar = float(cat.populations() @ np.arange(16))
     grid = default_bin_grid(trap, nbar=nbar, half_count=25)
     return build_observation_level(trap, grid, rotations(trap), nbar, space16)
 
@@ -67,8 +67,8 @@ def test_acceptance_1_ideal_superposition(capsys, space16, obs_superposition):
     t0 = time.perf_counter()
     state, report = fit(obs_superposition.with_record(record), grad_tol=1e-13)
     wall = time.perf_counter() - t0
-    fid = fidelity(psi.density(), state.rho)
-    drho = delta_rho(psi.density(), state.rho)
+    fid = fidelity(psi, state.rho)
+    drho = delta_rho(psi, state.rho)
     ok = (
         report.converged
         and report.delta_f <= 1e-6
@@ -96,9 +96,9 @@ def test_acceptance_2_noisy_superposition(capsys, space16, obs_superposition):
     for seed in range(10):
         noisy = add_noise(ideal, NoiseSpec(eta=0.1, seed=seed), nbar_noisy=0.6)
         state, report = fit(obs_superposition.with_record(noisy))
-        fids.append(fidelity(psi.density(), state.rho))
+        fids.append(fidelity(psi, state.rho))
         dfs.append(report.delta_f)
-        drhos.append(delta_rho(psi.density(), state.rho))
+        drhos.append(delta_rho(psi, state.rho))
     med_fid = float(np.median(fids))
     med_df = float(np.median(dfs))
     med_drho = float(np.median(drhos))
@@ -118,7 +118,7 @@ def test_acceptance_3_even_cat(capsys, space16, obs_cat):
     cat = even_cat(space16, math.sqrt(2.0))
     ideal = simulate_ideal(cat, obs_cat)
     state, report = fit(obs_cat.with_record(ideal), grad_tol=1e-13)
-    drho = delta_rho(cat.density(), state.rho)
+    drho = delta_rho(cat, state.rho)
     ok_ideal = report.delta_f <= 1e-5 and report.entropy <= 0.1 and drho <= 1e-2
 
     fids = []
@@ -126,7 +126,7 @@ def test_acceptance_3_even_cat(capsys, space16, obs_cat):
         noisy = add_noise(ideal, NoiseSpec(eta=0.1, seed=seed),
                           nbar_noisy=2.09)
         noisy_state, _ = fit(obs_cat.with_record(noisy))
-        fids.append(fidelity(cat.density(), noisy_state.rho))
+        fids.append(fidelity(cat, noisy_state.rho))
     med_fid = float(np.median(fids))
     ok = ok_ideal and med_fid >= 0.9
     _verdict(
@@ -171,12 +171,12 @@ def test_acceptance_5_three_rotation_sufficiency(capsys, space16):
         ("even cat", even_cat(space16, math.sqrt(2.0)), None),
     ):
         if nbar is None:
-            nbar = float(np.abs(state.amplitudes) ** 2 @ np.arange(16))
+            nbar = float(state.populations() @ np.arange(16))
         grid = default_bin_grid(trap, nbar=nbar, half_count=50)
         obs = build_observation_level(trap, grid, thetas, nbar, space16)
         record = simulate_ideal(state, obs)
         fitted, report = fit(obs.with_record(record), grad_tol=1e-11)
-        fid = fidelity(state.density(), fitted.rho)
+        fid = fidelity(state, fitted.rho)
         results.append((label, fid, report.delta_f))
     ok = all(fid >= 0.99 for _, fid, _ in results)
     detail = ", ".join(f"{lab}: fidelity={fid:.5f} (delta_f={df:.1e})"

@@ -210,15 +210,15 @@ def test_reconstruct_without_record_or_cut_exits_one(simulated, tmp_path, capsys
 
 def test_report_against_a_reference_of_another_dimension_exits_one(tmp_path, capsys):
     rho, ref = tmp_path / "rho.json", tmp_path / "ref.json"
-    write_density_matrix(fock_state(FockSpace(4), 0).density(), rho)
-    write_density_matrix(fock_state(FockSpace(6), 0).density(), ref)
+    write_density_matrix(fock_state(FockSpace(4), 0), rho)
+    write_density_matrix(fock_state(FockSpace(6), 0), ref)
     assert main(["report", "--rho", str(rho), "--reference", str(ref)]) == 1
     assert "dimensions differ" in capsys.readouterr().err
 
 
 def test_report_of_a_fock_state_prints_zero_entropy(tmp_path, capsys):
     rho = tmp_path / "rho.json"
-    write_density_matrix(fock_state(FockSpace(4), 2).density(), rho)
+    write_density_matrix(fock_state(FockSpace(4), 2), rho)
     assert main(["report", "--rho", str(rho)]) == 0
     assert "entropy = 0\n" in capsys.readouterr().out
 
@@ -309,8 +309,7 @@ def test_simulate_without_nbar_sizes_the_grid_from_the_state(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(CUT_CONFIG.replace("superposition:1,1", "even_cat:1.414"))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    amp = even_cat(FockSpace(16), 1.414).amplitudes
-    nbar = float(np.real((amp.conj() * np.arange(16)) @ amp))
+    nbar = float(even_cat(FockSpace(16), 1.414).populations() @ np.arange(16))
     grid = default_bin_grid(read_config(cfg).trap_config(), nbar, half_count=25)
     assert read_record(tmp_path / "record.csv").grid.width == grid.width
 

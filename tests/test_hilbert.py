@@ -10,7 +10,6 @@ from scipy.special import eval_hermite, gammaln
 from maxent_tomo import (
     DensityOperator,
     FockSpace,
-    PureState,
     TruncationError,
     delta_rho,
     entropy,
@@ -41,15 +40,6 @@ def test_fock_space_rejects_degenerate_dims():
         with pytest.raises(ValueError):
             FockSpace(bad)
     assert FockSpace(2).dim == 2
-
-
-def test_pure_state_requires_unit_norm():
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0]))
-    psi = PureState(np.array([1.0, 1.0]) / math.sqrt(2.0))
-    assert psi.dim == 2
-    rho = psi.density()
-    assert abs(np.trace(rho.matrix) - 1.0) < 1e-14
 
 
 def test_density_operator_validation():
@@ -104,7 +94,7 @@ def test_vacuum_quadrature_variances():
 
 def test_fock_state_bounds():
     space = FockSpace(4)
-    assert fock_state(space, 3).amplitudes[3] == 1.0
+    assert fock_state(space, 3).populations()[3] == 1.0
     with pytest.raises(TruncationError):
         fock_state(space, 4)
 
@@ -119,7 +109,7 @@ def test_superposition_normalizes_and_guards_truncation():
     long_coeffs[0] = 1.0
     long_coeffs[19] = 1e-5
     psi2 = superposition(space, long_coeffs)
-    assert abs(np.linalg.norm(psi2.amplitudes) - 1.0) < 1e-14
+    assert abs(np.trace(psi2.matrix) - 1.0) < 1e-14
 
     # a fat tail is an error, not a silent projection
     long_coeffs[19] = 0.1
@@ -134,7 +124,7 @@ def test_even_cat_populations_and_energy():
     space = FockSpace(16)
     alpha = math.sqrt(2.0)
     cat = even_cat(space, alpha)
-    pops = np.abs(cat.amplitudes) ** 2
+    pops = cat.populations()
     assert np.all(pops[1::2] == 0.0)
     # <n> = alpha^2 tanh(alpha^2) for the untruncated state
     nbar = expectation(cat, number_operator(space))
@@ -214,12 +204,10 @@ def test_harmonic_evolve_preserves_populations():
     space = FockSpace(12)
     psi = superposition(space, [1.0, 0.4j, 0.0, -0.2])
     evolved = harmonic_evolve(psi, 0.7318)
-    assert np.allclose(
-        np.abs(evolved.amplitudes) ** 2, np.abs(psi.amplitudes) ** 2, atol=1e-15
-    )
+    assert np.allclose(evolved.populations(), psi.populations(), atol=1e-15)
     # full period is the identity
     back = harmonic_evolve(psi, 2.0 * math.pi)
-    assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-12
+    assert np.max(np.abs(back.matrix - psi.matrix)) < 1e-12
 
 
 def test_quarter_period_maps_position_onto_momentum_density():
@@ -230,19 +218,20 @@ def test_quarter_period_maps_position_onto_momentum_density():
     rotated = harmonic_evolve(psi, math.pi / 2.0)
     x = np.linspace(-5.0, 5.0, 401)
     pos_table = hermite_functions(space.dim - 1, x)
-    dens_rotated = np.abs(rotated.amplitudes @ pos_table) ** 2
+    dens_rotated = np.real(np.einsum("mn,mx,nx->x", rotated.matrix, pos_table, pos_table))
     # <p|n> = (-i)^n psi_n(p)
     mom_amp = (-1j) ** np.arange(space.dim)[:, None] * pos_table
-    dens_momentum = np.abs(psi.amplitudes @ mom_amp) ** 2
+    dens_momentum = np.real(np.einsum("mn,mx,nx->x", psi.matrix, mom_amp, mom_amp.conj()))
     assert np.max(np.abs(dens_rotated - dens_momentum)) < 1e-12
 
 
 def test_density_evolution_consistent_with_pure():
+    """Evolving rho is evolving the amplitudes: c_n picks up e^{-i n theta}."""
     space = FockSpace(10)
-    psi = superposition(space, [0.5, 0.5, 0.5, 0.5])
+    coeffs = np.full(4, 0.5)
     theta = 1.234
-    via_pure = harmonic_evolve(psi, theta).density().matrix
-    via_density = harmonic_evolve(psi.density(), theta).matrix
+    via_pure = superposition(space, coeffs * np.exp(-1j * theta * np.arange(4))).matrix
+    via_density = harmonic_evolve(superposition(space, coeffs), theta).matrix
     assert np.max(np.abs(via_pure - via_density)) < 1e-14
 
 
@@ -312,7 +301,7 @@ def test_entropy_of_a_pure_state_is_positive_zero():
     space = FockSpace(8)
     pure = [fock_state(space, 0), fock_state(space, 3),
             superposition(space, [1.0, 1.0]), superposition(space, [1.0, 0.4j, 0.0, -0.2])]
-    for state in pure + [state.density() for state in pure]:
+    for state in pure:
         assert math.copysign(1.0, entropy(state)) == 1.0
         assert entropy(state) < 1e-12
 
@@ -325,10 +314,10 @@ def test_entropy_ignores_rounding_level_eigenvalues(tmp_path):
     for dim in (8, 16, 48):
         space = FockSpace(dim)
         for coeffs in ([1.0, 1.0], [1.0, 0.4j, 0.0, -0.2], [1.0, 1.0, 1.0]):
-            assert entropy(superposition(space, coeffs).density()) == 0.0
+            assert entropy(superposition(space, coeffs)) == 0.0
     assert entropy(even_cat(FockSpace(48), 1.414)) == 0.0
     path = tmp_path / "state_true.json"
-    write_density_matrix(superposition(FockSpace(16), [1.0, 1.0]).density(), path)
+    write_density_matrix(superposition(FockSpace(16), [1.0, 1.0]), path)
     assert entropy(read_density_matrix(path)) == 0.0
     p = 1e-10
     mixed = DensityOperator(np.diag([1.0 - p, p, 0.0]).astype(complex))
@@ -353,8 +342,8 @@ def test_fidelity_landmarks():
 
 def test_delta_rho_is_squared_frobenius_distance():
     space = FockSpace(4)
-    a = fock_state(space, 0).density()
-    b = fock_state(space, 1).density()
+    a = fock_state(space, 0)
+    b = fock_state(space, 1)
     assert delta_rho(a, b) == pytest.approx(2.0, abs=1e-14)
 
 
@@ -385,8 +374,8 @@ def test_evolution_is_unitary_for_any_angle(dim, theta):
     amps = np.zeros(dim)
     amps[dim - 1] = 0.6
     amps[0] = 0.8
-    psi = PureState(amps)
+    psi = superposition(FockSpace(dim), amps)
     evolved = harmonic_evolve(psi, theta)
-    assert abs(np.linalg.norm(evolved.amplitudes) - 1.0) < 1e-12
+    assert abs(np.trace(evolved.matrix) - 1.0) < 1e-12
     assert abs(expectation(evolved, number_operator(FockSpace(dim)))
                - expectation(psi, number_operator(FockSpace(dim)))) < 1e-10

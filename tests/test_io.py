@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from maxent_tomo import (
     CutFile,
+    DensityOperator,
     EmptyAfterClamp,
     FitDivergence,
     FockSpace,
@@ -463,8 +464,8 @@ def test_density_matrix_round_trip(tmp_path):
     assert np.array_equal(back.matrix, rho.matrix)
 
     psi = superposition(FockSpace(6), [1.0, 0.3j])
-    write_density_matrix(psi.density(), path)
-    assert np.array_equal(read_density_matrix(path).matrix, psi.density().matrix)
+    write_density_matrix(psi, path)
+    assert np.array_equal(read_density_matrix(path).matrix, psi.matrix)
 
 
 # bytes that are not UTF-8, and not JSON, CSV or config text in any encoding
@@ -517,8 +518,8 @@ def test_parse_config_text_and_defaults():
     assert cfg.omega_z == pytest.approx(2.0 * math.pi * 80e3)
     assert len(cfg.rotations(cfg.taus_us)) == 3
     assert cfg.rotations(cfg.taus_us)[1] == pytest.approx(cfg.omega_z * 1.6e-6)
-    assert np.array_equal(cfg.build_state().amplitudes,
-                          superposition(FockSpace(8), [1, 1]).amplitudes)
+    assert np.array_equal(cfg.build_state().matrix,
+                          superposition(FockSpace(8), [1, 1]).matrix)
 
     with pytest.raises(ValueError):
         RunConfig.from_dict({"not_a_key": "1"})
@@ -528,23 +529,64 @@ def test_parse_config_text_and_defaults():
         RunConfig.from_dict({"dim": "eight"})
 
 
-# the README's state specs and the factory calls they stand for
+def _normalized(amp):
+    amp = np.asarray(amp, dtype=np.complex128)
+    return amp / np.linalg.norm(amp)
+
+
+def _padded(head, dim=40):
+    return _normalized(np.concatenate([head, np.zeros(dim - len(head))]))
+
+
+def _cat_amplitudes(alpha, dim=40):
+    """alpha^n / sqrt(n!) on the even levels n, taken in logs."""
+    from scipy.special import gammaln
+
+    even = np.arange(0, dim, 2)
+    log_w = even * math.log(alpha**2) - gammaln(even + 1.0)
+    amp = np.zeros(dim, dtype=np.complex128)
+    amp[even] = np.exp((log_w - log_w.max()) / 2.0)
+    return _normalized(amp)
+
+
+def _free_flight_amplitudes(t1, dim=40):
+    """c_0 = (1 + i kappa)^(-1/2), c_{n+2} = c_n xi sqrt((n+1)/(n+2)),
+    xi = i kappa / (1 + i kappa), kappa = omega_z t1 / 2."""
+    kappa = 0.5 * make_trap().omega_z * t1
+    xi = 1j * kappa / (1.0 + 1j * kappa)
+    amp = np.zeros(dim, dtype=np.complex128)
+    amp[0] = 1.0 / np.sqrt(1.0 + 1j * kappa)
+    for n in range(0, dim - 2, 2):
+        amp[n + 2] = amp[n] * xi * math.sqrt((n + 1) / (n + 2))
+    return _normalized(amp)
+
+
+# the README's state specs, the factory calls they stand for and the
+# closed-form Fock amplitudes of the pure ones (None for the thermal mixture)
 README_STATE_SPECS = {
-    "fock:2": lambda space: fock_state(space, 2),
-    "superposition:1,1": lambda space: superposition(space, [1, 1]),
-    "even_cat:1.414": lambda space: even_cat(space, 1.414),
-    "thermal:0.5": lambda space: thermal_state(space, 0.5),
-    "free_expansion:4": lambda space: prepare_free_expansion(make_trap(), 4e-6, space),
+    "fock:2": (lambda space: fock_state(space, 2), lambda: _padded([0, 0, 1])),
+    "superposition:1,1": (lambda space: superposition(space, [1, 1]), lambda: _padded([1, 1])),
+    "superposition:1,0.5j": (lambda space: superposition(space, [1, 0.5j]),
+                             lambda: _padded([1, 0.5j])),
+    "even_cat:1.414": (lambda space: even_cat(space, 1.414), lambda: _cat_amplitudes(1.414)),
+    "thermal:0.5": (lambda space: thermal_state(space, 0.5), lambda: None),
+    "free_expansion:4": (lambda space: prepare_free_expansion(make_trap(), 4 * 1e-6, space),
+                         lambda: _free_flight_amplitudes(4 * 1e-6)),
 }
 
 
 @pytest.mark.parametrize("spec", README_STATE_SPECS)
 def test_each_readme_state_spec_builds_its_factory_state(spec):
+    """Every state is a DensityOperator, from the spec and from its factory;
+    a pure one is |c><c| of its closed-form amplitudes c, bit for bit."""
+    factory, closed_form = README_STATE_SPECS[spec]
     built = RunConfig.from_dict({"dim": "40", "state": spec}).build_state()
-    expected = README_STATE_SPECS[spec](FockSpace(40))
-    assert type(built) is type(expected)
-    field = "amplitudes" if hasattr(expected, "amplitudes") else "matrix"
-    assert np.array_equal(getattr(built, field), getattr(expected, field))
+    expected = factory(FockSpace(40))
+    assert isinstance(built, DensityOperator) and isinstance(expected, DensityOperator)
+    assert built.matrix.tobytes() == expected.matrix.tobytes()
+    c = closed_form()
+    if c is not None:
+        assert built.matrix.tobytes() == np.outer(c, c.conj()).tobytes()
 
 
 def test_repeated_config_key_names_both_lines():
@@ -739,7 +781,7 @@ def _fuzz_source(name, tmp_path):
         write_cut_file(written, path)
         return read_cut_file, path, written, _same_cut
     if name == "density":
-        written = superposition(FockSpace(3), [1.0, 0.5 - 0.3j, 0.2]).density()
+        written = superposition(FockSpace(3), [1.0, 0.5 - 0.3j, 0.2])
         write_density_matrix(written, path)
         return read_density_matrix, path, written, _same_density
     path.write_text("".join(f"{key} = {text}\n" for key, (text, _) in CONFIG_SAMPLES.items()))
@@ -827,7 +869,7 @@ def test_background_subtraction_improves_the_fit(trap, space16, synthetic_cuts):
     state_raw, rep_raw = _fit_rows(obs, rows_raw, 0.5)
     assert rep_sub.delta_f < 1e-3
     assert rep_raw.delta_f > 3.0 * rep_sub.delta_f
-    assert fidelity(psi.density(), state_sub.rho) > 0.98
+    assert fidelity(psi, state_sub.rho) > 0.98
 
 
 def test_fixed_center_preserves_marginal_displacements(trap, space16,
@@ -845,8 +887,8 @@ def test_fixed_center_preserves_marginal_displacements(trap, space16,
     ]
     state_fixed, _ = _fit_rows(obs, rows_fixed, 0.5)
     state_centered, _ = _fit_rows(obs, rows_centered, 0.5)
-    fid_fixed = fidelity(psi.density(), state_fixed.rho)
-    fid_centered = fidelity(psi.density(), state_centered.rho)
+    fid_fixed = fidelity(psi, state_fixed.rho)
+    fid_centered = fidelity(psi, state_centered.rho)
     assert fid_fixed > 0.98
     assert fid_centered < fid_fixed - 0.1
 

@@ -515,7 +515,7 @@ def test_exact_fits_do_not_depend_on_rounding_of_the_data(acceptance_level):
     822-2469 iterations and 0-2 restarts on these draws."""
     obs, ideal = acceptance_level
     obs = obs.with_record(ideal)
-    target = superposition(FockSpace(obs.dim), [1.0, 1.0]).density()
+    target = superposition(FockSpace(obs.dim), [1.0, 1.0])
     rng = np.random.default_rng(0)
     iterations, fids = set(), []
     for _ in range(8):
@@ -565,7 +565,7 @@ def test_noisy_cat_fits_run_no_probe_and_keep_their_bits(monkeypatch, trap, spac
     from maxent_tomo import maxent
 
     cat = even_cat(space16, math.sqrt(2.0))
-    nbar = float(np.abs(cat.amplitudes) ** 2 @ np.arange(16))
+    nbar = float(cat.populations() @ np.arange(16))
     grid = default_bin_grid(trap, nbar=nbar, half_count=25)
     obs = build_observation_level(trap, grid, rotations(trap), nbar, space16)
     ideal = simulate_ideal(cat, obs)
@@ -617,7 +617,7 @@ def test_probe_ends_exact_fits_within_30_steps_and_declines_noisy_ones(trap, spa
 
     pair = superposition(space16, [1.0, 1.0])
     cat = even_cat(space16, math.sqrt(2.0))
-    nbar_cat = float(np.abs(cat.amplitudes) ** 2 @ np.arange(16))
+    nbar_cat = float(cat.populations() @ np.arange(16))
     point = make_trap(cloud_rms=1e-12)
     three = (0.0, math.pi / 4.0, math.pi / 2.0)
 
@@ -647,7 +647,7 @@ def cat_level(trap, space16):
     """Acceptance 3's level, four rotations of 51 bins, with the exact bin
     means of the even cat alpha = sqrt(2)."""
     cat = even_cat(space16, math.sqrt(2.0))
-    nbar = float(np.abs(cat.amplitudes) ** 2 @ np.arange(16))
+    nbar = float(cat.populations() @ np.arange(16))
     grid = default_bin_grid(trap, nbar=nbar, half_count=25)
     obs = build_observation_level(trap, grid, rotations(trap), nbar, space16)
     return obs, simulate_ideal(cat, obs)
@@ -701,7 +701,7 @@ def test_exact_fit_on_a_level_with_no_relation_ends_in_the_first_probe(monkeypat
     state, report = fit(obs)
     assert report.converged and report.message.startswith("lm: deviation floor")
     assert report.iterations <= 40
-    assert delta_rho(pair.density(), state.rho) < 1e-7
+    assert delta_rho(pair, state.rho) < 1e-7
 
 
 def test_relation_bound_is_the_weighted_distance_to_the_consistent_means():
@@ -733,7 +733,7 @@ def _cat48_level(n_rotations):
     rotation's bins may span; and its exact record."""
     trap, space = make_trap(cloud_rms=10e-6), FockSpace(48)
     cat = even_cat(space, 2.5)
-    nbar = float(np.abs(cat.amplitudes) ** 2 @ np.arange(48))
+    nbar = float(cat.populations() @ np.arange(48))
     grid = default_bin_grid(trap, nbar=nbar, half_count=50)
     thetas = [math.pi * j / n_rotations for j in range(n_rotations)]
     obs = build_observation_level(trap, grid, thetas, nbar, space)
@@ -766,7 +766,7 @@ def test_exact_fit_at_dimension_48_ends_in_the_probe():
     state, report = fit(obs.with_record(ideal), grad_tol=1e-13)
     assert report.message == "lm: deviation floor: dF < 1e-14"
     assert report.iterations <= 30
-    assert delta_rho(cat.density(), state.rho) < 1e-10
+    assert delta_rho(cat, state.rho) < 1e-10
 
 
 def test_exact_fits_skip_l_bfgs_and_keep_the_probe_answer(monkeypatch, acceptance_level,
@@ -839,7 +839,7 @@ def test_exact_fits_at_the_default_tolerance_reach_the_state(trap, space16, cat_
                          (cat_obs.with_record(cat_ideal), cat)):
         state, report = fit(level)
         assert report.converged and report.message.startswith("lm: ")
-        assert delta_rho(truth.density(), state.rho) < 1e-8
+        assert delta_rho(truth, state.rho) < 1e-8
 
 
 def test_fit_flags_non_convergence(trap, space16):
@@ -1076,7 +1076,7 @@ def test_stalled_noisy_fit_is_reported_as_a_stall(acceptance_level):
     assert report.restarts == 0
     assert report.converged or report.message == maxent.STALL_STOP
     psi = superposition(FockSpace(16), [1.0, 1.0])
-    assert fidelity(psi.density(), state.rho) >= 0.98
+    assert fidelity(psi, state.rho) >= 0.98
 
 
 def test_gradient_test_at_the_tie_converges_as_l_bfgs_b_stops(acceptance_level):

@@ -25,7 +25,6 @@ from maxent_tomo import (
     MeasurementRecord,
     NoiseSpec,
     ObservableSet,
-    PureState,
     QuadratureError,
     RunConfig,
     TrapConfig,
@@ -118,7 +117,7 @@ def _record(rotations=(0.0,), value=0.2):
 
 
 @pytest.mark.parametrize("build, name", [
-    (lambda: PureState([np.nan, 1.0]), None),
+    (lambda: superposition(FockSpace(8), [np.nan, 1.0]), "coeffs"),
     (lambda: DensityOperator(NAN_2X2), None),
     (lambda: make_trap(omega_z=np.nan), None),
     (lambda: BinGrid(center=0.0, width=np.nan, half_count=3), None),
@@ -140,7 +139,7 @@ def _record(rotations=(0.0,), value=0.2):
     (lambda: thermal_state(FockSpace(8), np.inf), "nbar"),
     (lambda: prepare_free_expansion(make_trap(), np.nan, FockSpace(8)), "t1"),
     (lambda: prepare_free_expansion(make_trap(), np.inf, FockSpace(8)), "t1"),
-], ids=["pure-state", "density-operator", "trap-omega",
+], ids=["superposition", "density-operator", "trap-omega",
         "grid-width-nan", "grid-width-inf", "noise-eta", "set-weights",
         "set-operators", "cut-tau", "cut-positions", "cut-pixel-width-nan",
         "cut-pixel-width-inf", "record-value-nan", "record-value-inf",
@@ -156,7 +155,6 @@ def test_constructors_reject_non_finite_input(build, name):
 
 # constructor -> (valid keyword arguments, numeric fields that must be positive)
 VALID_ARGUMENTS = {
-    PureState: (dict(amplitudes=[1.0, 0.0]), set()),
     DensityOperator: (dict(matrix=np.eye(2) / 2.0), set()),
     TrapConfig: (dict(TRAP_KW), set(TRAP_KW)),
     BinGrid: (dict(center=0.0, width=1e-5, half_count=3), {"width", "half_count"}),
@@ -205,9 +203,9 @@ def test_constructors_reject_non_finite_and_non_positive_fields(data):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: PureState([np.nan, 1.0]),
+    lambda: superposition(FockSpace(2), [np.nan, 1.0]),
     lambda: DensityOperator([[np.inf, 0.0], [0.0, 0.5]]),
-], ids=["pure-state", "density-operator"])
+], ids=["superposition", "density-operator"])
 def test_states_name_non_finite_entries_before_other_faults(build):
     with pytest.raises(ValueError, match="finite"):
         build()

@@ -59,6 +59,15 @@ def test_simulate_rejects_mismatched_dims(trap, obs_half):
         simulate_ideal(fock_state(FockSpace(8), 0), obs_half)
 
 
+@pytest.mark.parametrize("state", [np.diag([1.0] + [0.0] * 15), None, [1.0, 0.0]],
+                         ids=["array", "none", "list"])
+def test_simulate_refuses_a_state_that_is_not_a_density_operator(obs_half, state):
+    """Not a dimension mismatch, even for the vacuum's raw 16 x 16 matrix:
+    the message names the type it got."""
+    with pytest.raises(TypeError, match=f"DensityOperator, got {type(state).__name__}$"):
+        simulate_ideal(state, obs_half)
+
+
 def test_record_validation(trap):
     grid = default_bin_grid(trap, nbar=0.5, half_count=2)
     good = np.full((1, 5), 0.2)
@@ -178,7 +187,7 @@ def test_free_expansion_nbar_is_kappa_squared(trap):
         nbar = expectation(psi, number_operator(space))
         # the residual is the basis truncation tail, not the physics
         assert nbar == pytest.approx(kappa**2, rel=1e-5)
-        pops = np.abs(psi.amplitudes) ** 2
+        pops = psi.populations()
         assert np.all(pops[1::2] < 1e-20)  # quadratic drive: even levels only
 
 
@@ -207,21 +216,21 @@ def _squeezed_vacuum_leak(kappa: float, dim: int) -> float:
 
 @pytest.mark.parametrize("t1, dim", [(2e-6, 16), (4e-6, 40), (8e-6, 160)])
 def test_free_expansion_is_the_renormalized_head_of_the_exact_state(trap, t1, dim):
-    """The closed form against a dense exponential: the amplitudes are the
-    exact state's first dim levels, renormalized, and what they miss is the
-    squeezed vacuum's population above the truncation."""
+    """The closed form against a dense exponential: the state is |head><head|
+    of the exact state's first dim levels, renormalized, and what it misses
+    is the squeezed vacuum's population above the truncation."""
     kappa = 0.5 * trap.omega_z * t1
     exact = _dense_free_flight(kappa, dim)
     psi = prepare_free_expansion(trap, t1, FockSpace(dim))
     head = exact[:dim] / np.linalg.norm(exact[:dim])
-    assert np.max(np.abs(psi.amplitudes - head)) < 1e-14
-    fidelity = abs(np.vdot(exact[:dim], psi.amplitudes)) ** 2
+    assert np.max(np.abs(psi.matrix - np.outer(head, head.conj()))) < 1e-14
+    fidelity = np.real(exact[:dim].conj() @ psi.matrix @ exact[:dim])
     assert 1.0 - fidelity == pytest.approx(_squeezed_vacuum_leak(kappa, dim), abs=1e-12)
 
 
 def test_free_expansion_without_flight_is_the_vacuum_bit_for_bit(trap):
     psi = prepare_free_expansion(trap, 0.0, FockSpace(16))
-    assert psi.amplitudes.tobytes() == fock_state(FockSpace(16), 0).amplitudes.tobytes()
+    assert psi.matrix.tobytes() == fock_state(FockSpace(16), 0).matrix.tobytes()
 
 
 def test_free_expansion_truncation_guard(trap):
@@ -229,4 +238,4 @@ def test_free_expansion_truncation_guard(trap):
         prepare_free_expansion(trap, 4e-6, FockSpace(16))
     # t1 = 0 is the vacuum
     psi = prepare_free_expansion(trap, 0.0, FockSpace(16))
-    assert np.allclose(psi.amplitudes, fock_state(FockSpace(16), 0).amplitudes)
+    assert np.allclose(psi.matrix, fock_state(FockSpace(16), 0).matrix)

@@ -135,8 +135,8 @@ def test_wigner_against_direct_transform():
 @pytest.mark.filterwarnings("ignore:grid reaches")
 def test_wigner_is_linear_in_the_state():
     space = FockSpace(10)
-    a = superposition(space, [1.0, 0.5j]).density()
-    b = fock_state(space, 2).density()
+    a = superposition(space, [1.0, 0.5j])
+    b = fock_state(space, 2)
     from maxent_tomo import DensityOperator
 
     mix = DensityOperator(0.3 * a.matrix + 0.7 * b.matrix)
@@ -331,14 +331,16 @@ def test_imag_residual_is_the_closed_form_imaginary_part(seed):
     # the axis (2 span) and the squared coordinates (2 span^2) overflow
     (dict(span=1e308), "span"),
     (dict(span=1e160), "span"),
+    (dict(span=10**400), "span"),  # a Python int past the float range
     (dict(points=1), "points"),
     (dict(points=3.0), "points"),
     (dict(points=3.5), "points"),
     (dict(points=math.nan), "points"),
     (dict(points="257"), "points"),
     (dict(points=True), "points"),
-], ids=["span-nan", "span-inf", "span-zero", "span-1e308", "span-1e160", "points-one",
-        "points-float", "points-fraction", "points-nan", "points-string", "points-bool"])
+], ids=["span-nan", "span-inf", "span-zero", "span-1e308", "span-1e160", "span-10**400",
+        "points-one", "points-float", "points-fraction", "points-nan", "points-string",
+        "points-bool"])
 def test_wigner_eval_rejects_bad_grids_naming_the_argument(kwargs, name):
     with pytest.raises(ValueError, match=name):
         wigner_eval(fock_state(FockSpace(4), 0), **kwargs)
