@@ -16,17 +16,12 @@ import sys
 # each command imports what it runs, so --help and a usage error load no
 # numpy, and only reconstruct loads the fit, only wigner the Wigner kernel
 
-__all__ = ["main"]
-
 
 def _apply_overrides(config, args):
-    """The RunConfig with command-line values in place, checked like one
-    read from a file."""
-    flags = {"nbar": "nbar", "eta": "eta", "seed": "seed", "dim": "dim",
-             "fixed_center_m": "fixed_center"}
-    changes = {key: getattr(args, flag, None) for key, flag in flags.items()}
-    changes = {key: value for key, value in changes.items() if value is not None}
-    return dataclasses.replace(config, **changes)
+    """The RunConfig with each command-line value given for a same-named key
+    in place, checked like one read from a file."""
+    changes = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(config)}
+    return dataclasses.replace(config, **{k: v for k, v in changes.items() if v is not None})
 
 
 def _outdir(args) -> str:
@@ -169,7 +164,7 @@ def _parser() -> argparse.ArgumentParser:
     rec.add_argument("--nbar", type=float, default=None)
     rec.add_argument("--dim", type=int, default=None)
     rec.add_argument("--out", default=None)
-    rec.add_argument("--fixed-center", type=float, default=None,
+    rec.add_argument("--fixed-center", dest="fixed_center_m", type=float, default=None,
                      help="use this cloud center (m) for every cut instead of "
                           "per-image Gaussian fits")
     rec.set_defaults(func=_cmd_reconstruct)

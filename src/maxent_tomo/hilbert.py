@@ -25,22 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "FockSpace",
-    "DensityOperator",
-    "TruncationError",
-    "number_operator",
-    "fock_state",
-    "superposition",
-    "even_cat",
-    "thermal_state",
-    "hermite_functions",
-    "entropy",
-    "delta_rho",
-    "fidelity",
-    "expectation",
-]
-
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -154,6 +138,10 @@ def superposition(space: FockSpace, coeffs) -> DensityOperator:
     than ``LEAKAGE_TOL`` of the total weight.
     """
     c = np.asarray(coeffs, dtype=np.complex128).ravel()
+    # scaled by a power of two, which is exact, so that squaring a finite c
+    # neither overflows nor underflows; nan and inf pass unscaled
+    _, exp = np.frexp(np.max(np.abs(c.view(np.float64)), initial=0.0))
+    c = np.ldexp(c.view(np.float64), -exp).view(np.complex128)
     total = float(np.sum(np.abs(c) ** 2))
     if not 0.0 < total < math.inf:  # nan fails too
         raise ValueError(f"coeffs must be finite and not all zero, got total weight {total}")

@@ -26,6 +26,7 @@ import numpy as np
 
 from .hilbert import DensityOperator, FockSpace, even_cat, fock_state, superposition, thermal_state
 from .measurement import (
+    MAX_COUNT,
     BinGrid,
     ObservableSet,
     TrapConfig,
@@ -33,24 +34,6 @@ from .measurement import (
     default_bin_grid,
 )
 from .simulate import MeasurementRecord, prepare_free_expansion
-
-__all__ = [
-    "CutFile",
-    "GaussianFit",
-    "RunConfig",
-    "FitDivergence",
-    "EmptyAfterClamp",
-    "read_cut_file",
-    "write_cut_file",
-    "gaussian_fit_center",
-    "preprocess",
-    "write_record",
-    "read_record",
-    "write_density_matrix",
-    "read_density_matrix",
-    "parse_config_text",
-    "read_config",
-]
 
 
 class FitDivergence(RuntimeError):
@@ -349,27 +332,30 @@ def read_record(path) -> MeasurementRecord:
         half_count=int(meta["grid_half_count"]),
     )
     rotations = tuple(float(t) for t in meta["rotations_rad"].split(","))
-    values = np.zeros((len(rotations), grid.n_bins))
-    seen = np.zeros(values.shape, dtype=bool)
-    centers = grid.centers()
+    hc = grid.half_count
+    seen = {}  # (rotation, bin) -> value; the metadata's grid is allocated only once covered
     for j, theta, k, z, value in rows:
-        if not (0 <= j < len(rotations) and abs(k) <= grid.half_count):
+        if not (0 <= j < len(rotations) and abs(k) <= hc):
             raise ValueError(f"record row (rotation {j}, bin {k}) is outside "
-                             f"{len(rotations)} rotations x bins +-{grid.half_count}")
-        if seen[j, k + grid.half_count]:
+                             f"{len(rotations)} rotations x bins +-{hc}")
+        if (j, k) in seen:
             raise ValueError(f"record repeats the row (rotation {j}, bin {k})")
         if theta != rotations[j]:
             raise ValueError(f"record row (rotation {j}, bin {k}) has theta_rad "
                              f"{theta!r}, metadata says {rotations[j]!r}")
-        if not abs(z - centers[k + grid.half_count]) <= _PITCH_TOL * grid.width:
+        center = grid.center + grid.width * k  # grid.centers()[k + hc], bit for bit
+        if not abs(z - center) <= _PITCH_TOL * grid.width:
             raise ValueError(f"record row (rotation {j}, bin {k}) has z_m {z!r}, the "
-                             f"grid's bin {k} is centered at {centers[k + grid.half_count]!r}")
-        seen[j, k + grid.half_count] = True
-        values[j, k + grid.half_count] = value
-    if not seen.all():
-        j, i = np.argwhere(~seen)[0]
-        raise ValueError(f"record misses {int((~seen).sum())} rows, first "
-                         f"(rotation {j}, bin {i - grid.half_count})")
+                             f"grid's bin {k} is centered at {center!r}")
+        seen[j, k] = value
+    missing = len(rotations) * grid.n_bins - len(seen)
+    if missing:
+        j, k = next((j, k) for j in range(len(rotations)) for k in range(-hc, hc + 1)
+                    if (j, k) not in seen)
+        raise ValueError(f"record misses {missing} rows, first (rotation {j}, bin {k})")
+    values = np.zeros((len(rotations), grid.n_bins))
+    for (j, k), value in seen.items():
+        values[j, k + hc] = value
     if meta["kind"] not in ("ideal", "noisy", "cuts"):  # the kinds the package writes
         raise ValueError(f"metadata key 'kind' must be ideal, noisy or cuts, "
                          f"got {meta['kind']!r}")
@@ -486,12 +472,13 @@ class RunConfig:
     recenter: ClassVar[bool] = True
 
     def __post_init__(self):
-        # by declared type: every float and int, and each entry of the tuple taus_us
+        # by declared type: every float and int, and each entry of the tuple taus_us;
+        # a Python int is finite, and may exceed the float range
         for f in fields(self):
             value = getattr(self, f.name)
             kind = f.type.removesuffix(" | None")
             numbers = value if kind == "tuple" else (value,) if kind in ("float", "int") else ()
-            if not all(x is None or math.isfinite(x) for x in numbers):
+            if not all(x is None or isinstance(x, int) or math.isfinite(x) for x in numbers):
                 raise ValueError(f"config key {f.name!r} must be finite, got {value!r}")
         rules = [
             (key, getattr(self, key) is None or getattr(self, key) > 0, "positive")
@@ -500,8 +487,8 @@ class RunConfig:
             (key, getattr(self, key) is None or getattr(self, key) >= 0, "non-negative")
             for key in ("nbar", "eta", "seed")
         ] + [
-            ("dim", self.dim >= 2, "at least 2"),
-            ("bin_half_count", self.bin_half_count >= 1, "at least 1"),
+            ("dim", 2 <= self.dim <= MAX_COUNT, "from 2 to 2**53"),
+            ("bin_half_count", 1 <= self.bin_half_count <= MAX_COUNT, "from 1 to 2**53"),
         ]
         for key, ok, rule in rules:
             if not ok:

@@ -34,16 +34,6 @@ import numpy as np
 from .hilbert import DensityOperator, _one_thread_load, entropy
 from .measurement import ObservableSet
 
-__all__ = [
-    "LagrangeVector",
-    "CanonicalState",
-    "FitReport",
-    "MissingMeans",
-    "canonical_state",
-    "deviation",
-    "fit",
-]
-
 CONVERGED_DF = 1e-14
 # relative-gradient stop |grad dF|inf <= REL_GRAD_TOL * dF (Dennis & Schnabel
 # 1983, sec. 7.2); 1e-5 stopped a rounding-perturbed exact fit on a plateau

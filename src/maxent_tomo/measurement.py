@@ -31,16 +31,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .hilbert import FockSpace, _readonly, hermite_functions, number_operator
 
-__all__ = [
-    "TrapConfig",
-    "BinGrid",
-    "ObservableSet",
-    "QuadratureError",
-    "DegenerateRotationError",
-    "default_bin_grid",
-    "build_observation_level",
-]
-
 # A bin basis B is accepted when Cholesky factors of B + SPECTRUM_TOL I and
 # (1 + SPECTRUM_TOL) I - B exist: a Hermitian matrix has one if and only if it
 # is positive definite, to a backward error of about N eps |B|, far below the
@@ -50,6 +40,9 @@ SET_HERMITICITY_TOL = 1e-12
 # Rotations this close modulo pi are refused: a half turn only mirrors the bins,
 # and the operators of the two differ by about (N - 1) times the distance.
 ROTATION_TOL = 1e-9
+# The largest bin half count and Fock dimension accepted: bin indices and Fock
+# levels enter float arithmetic, which holds every integer only up to 2**53.
+MAX_COUNT = 2**53
 
 
 class QuadratureError(ValueError):
@@ -123,9 +116,9 @@ class BinGrid:
             raise ValueError("bin width must be positive and finite")
         if not np.isfinite(self.center):
             raise ValueError("grid center must be finite")
-        hc = self.half_count
-        if not (np.isfinite(hc) and hc >= 1 and int(hc) == hc):
-            raise ValueError("half_count must be a positive integer")
+        hc = self.half_count  # an int may exceed the float range
+        if not (1 <= hc <= MAX_COUNT and hc % 1 == 0):
+            raise ValueError(f"half_count must be an integer from 1 to 2**53, got {hc!r}")
         object.__setattr__(self, "half_count", int(self.half_count))
 
     @property
@@ -357,14 +350,13 @@ class ObservableSet:
         return out
 
     def with_record(self, record) -> "ObservableSet":
-        """Attach a MeasurementRecord's bin values and nbar as target means."""
-        shape = self.bin_shape
-        if shape is None:
+        """Attach a MeasurementRecord's bin values and nbar as target means;
+        the record must be taken at the set's rotations, on its grid."""
+        if self.bin_shape is None:
             raise ValueError("observable set carries no (rotation, bin) layout")
-        if record.values.shape != shape:
-            raise ValueError(
-                f"record shape {record.values.shape} does not match observables {shape}"
-            )
+        if (record.rotations, record.grid) != (tuple(self.rotations), self.grid):
+            raise ValueError(f"record taken at rotations {record.rotations} on {record.grid}, "
+                             f"the observables at {self.rotations} on {self.grid}")
         return self.with_means(record.flat_means())
 
     def validate(self) -> None:

@@ -17,15 +17,6 @@ import numpy as np
 from .hilbert import LEAKAGE_TOL, DensityOperator, FockSpace, TruncationError, _pure
 from .measurement import BinGrid, ObservableSet, TrapConfig
 
-__all__ = [
-    "NoiseSpec",
-    "MeasurementRecord",
-    "DimensionMismatch",
-    "simulate_ideal",
-    "add_noise",
-    "prepare_free_expansion",
-]
-
 
 class DimensionMismatch(ValueError):
     """State and observables live in different truncated spaces."""
@@ -41,7 +32,7 @@ class NoiseSpec:
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta >= 0):
             raise ValueError("eta must be finite and non-negative")
-        if not (np.isfinite(self.seed) and self.seed >= 0 and int(self.seed) == self.seed):
+        if not (self.seed >= 0 and self.seed % 1 == 0):  # any int: default_rng takes it
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 

@@ -44,13 +44,6 @@ import numpy as np
 
 from .hilbert import _matrix_of, _readonly, hermite_functions
 
-__all__ = [
-    "WignerGrid",
-    "wigner_eval",
-    "write_wigner_csv",
-    "write_wigner_json",
-]
-
 CONVENTION = "integral-2pi"
 
 

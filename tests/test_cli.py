@@ -292,6 +292,32 @@ def test_command_line_values_are_checked_like_config_values(simulated, tmp_path,
     assert "config key 'fixed_center_m' must be finite" in capsys.readouterr().err
 
 
+# an int past the float range: math.isfinite raised OverflowError on it, a traceback
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize("argv, extra, key", [
+    (["--dim", HUGE], "", "dim"),
+    ([], f"bin_half_count = {HUGE}\n", "bin_half_count"),
+], ids=["dim-10**400", "bin_half_count-10**400"])
+def test_integer_keys_past_their_bound_exit_one_naming_the_key(tmp_path, capsys, argv, extra,
+                                                               key):
+    cfg = tmp_path / "run.cfg"
+    kept = [ln for ln in CONFIG.splitlines(keepends=True) if not ln.startswith(f"{key} =")]
+    cfg.write_text("".join(kept) + extra)
+    assert main(["simulate", "--config", str(cfg), *argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"config key '{key}' must be from " in err
+
+
+def test_a_seed_past_the_float_range_seeds_the_noise(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--seed", HUGE, "--out", str(tmp_path)]) == 0
+    assert read_record(tmp_path / "record.csv").provenance == {
+        "kind": "noisy", "eta": 0.1, "seed": 10**400}
+
+
 def test_record_with_overflowing_rotation_exits_one_naming_it(simulated, tmp_path, capsys):
     cfg, record = simulated
     huge = tmp_path / "record.csv"

@@ -120,6 +120,17 @@ def test_superposition_normalizes_and_guards_truncation():
         superposition(space, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("coeffs, populations", [
+    ([1e200, 1.0], [1.0, 0.0]),
+    ([1e-200, 1e-200], [0.5, 0.5]),
+], ids=["1e200-and-1", "1e-200-twice"])
+def test_superposition_takes_finite_extreme_coefficients(coeffs, populations):
+    """Squared unscaled, 1e200 overflowed and 1e-200 underflowed, and both
+    were refused as a total weight of inf or 0."""
+    psi = superposition(FockSpace(4), coeffs)
+    assert np.allclose(psi.populations(), populations + [0.0, 0.0], rtol=0.0, atol=1e-15)
+
+
 def test_even_cat_populations_and_energy():
     space = FockSpace(16)
     alpha = math.sqrt(2.0)

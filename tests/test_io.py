@@ -5,6 +5,7 @@ import json
 import math
 import re
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,6 +316,26 @@ def test_read_record_refuses_malformed_rows(trap, space16, tmp_path):
             read_record(path)
 
 
+def test_read_record_counts_rows_before_it_allocates_the_grid(trap, space16, tmp_path):
+    """A one-row record that claims a grid of 2 x (2 * 10**6 + 1) bins is
+    refused for its missing rows, allocating little: the reader once built
+    the claimed grid and an index of its missing rows first, a traced peak
+    of 184 MB here, and 16 GB for the grid alone at a claim of 10**9."""
+    path, lines = _record_lines(trap, space16, tmp_path)
+    header = next(n for n, ln in enumerate(lines) if ln.startswith("rotation_index"))
+    path.write_text("".join("# grid_half_count=1000000\n" if ln.startswith("# grid_half_count=")
+                            else ln for ln in lines[:header + 2]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"record misses 4000001 rows, first "
+                                             r"\(rotation 0, bin -1000000\)"):
+            read_record(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_read_record_names_a_nan_value(trap, space16, tmp_path):
     path, lines = _record_lines(trap, space16, tmp_path)
     i = next(n for n, ln in enumerate(lines) if ln.startswith("rotation_index")) + 5
@@ -428,6 +449,10 @@ def _broken_files(trap, space16, tmp_path):
                          "metadata key 'kind' must be ideal, noisy or cuts, got 'banana'"),
         "record-without-kind": ("--record", [ln for ln in lines if not ln.startswith("# kind=")],
                                 "'kind' is missing"),
+        # an int past the float range, refused before anything is allocated
+        "huge-grid": ("--record", [f"# grid_half_count={10**400}\n"
+                                   if ln.startswith("# grid_half_count=") else ln for ln in lines],
+                      "half_count must be an integer from 1 to 2"),
     }
     out = []
     for name, (option, text, message) in files.items():
@@ -645,10 +670,18 @@ def test_every_config_field_parses_to_its_declared_type():
     ("bin_half_count", "0"),
     ("grad_tol", "0"),
     ("grad_tol", "nan"),
+    # ints past the float range: math.isfinite raised OverflowError on them
+    pytest.param("dim", str(10**400), id="dim-10**400"),
+    pytest.param("bin_half_count", str(10**400), id="bin_half_count-10**400"),
 ])
 def test_config_rejects_out_of_range_values(key, text):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
         RunConfig.from_dict({key: text})
+
+
+def test_config_takes_any_non_negative_integer_seed():
+    """np.random.default_rng takes a seed past the float range."""
+    assert RunConfig.from_dict({"seed": str(10**400)}).seed == 10**400
 
 
 @pytest.mark.parametrize("key", [

@@ -36,6 +36,7 @@ from maxent_tomo import (
     fock_state,
     hermite_functions,
     prepare_free_expansion,
+    simulate_ideal,
     superposition,
     thermal_state,
 )
@@ -93,6 +94,13 @@ def test_bin_grid_layout():
         BinGrid(center=0.0, width=0.0, half_count=3)
     with pytest.raises(ValueError):
         BinGrid(center=0.0, width=1e-5, half_count=0)
+
+
+def test_integers_past_the_float_range_are_compared_not_converted():
+    """np.isfinite raised TypeError on a Python int past the float range."""
+    with pytest.raises(ValueError, match=r"^half_count must be an integer from 1 to 2\*\*53"):
+        BinGrid(center=0.0, width=1e-5, half_count=10**400)
+    assert NoiseSpec(eta=0.1, seed=10**400).seed == 10**400
 
 
 NAN_2X2 = np.full((2, 2), np.nan)
@@ -353,6 +361,24 @@ def test_observation_level_weights_and_errors(trap, space16):
         build_observation_level(trap, grid, (), 0.5, space16)
     with pytest.raises(ValueError):
         build_observation_level(trap, grid, (0.0,), -0.5, space16)
+
+
+def test_with_record_refuses_a_record_of_other_rotations_or_another_grid(trap, space16):
+    """A record of the level's shape is not yet the level's data: one taken
+    at (0, 1.2) rad, or on bins 10% wider, attached to a level at (0, 0.5)."""
+    grid = default_bin_grid(trap, nbar=0.5, half_count=3)
+    level = build_observation_level(trap, grid, (0.0, 0.5), 0.5, space16)
+    psi = superposition(space16, [1.0, 1.0])
+    record = simulate_ideal(psi, level)
+    assert np.array_equal(level.with_record(record).means, record.flat_means())
+    wider = dataclasses.replace(grid, width=1.1 * grid.width)
+    for rotations_, grid_ in (((0.0, 1.2), grid), ((0.0, 0.5), wider)):
+        other = simulate_ideal(psi, build_observation_level(trap, grid_, rotations_, 0.5, space16))
+        assert other.values.shape == record.values.shape
+        with pytest.raises(ValueError, match=re.escape(
+                f"record taken at rotations {rotations_} on {grid_}, "
+                f"the observables at (0.0, 0.5) on {grid}")):
+            level.with_record(other)
 
 
 @pytest.mark.parametrize("first, second", [(0.3, 0.3 + 2.0 * math.pi), (0.3, 0.3 + math.pi),

@@ -87,12 +87,16 @@ def _used() -> set:
 
 def test_the_table_names_each_export_where_it_is_defined():
     """A table that read empty would let the caller test below pass on no
-    names at all."""
+    names at all.  The table is the one export list: no submodule keeps an
+    ``__all__`` of its own to fall out of step with it."""
     exported = _exported()
     assert exported and set(exported.values()) <= SUBMODULES
     for name, module in exported.items():
         submodule = importlib.import_module(f"{PACKAGE}.{module}")
         assert getattr(maxent_tomo, name) is getattr(submodule, name), name
+    lists = [m for m in sorted(SUBMODULES)
+             if hasattr(importlib.import_module(f"{PACKAGE}.{m}"), "__all__")]
+    assert lists == []
 
 
 def test_every_exported_name_has_a_caller_outside_the_tests():
