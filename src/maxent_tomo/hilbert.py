@@ -8,17 +8,18 @@ operator built here is ``number_operator``, n = a†a = (z² + p² - 1)/2.
 Conversion to and from laboratory units (meters, seconds) is the business
 of :mod:`maxent_tomo.measurement`.
 
-Every state is a ``DensityOperator``; a pure one is |psi><psi| of normalized
-Fock amplitudes.  The truncation dimension N is an explicit parameter
-(``FockSpace``).  State factories refuse to build a state whose untruncated
-population above level N-1 exceeds ``LEAKAGE_TOL``; raising N is always the
-right fix.
+Every state is a ``DensityOperator``, which every function that reads a state
+demands (TypeError otherwise); a pure one is |psi><psi| of normalized Fock
+amplitudes.  The truncation dimension N is an explicit parameter
+(``FockSpace``).  State factories refuse a state whose untruncated population
+above level N-1 exceeds ``LEAKAGE_TOL``; raising N is always the right fix.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 LEAKAGE_TOL = 1e-6
+MAX_COUNT = 2**53  # largest dim and bin half count: floats hold every integer up to it
 
 
 class TruncationError(ValueError):
@@ -66,9 +68,10 @@ class FockSpace:
     dim: int
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ValueError(f"Fock dimension must be an integer >= 2, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        d = self.dim  # compared, not converted: int() fails on inf and nan
+        if not (isinstance(d, numbers.Real) and 2 <= d <= MAX_COUNT and d % 1 == 0):
+            raise ValueError(f"dim must be an integer from 2 to 2**53, got {d!r}")
+        object.__setattr__(self, "dim", int(d))
 
 
 @dataclass(frozen=True)
@@ -102,10 +105,10 @@ class DensityOperator:
         return np.real(np.diag(self.matrix)).copy()
 
 
-def _matrix_of(operator) -> np.ndarray:
-    if isinstance(operator, DensityOperator):
-        return operator.matrix
-    return np.asarray(operator, dtype=np.complex128)
+def _state_matrix(state) -> np.ndarray:
+    if not isinstance(state, DensityOperator):
+        raise TypeError(f"state must be a DensityOperator, got {type(state).__name__}")
+    return state.matrix
 
 
 def _pure(amp) -> DensityOperator:
@@ -236,27 +239,27 @@ def hermite_functions(n_max: int, x) -> np.ndarray:
 # figures of merit
 
 
-def entropy(state) -> float:
+def entropy(state: DensityOperator) -> float:
     """Von Neumann entropy -Tr rho ln rho, with 0 ln 0 = 0, clipped at +0.0
     (a pure state sums to -0.0, or below it by rounding).  Eigenvalues
     within dim * eps of 0 or 1 are rounding and add nothing, so a pure
     state gives exactly 0."""
-    evals = np.linalg.eigvalsh(_matrix_of(state))
+    evals = np.linalg.eigvalsh(_state_matrix(state))
     tol = evals.size * np.finfo(np.float64).eps
     p = evals[(evals > tol) & (evals < 1.0 - tol)]
     s = float(-(p * np.log(p)).sum())
     return s if s > 0.0 else 0.0
 
 
-def delta_rho(a, b) -> float:
+def delta_rho(a: DensityOperator, b: DensityOperator) -> float:
     """Summed squared moduli of the element-wise density-matrix difference."""
-    return float(np.sum(np.abs(_matrix_of(a) - _matrix_of(b)) ** 2))
+    return float(np.sum(np.abs(_state_matrix(a) - _state_matrix(b)) ** 2))
 
 
-def fidelity(a, b) -> float:
+def fidelity(a: DensityOperator, b: DensityOperator) -> float:
     """Uhlmann fidelity of two density matrices; <psi|rho_b|psi> when rho_a
     is pure, psi its top eigenvector (eigenvalue within 1e-10 of 1)."""
-    ma, mb = _matrix_of(a), _matrix_of(b)
+    ma, mb = _state_matrix(a), _state_matrix(b)
     evals, vecs = np.linalg.eigh(ma)
     if evals[-1] >= 1.0 - 1e-10:
         psi = vecs[:, -1]
@@ -266,6 +269,6 @@ def fidelity(a, b) -> float:
     return float(np.sqrt(np.clip(inner, 0.0, None)).sum() ** 2)
 
 
-def expectation(state, operator) -> float:
+def expectation(state: DensityOperator, operator) -> float:
     """Real expectation value Tr rho O of a Hermitian operator."""
-    return float(np.real(np.sum(_matrix_of(state).T * _matrix_of(operator))))
+    return float(np.real(np.sum(_state_matrix(state).T * np.asarray(operator, dtype=complex))))

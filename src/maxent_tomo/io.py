@@ -24,9 +24,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .hilbert import DensityOperator, FockSpace, even_cat, fock_state, superposition, thermal_state
+from .hilbert import (MAX_COUNT, DensityOperator, FockSpace, even_cat, fock_state,
+                      superposition, thermal_state)
 from .measurement import (
-    MAX_COUNT,
     BinGrid,
     ObservableSet,
     TrapConfig,

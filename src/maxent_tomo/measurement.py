@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .hilbert import FockSpace, _readonly, hermite_functions, number_operator
+from .hilbert import MAX_COUNT, FockSpace, _readonly, hermite_functions, number_operator
 
 # A bin basis B is accepted when Cholesky factors of B + SPECTRUM_TOL I and
 # (1 + SPECTRUM_TOL) I - B exist: a Hermitian matrix has one if and only if it
@@ -40,9 +40,6 @@ SET_HERMITICITY_TOL = 1e-12
 # Rotations this close modulo pi are refused: a half turn only mirrors the bins,
 # and the operators of the two differ by about (N - 1) times the distance.
 ROTATION_TOL = 1e-9
-# The largest bin half count and Fock dimension accepted: bin indices and Fock
-# levels enter float arithmetic, which holds every integer only up to 2**53.
-MAX_COUNT = 2**53
 
 
 class QuadratureError(ValueError):

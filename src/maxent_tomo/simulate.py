@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import LEAKAGE_TOL, DensityOperator, FockSpace, TruncationError, _pure
+from .hilbert import LEAKAGE_TOL, DensityOperator, FockSpace, TruncationError, _pure, _state_matrix
 from .measurement import BinGrid, ObservableSet, TrapConfig
 
 
@@ -74,17 +74,16 @@ class MeasurementRecord:
         return np.concatenate([self.values.ravel(), [self.nbar]])
 
 
-def simulate_ideal(state, observables: ObservableSet) -> MeasurementRecord:
+def simulate_ideal(state: DensityOperator, observables: ObservableSet) -> MeasurementRecord:
     """Noise-free record of a DensityOperator: exact means of every observable."""
     if observables.bin_shape is None:
         raise ValueError("observables carry no (rotation, bin) layout to record")
-    if not isinstance(state, DensityOperator):
-        raise TypeError(f"state must be a DensityOperator, got {type(state).__name__}")
+    rho = _state_matrix(state)
     if state.dim != observables.dim:
         raise DimensionMismatch(
             f"state dim {state.dim} vs observables dim {observables.dim}"
         )
-    vals = observables.expectations(state.matrix)
+    vals = observables.expectations(rho)
     bins = np.clip(vals[:-1].reshape(observables.bin_shape), 0.0, None)
     return MeasurementRecord(
         rotations=observables.rotations,

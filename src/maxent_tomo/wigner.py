@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .hilbert import _matrix_of, _readonly, hermite_functions
+from .hilbert import DensityOperator, _readonly, _state_matrix, hermite_functions
 
 CONVENTION = "integral-2pi"
 
@@ -143,7 +143,7 @@ def _fock_kernel(rho: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return grid[:q.size] + 1j * grid[q.size:] if len(parts) == 2 else grid
 
 
-def wigner_eval(state, *, span: float = 6.0, points: int = 257) -> WignerGrid:
+def wigner_eval(state: DensityOperator, *, span: float = 6.0, points: int = 257) -> WignerGrid:
     """Evaluate W on the square grid of ``points`` per axis over [-span, span].
 
     ``points`` is an integer of at least 2, ``span`` positive with its largest
@@ -156,7 +156,7 @@ def wigner_eval(state, *, span: float = 6.0, points: int = 257) -> WignerGrid:
         raise ValueError(f"span must be positive with 4 span^2 finite, got {span}")
     if isinstance(points, bool) or not (isinstance(points, (int, np.integer)) and points >= 2):
         raise ValueError(f"points must be an integer >= 2, got {points!r}")
-    rho = _matrix_of(state)
+    rho = _state_matrix(state)
     axis = np.linspace(-span, span, points)
 
     nbar = float(np.real(np.diag(rho) @ np.arange(rho.shape[0])))

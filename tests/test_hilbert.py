@@ -22,6 +22,7 @@ from maxent_tomo import (
     read_density_matrix,
     superposition,
     thermal_state,
+    wigner_eval,
     write_density_matrix,
 )
 
@@ -40,6 +41,23 @@ def test_fock_space_rejects_degenerate_dims():
         with pytest.raises(ValueError):
             FockSpace(bad)
     assert FockSpace(2).dim == 2
+
+
+@pytest.mark.parametrize("bad", [
+    2.5, "16", True,
+    2**53 + 1, 10**400,  # a Python int past the float range
+    math.inf, math.nan,  # int() of either raises its own error
+], ids=["fraction", "string", "bool", "2**53+1", "10**400", "inf", "nan"])
+def test_fock_space_refuses_a_dim_outside_2_to_2_53_naming_it(bad):
+    with pytest.raises(ValueError, match=r"dim must be an integer from 2 to 2\*\*53"):
+        FockSpace(bad)
+
+
+def test_fock_space_takes_every_dim_up_to_2_53_as_an_int():
+    from maxent_tomo.hilbert import MAX_COUNT
+
+    assert MAX_COUNT == 2**53 and FockSpace(MAX_COUNT).dim == 2**53
+    assert type(FockSpace(16.0).dim) is int and type(FockSpace(np.int64(16)).dim) is int
 
 
 def test_density_operator_validation():
@@ -297,6 +315,26 @@ def test_hermite_functions_round_as_the_expression_form(n_max, x):
 
 # ---------------------------------------------------------------------------
 # metrics
+
+
+@pytest.mark.parametrize("raw", [np.array, lambda m: m.tolist()], ids=["ndarray", "list"])
+@pytest.mark.parametrize("read", [
+    lambda x, state: entropy(x),
+    lambda x, state: fidelity(x, state),
+    lambda x, state: fidelity(state, x),
+    lambda x, state: delta_rho(x, state),
+    lambda x, state: delta_rho(state, x),
+    lambda x, state: expectation(x, number_operator(FockSpace(state.dim))),
+    lambda x, state: wigner_eval(x),
+], ids=["entropy", "fidelity-a", "fidelity-b", "delta_rho-a", "delta_rho-b", "expectation",
+        "wigner_eval"])
+def test_every_state_reader_refuses_a_matrix_that_is_not_a_density_operator(read, raw):
+    """Even the entries of a valid state are refused, by type, before any
+    number is read off them."""
+    state = fock_state(FockSpace(3), 1)
+    x = raw(state.matrix)
+    with pytest.raises(TypeError, match=f"state must be a DensityOperator, got {type(x).__name__}$"):
+        read(x, state)
 
 
 def test_entropy_landmarks():

@@ -267,7 +267,7 @@ def test_far_grid_is_finite_and_zero_where_the_hermite_functions_underflow():
     integral is whole, with no warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid = wigner_eval(_random_density(8, 30), span=30.0)
+        grid = wigner_eval(DensityOperator(_random_density(8, 30)), span=30.0)
     assert np.all(np.isfinite(grid.values))
     assert not np.any(grid.values[[0, 0, -1, -1], [0, -1, 0, -1]])
     assert grid.integral() == pytest.approx(2.0 * math.pi, abs=1e-6)
@@ -284,7 +284,7 @@ def test_exactly_hermitian_state_has_no_imaginary_part():
 
 
 def test_a_warm_rotation_table_gives_the_cold_grid_bit_for_bit():
-    rho = _random_density(16, 21)
+    rho = DensityOperator(_random_density(16, 21))
     _rotation_table.cache_clear()
     cold = wigner_eval(rho, span=8.0, points=65)
     warm = wigner_eval(rho, span=8.0, points=65)
@@ -295,7 +295,7 @@ def test_a_warm_rotation_table_gives_the_cold_grid_bit_for_bit():
 
 def test_interleaved_dimensions_each_get_their_own_answer():
     """The table is kept for one dimension: 16, 48, 16 rebuilds it each time."""
-    rhos = {dim: _random_density(dim, dim) for dim in (16, 48)}
+    rhos = {dim: DensityOperator(_random_density(dim, dim)) for dim in (16, 48)}
     cold = {}
     for dim, rho in rhos.items():
         _rotation_table.cache_clear()
@@ -313,15 +313,20 @@ def test_the_cached_rotation_table_is_read_only():
 
 @pytest.mark.parametrize("seed", [5, 6, 7, 8])
 def test_imag_residual_is_the_closed_form_imaginary_part(seed):
-    """Off-Hermitian rho: wigner_eval reports the largest imaginary part of the
-    pairwise closed form; exactly Hermitian, it reports exactly 0.0."""
+    """Off-Hermitian rho, too far off to be a DensityOperator: the kernel's
+    largest imaginary part is that of the pairwise closed form.  A state
+    within the Hermiticity tolerance has wigner_eval report its kernel's
+    largest imaginary part; an exactly Hermitian one, exactly 0.0."""
     axis = np.linspace(-8.0, 8.0, 41)
     rho = _off_hermitian(16, seed)
     ref = np.max(np.abs(_pairwise_kernel(rho, axis, axis).imag))
     assert ref > 1e-8
-    assert wigner_eval(rho, span=8.0, points=41).imag_residual == pytest.approx(ref, abs=1e-13)
+    assert np.max(np.abs(_fock_kernel(rho, axis, axis).imag)) == pytest.approx(ref, abs=1e-13)
     hermitian = DensityOperator((rho + rho.conj().T) / 2 / np.trace(rho).real)
     assert wigner_eval(hermitian, span=8.0, points=41).imag_residual == 0.0
+    near = DensityOperator(hermitian.matrix + 1e-6 * (rho - rho.conj().T) / 2)
+    residual = np.max(np.abs(_fock_kernel(near.matrix, axis, axis).imag))
+    assert wigner_eval(near, span=8.0, points=41).imag_residual == residual > 0.0
 
 
 @pytest.mark.parametrize("kwargs, name", [
